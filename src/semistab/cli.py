@@ -42,6 +42,9 @@ _COMMANDS = {"eigen", "contract", "decay", "rate", "riccati", "geometry",
 
 _OPEN_GRID_MODELS = {"dirichlet_heat", "half_harmonic", "half_harmonic_linear"}
 
+# keys each command reads from the `time` section; other commands read none
+_TIME_KEYS = {"eigen": {"tau"}, "contract": {"tau"}, "decay": {"tau", "t_max"}}
+
 
 def _check_keys(section: dict, allowed: set, path: str):
     for key in section:
@@ -340,6 +343,8 @@ def _cmd_validate(cfg):
     names = extra.get("cases", "all")
     if names == "all":
         names = simulate.list_cases()
+    elif not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError('extra.cases must be "all" or a list of case names')
     budget = float(extra.get("budget", 1.0))
     seed = int(cfg.get("seed", 0))
     results = {}
@@ -370,8 +375,9 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     """Validate the config, run the command, write artifacts.
 
     Returns the process exit code (0 ok, 1 config error, 2 assertion
-    failure).  The artifact never embeds wall-clock data, so reruns with
-    the same config and seed are byte-identical.
+    failure).  The artifact embeds neither wall-clock data nor `threads`,
+    which changes no result, so reruns with the same config and seed are
+    byte-identical whatever the thread count.
     """
     t0 = time.perf_counter()
     try:
@@ -385,20 +391,18 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
             )
         if seed is not None:
             config = {**config, "seed": int(seed)}
-        if threads is not None:
-            config = {**config, "threads": int(threads)}
+        _check_keys(config.get("time", {}), _TIME_KEYS.get(command, set()), "time")
+        out_cfg = config.get("output", {})
+        _check_keys(out_cfg, {"path", "format"}, "output")
+        path = out_cfg.get("path")
+        fmt = out_cfg.get("format", "json")
+        if fmt not in ("json", "csv"):
+            raise ConfigError(f"output.format must be json or csv, not {fmt!r}")
         results, assertions, rows, key = _DISPATCH[command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_cfg = config.get("output", {})
-    _check_keys(out_cfg, {"path", "format"}, "output")
-    path = out_cfg.get("path")
-    fmt = out_cfg.get("format", "json")
     wrote = []
     if path is not None:
         path = Path(path)
@@ -411,17 +415,14 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
                       file=sys.stderr)
                 return 1
             _write_csv(path, ("t", "value"), rows)
-        elif fmt == "json":
+        else:
             payload = {
-                "inputs": {k: v for k, v in config.items() if k != "output"},
+                "inputs": {k: v for k, v in config.items()
+                           if k not in ("output", "threads")},
                 "results": results,
                 "assertions": _assertions_block(assertions),
             }
             _write_json(path, payload)
-        else:
-            print(f"config error: unknown output format {fmt!r}",
-                  file=sys.stderr)
-            return 1
         wrote.append(str(path))
     failed = [a for a in assertions if not a[3]]
     wall = time.perf_counter() - t0

@@ -12,7 +12,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -200,23 +200,7 @@ def half_harmonic(t: float, x: float):
     The density is the mean-reflected difference of Gaussians (equivalently
     the sinh(y m_t(x)/p_t) form), normalized to integrate to one.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if x <= 0:
-        raise ValueError("x must be positive (origin is absorbing)")
-    p = math.tanh(t)
-    m = x / math.cosh(t)
-    z = _gauss_cdf_0_to(m / math.sqrt(p))
-    mass = 2.0 * math.exp(-(x ** 2) * p / 2.0) / math.sqrt(math.cosh(t)) * z
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        plus = np.exp(-((y - m) ** 2) / (2 * p))
-        minus = np.exp(-((y + m) ** 2) / (2 * p))
-        out = (plus - minus) / (2.0 * math.sqrt(2 * math.pi * p) * z)
-        return np.where(y > 0, out, 0.0)
-
-    return float(mass), density
+    return half_harmonic_linear(t, x, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +241,67 @@ def dirichlet_mass(t: float, x, N: int = 100) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear Gaussian diffusions.
+# Exact Riccati flows (Radon's lemma) and linear Gaussian diffusions.
 # ---------------------------------------------------------------------------
 
-def _lyapunov_rk4(A: np.ndarray, R: np.ndarray, t: float, dt: float = 1e-3):
-    """RK4 integration of Cdot = A C + C A' + R from C(0) = 0."""
-    n_steps = max(1, int(math.ceil(t / dt)))
-    h = t / n_steps
-    C = np.zeros_like(R)
+def _scalar_flow(a0: float, a1: float, b: float, z0: float, t: float):
+    """Exact flow of zdot = a0 + a1 z - b z^2 from z0 >= 0 (a0, b >= 0).
 
-    def f(C):
-        return A @ C + C @ A.T + R
+    z = Y / X with [X; Y]' = [[-a1/2, b], [a0, a1/2]] [X; Y] from [1; z0];
+    the matrix squares to beta^2 I.  Returns (z(t), log X(t)).  No term of
+    the denominator is negative, so nothing cancels or overflows at any t.
+    """
+    al = 0.5 * a1
+    beta = math.sqrt(al * al + a0 * b)
+    if beta == 0.0:
+        den = 1.0 + b * z0 * t
+        return z0 / den, math.log(den)
+    e = math.exp(-2.0 * beta * t)
+    s = -math.expm1(-2.0 * beta * t) / beta  # (1 - e) / beta
+    gap = a0 * b / (beta + al) if al > 0 else beta - al  # beta - al >= 0
+    # X = e^{beta t} den / 2, Y = e^{beta t} num / 2
+    den = gap / beta + e * (1.0 + al / beta) + b * z0 * s
+    if den == 0.0:  # a0 = z0 = 0 and e underflowed: z stays 0, X = e^{-al t}
+        return 0.0, -al * t
+    num = z0 * (1.0 + e) + (a0 + al * z0) * s
+    return num / den, beta * t - math.log(2.0) + math.log(den)
 
-    for _ in range(n_steps):
-        k1 = f(C)
-        k2 = f(C + 0.5 * h * k1)
-        k3 = f(C + 0.5 * h * k2)
-        k4 = f(C + h * k3)
-        C = C + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        C = 0.5 * (C + C.T)
-    return C
+
+class MatrixFlow(NamedTuple):
+    p: np.ndarray    # Riccati solution Y X^{-1}
+    F: np.ndarray    # X^{-T}, fundamental matrix of the drift A - p S
+    G: np.ndarray    # int F' S F = X^{-1} U, U the top-right block of exp(tH)
+    logdet: float    # log det X, so that int Tr(S p) = logdet + t Tr A
+
+    @classmethod
+    def start(cls, p0: np.ndarray) -> "MatrixFlow":
+        n = p0.shape[0]
+        return cls(p0, np.eye(n), np.zeros((n, n)), 0.0)
+
+
+def _matrix_flow(A: np.ndarray, R: np.ndarray, S: np.ndarray, t: float,
+                 start: MatrixFlow) -> MatrixFlow:
+    """Exact flow of pdot = A p + p A' + R - p S p continued from `start`.
+
+    p = Y X^{-1} with [X; Y]' = H [X; Y], H = [[-A', S], [R, A]], in
+    ceil(t ||H||_1) steps of one expm(hH), each renormalised to [I; p]:
+    ||hH||_1 <= 1 keeps every step free of overflow at any t.
+    """
+    n = A.shape[0]
+    H = np.block([[-A.T, S], [R, A]])
+    steps = max(1, math.ceil(t * np.linalg.norm(H, 1)))
+    E = expm((t / steps) * H)
+    E11, E12, E21, E22 = E[:n, :n], E[:n, n:], E[n:, :n], E[n:, n:]
+    p, F, G, logdet = start
+    for _ in range(steps):
+        X = E11 + E12 @ p
+        Xinv = np.linalg.inv(X)
+        p = (E21 + E22 @ p) @ Xinv
+        p = 0.5 * (p + p.T)
+        G = G + F.T @ (Xinv @ E12) @ F
+        F = Xinv.T @ F
+        logdet += float(np.linalg.slogdet(X)[1])
+    return MatrixFlow(p, F, 0.5 * (G + G.T), logdet)
 
 
 def controllable(A: np.ndarray, B: np.ndarray) -> bool:
@@ -299,8 +324,8 @@ def _psd_sqrt(M: np.ndarray) -> np.ndarray:
 def gauss_ou_kernel(t: float, A, Sigma, x):
     """Mean exp(tA) x and covariance of the linear diffusion at time t.
 
-    The covariance solves the Lyapunov ODE driven by R = Sigma Sigma' and is
-    positive definite for t > 0 under the Kalman rank condition.
+    Both come from the matrix flow with S = 0 and R = Sigma Sigma'; the
+    covariance is positive definite for t > 0 under the Kalman rank condition.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -312,8 +337,9 @@ def gauss_ou_kernel(t: float, A, Sigma, x):
     if x.shape[0] != A.shape[0]:
         raise ValueError("state dimension does not match A")
     R = Sigma @ Sigma.T
-    mean = expm(t * A) @ x
-    cov = _lyapunov_rk4(A, R, t)
+    zero = np.zeros_like(A)
+    flow = _matrix_flow(A, R, zero, t, MatrixFlow.start(zero))
+    mean, cov = flow.F @ x, flow.p  # F = exp(tA) when S = 0
     if controllable(A, _psd_sqrt(R)):
         lo = np.linalg.eigvalsh(cov).min()
         if lo <= 0:
@@ -323,59 +349,23 @@ def gauss_ou_kernel(t: float, A, Sigma, x):
     return mean, cov
 
 
-class LinearFlowState(NamedTuple):
-    p: float      # variance parameter
-    F: float      # fundamental solution of the mean flow
-    chi: float    # integral of F^2 (quadratic mass coefficient)
-    pbar: float   # integral of p
-
-
-def _half_linear_flow(t: float, a: float, varsigma: float,
-                      dt: float = 1e-4) -> LinearFlowState:
-    """RK4 on pdot = 2ap + 1 - varsigma p^2, Fdot = (a - p varsigma) F."""
-    n_steps = max(1, int(math.ceil(t / dt)))
-    h = t / n_steps
-    y = np.array([0.0, 1.0, 0.0, 0.0])  # p, F, chi, pbar
-
-    def f(y):
-        p, F, _, _ = y
-        return np.array([
-            2 * a * p + 1 - varsigma * p * p,
-            (a - p * varsigma) * F,
-            F * F,
-            p,
-        ])
-
-    for _ in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or y[0] <= 0:
-            raise ArithmeticError(
-                f"linear-flow integration unstable at step size {h:.3e}; "
-                f"state {y}"
-            )
-    return LinearFlowState(*y)
-
-
 def half_harmonic_linear(t: float, x: float, a: float, varsigma: float):
     """Mass and density of the half-line linear diffusion, killed at 0,
     in the quadratic potential varsigma x^2 / 2.
 
     Reduces to `half_harmonic` at (a, varsigma) = (0, 1).  The unabsorbed
     mass factor is exp(-(varsigma/2)(pbar_t + chi_t x^2)); absorption at the
-    origin contributes the reflected Gaussian bracket.
+    origin contributes the reflected Gaussian bracket.  With p_t = Y_t / X_t
+    the scalar flow from 0, chi_t = p_t and varsigma pbar_t = log X_t + a t.
     """
     if t <= 0 or varsigma <= 0:
         raise ValueError("t and varsigma must be positive")
     if x <= 0:
         raise ValueError("x must be positive")
-    st = _half_linear_flow(t, a, varsigma)
-    p, m = st.p, x * st.F
+    p, log_x = _scalar_flow(1.0, 2.0 * a, varsigma, 0.0, t)
+    m = x * math.exp(-log_x)
     z = _gauss_cdf_0_to(m / math.sqrt(p))
-    mass = 2.0 * math.exp(-(varsigma / 2.0) * (st.pbar + st.chi * x * x)) * z
+    mass = 2.0 * math.exp(-0.5 * (log_x + a * t + varsigma * p * x * x)) * z
 
     def density(y):
         y = np.asarray(y, dtype=float)
@@ -417,33 +407,6 @@ class HarmonicOscillator:
 
     def default_grid(self, n=400, halfwidth=8.0):
         return GridDomain.uniform_closed(-halfwidth, halfwidth, n)
-
-
-@dataclass(frozen=True)
-class HalfHarmonicOscillator:
-    name: str = "half_harmonic"
-    is_markov: bool = False
-    self_adjoint: bool = True
-    exact_rho: float = -1.5
-
-    def density(self, t, x, y):
-        mass, dens = half_harmonic(t, float(x))
-        return mass * dens(y)
-
-    def mass(self, t, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([half_harmonic(t, float(xi))[0] for xi in xs])
-        return out[0] if out.size == 1 else out
-
-    def exact_h(self, x):
-        x = np.asarray(x)
-        return 2 * math.pi ** -0.25 * x * np.exp(-x ** 2 / 2)
-
-    def eigenvalue(self, n):
-        return -((2 * n - 1) + 0.5)
-
-    def default_grid(self, n=400, xmax=8.0):
-        return GridDomain.uniform_open(0.0, xmax, n)
 
 
 @dataclass(frozen=True)
@@ -549,6 +512,23 @@ class HalfHarmonicLinear:
 
     def default_grid(self, n=400, xmax=8.0):
         return GridDomain.uniform_open(0.0, xmax, n)
+
+
+@dataclass(frozen=True)
+class HalfHarmonicOscillator(HalfHarmonicLinear):
+    """The absorbed oscillator: `HalfHarmonicLinear` at (a, varsigma) = (0, 1)."""
+
+    a: float = field(default=0.0, init=False)
+    varsigma: float = field(default=1.0, init=False)
+    name: str = "half_harmonic"
+    self_adjoint: bool = True
+
+    def exact_h(self, x):
+        x = np.asarray(x)
+        return 2 * math.pi ** -0.25 * x * np.exp(-x ** 2 / 2)
+
+    def eigenvalue(self, n):
+        return -((2 * n - 1) + 0.5)
 
 
 def make_model(name: str, **params):

@@ -1,10 +1,11 @@
 """Scalar and matrix Riccati flows, coupled-oscillator quantities, and
 birth-death moment majorants.
 
-All deterministic flows use classical RK4 with a fixed default step
-(dt = 1e-3); matrix flows are symmetrized after every step.  Birth-death
-moments are estimated by exact event-clock simulation, never tau-leaping,
-so the drift inequalities are tested without discretization bias.
+All deterministic flows are exact (Radon's lemma; `kernels._scalar_flow`,
+`kernels._matrix_flow`) and their `dt` arguments do not affect results.
+Birth-death moments are estimated by exact event-clock simulation, never
+tau-leaping, so the drift inequalities are tested without discretization
+bias.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import _psd_sqrt, controllable
+from .kernels import MatrixFlow, _matrix_flow, _psd_sqrt, _scalar_flow, controllable
 
 __all__ = [
     "ScalarRiccati",
@@ -56,35 +57,13 @@ class ScalarRiccati:
 
 def scalar_riccati(spec: ScalarRiccati, z0: float, t: float,
                    dt: float = 1e-3) -> float:
-    """RK4 flow of zdot = a0 + a1 z - b z^2 from z0 >= 0.
-
-    Monotone toward the positive fixed point from either side; on numeric
-    blow-up the step is halved a few times before giving up.
-    """
+    """Exact flow of zdot = a0 + a1 z - b z^2 from z0 >= 0 at time t >= 0,
+    monotone toward the positive fixed point; `dt` does not affect it."""
     if z0 < 0:
         raise ValueError("z0 must be nonnegative")
-    if t == 0:
-        return float(z0)
-    for attempt in range(13):
-        h_target = dt / 2 ** attempt
-        n_steps = max(1, int(math.ceil(t / h_target)))
-        h = t / n_steps
-        z = float(z0)
-        ok = True
-        for _ in range(n_steps):
-            k1 = spec.rhs(z)
-            k2 = spec.rhs(z + 0.5 * h * k1)
-            k3 = spec.rhs(z + 0.5 * h * k2)
-            k4 = spec.rhs(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not math.isfinite(z) or z < -1e-9:
-                ok = False
-                break
-        if ok:
-            return z
-    raise ArithmeticError(
-        f"scalar Riccati integration unstable down to step {h:.3e}"
-    )
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return _scalar_flow(spec.a0, spec.a1, spec.b, float(z0), t)[0]
 
 
 @dataclass(frozen=True)
@@ -115,23 +94,12 @@ class MatrixRiccati:
 
 
 def matrix_riccati(spec: MatrixRiccati, t: float, dt: float = 1e-3) -> np.ndarray:
-    """Symmetrized RK4 flow of pdot = A p + p A' + R - p S p."""
-    n_steps = max(1, int(math.ceil(t / dt)))
-    h = t / n_steps
-    p = spec.p0.copy()
-    for k in range(n_steps):
-        k1 = spec.rhs(p)
-        k2 = spec.rhs(p + 0.5 * h * k1)
-        k3 = spec.rhs(p + 0.5 * h * k2)
-        k4 = spec.rhs(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        p = 0.5 * (p + p.T)
-        lo = np.linalg.eigvalsh(p).min()
-        if not np.all(np.isfinite(p)) or lo < -1e-8:
-            raise ArithmeticError(
-                f"matrix Riccati flow left the PSD cone at step {k} "
-                f"(min eig {lo:.3e}, h = {h:.3e})"
-            )
+    """Exact flow of pdot = A p + p A' + R - p S p; `dt` does not affect it."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    p = _matrix_flow(spec.A, spec.R, spec.S, t, MatrixFlow.start(spec.p0)).p
+    if not np.all(np.isfinite(p)) or np.linalg.eigvalsh(p).min() < -1e-8:
+        raise ArithmeticError("matrix Riccati flow left the PSD cone")
     return p
 
 
@@ -145,66 +113,34 @@ class CoupledOscillator:
     m_t: np.ndarray
     p_t: np.ndarray
     log_mass: float          # log Q_t(1)(x)
-    rho_hat: float           # tail average of -Tr(S p_s)/2
-    trace_history: np.ndarray
+    rho_hat: float           # tail average of -Tr(S p_s)/2 over [0.8t, t]
 
 
 def coupled_oscillator_semigroup(A, Sigma, S, x, t: float,
                                  dt: float = 1e-3) -> CoupledOscillator:
-    """Joint RK4 integration of the mean, covariance, fundamental matrix and
-    mass accumulators of the quadratic-potential linear diffusion.
+    """Mean, covariance and mass of the quadratic-potential linear diffusion
+    at time t > 0, from the exact matrix flow.
 
     -2 log Q_t(1)(x) = x' (int F' S F) x + int Tr(S p); the decay-rate
-    estimate is the tail average of -Tr(S p_s)/2, which converges to
-    -Tr(p_inf S)/2.
+    estimate is the average of -Tr(S p_s)/2 over [0.8t, t], which converges
+    to -Tr(p_inf S)/2.  `dt` does not affect the result.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if t <= 0:
+        raise ValueError("t must be positive")
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = A.shape[0]
-    R = Sigma @ Sigma.T
+    spec = MatrixRiccati(A, Sigma @ Sigma.T, S)  # checks R and S are PSD
+    A, R, S = spec.A, spec.R, spec.S
     if not controllable(A, _psd_sqrt(R)):
         raise ValueError("(A, R^{1/2}) fails the controllability rank check")
     if not controllable(A.T, _psd_sqrt(S)):
         raise ValueError("(A', S^{1/2}) fails the controllability rank check")
-    spec = MatrixRiccati(A, R, S)
-    n_steps = max(1, int(math.ceil(t / dt)))
-    h = t / n_steps
-    p = np.zeros((n, n))
-    m = x.copy()
-    F = np.eye(n)
-    g1 = np.zeros((n, n))
-    g2 = 0.0
-    traces = np.empty(n_steps)
-
-    def deriv(state):
-        p_, m_, F_, _, _ = state
-        drift = A - p_ @ S
-        return (
-            spec.rhs(p_),
-            drift @ m_,
-            drift @ F_,
-            F_.T @ S @ F_,
-            float(np.trace(S @ p_)),
-        )
-
-    for k in range(n_steps):
-        s0 = (p, m, F, g1, g2)
-        k1 = deriv(s0)
-        k2 = deriv(tuple(a + 0.5 * h * b for a, b in zip(s0, k1)))
-        k3 = deriv(tuple(a + 0.5 * h * b for a, b in zip(s0, k2)))
-        k4 = deriv(tuple(a + h * b for a, b in zip(s0, k3)))
-        p, m, F, g1, g2 = tuple(
-            a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4)
-        )
-        p = 0.5 * (p + p.T)
-        traces[k] = float(np.trace(S @ p))
-    log_mass = -0.5 * (float(x @ g1 @ x) + g2)
-    tail = traces[int(0.8 * n_steps):]
-    rho_hat = -0.5 * float(tail.mean())
-    return CoupledOscillator(m, p, log_mass, rho_hat, traces)
+    head = _matrix_flow(A, R, S, 0.8 * t, MatrixFlow.start(spec.p0))
+    end = _matrix_flow(A, R, S, 0.2 * t, head)
+    trace_a = float(np.trace(A))
+    log_mass = -0.5 * (float(x @ end.G @ x) + end.logdet + t * trace_a)
+    rho_hat = -0.5 * ((end.logdet - head.logdet) / (0.2 * t) + trace_a)
+    return CoupledOscillator(end.F @ x, end.p, log_mass, rho_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,60 @@ def test_scientific_float_format(tmp_path):
     assert "e-01" in text or "e+00" in text
     w_line = [l for l in text.splitlines() if "-1.7888543819998318e-01" in l]
     assert w_line  # -2 / 5^1.5 serialized at full precision
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix_tanh"])
+def test_riccati_negative_horizon_is_a_config_error(capsys, kind):
+    cfg = {"command": "riccati", "extra": {"kind": kind, "t": -1}}
+    assert run_experiment(cfg) == 1
+    assert "t must be nonnegative" in _one_line_error(capsys)
+
+
+def test_output_and_time_checked_before_the_command_runs(tmp_path, capsys,
+                                                         monkeypatch):
+    import semistab.cli as cli
+
+    def never(cfg):
+        raise AssertionError("command ran before its config was checked")
+
+    monkeypatch.setitem(cli._DISPATCH, "eigen", never)
+    base = {"command": "eigen", "model": {"name": "dirichlet_heat"},
+            "grid": {"min": 0.0, "max": 1.0, "n": 20}}
+    bad = [
+        ({"output": {"path": str(tmp_path / "e.json"), "fmt": "json"}}, "output.fmt"),
+        ({"output": {"path": str(tmp_path / "e.json"), "format": "xml"}},
+         "output.format"),
+        ({"time": {"tua": 0.5}}, "time.tua"),
+        ({"time": {"tau": 0.5, "t_max": 3}}, "time.t_max"),
+    ]
+    for extra, message in bad:
+        assert run_experiment({**base, **extra}) == 1
+        assert message in _one_line_error(capsys)
+    assert run_experiment({"command": "riccati", "time": {"tau": 1.0}}) == 1
+    assert "time.tau" in _one_line_error(capsys)
+
+
+def test_validate_cases_must_be_a_list(capsys):
+    cfg = {"command": "validate", "extra": {"cases": "harmonic_mass_t1"}}
+    assert run_experiment(cfg) == 1
+    assert "extra.cases" in _one_line_error(capsys)
+
+
+def test_threads_do_not_change_artifact_bytes(tmp_path):
+    paths = []
+    for threads in (1, 4):
+        out = tmp_path / f"t{threads}.json"
+        cfg = {"command": "geometry",
+               "extra": {"op": "shape", "surface": "parabola", "theta": 0.5},
+               "output": {"path": str(out), "format": "json"}, "threads": 2}
+        assert run_experiment(cfg, threads=threads) == 0
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "threads" not in json.loads(paths[0].read_text())["inputs"]

@@ -159,6 +159,14 @@ def test_gauss_ou_kernel_scalar_cases():
         gauss_ou_kernel(1.0, np.eye(2), np.eye(2), np.array([1.0]))
 
 
+def test_gauss_ou_kernel_long_horizon():
+    # the covariance settles at the stationary variance sigma^2 / (-2a)
+    for a, sigma in ((-1.0, 1.0), (-0.25, 0.6)):
+        mean, cov = gauss_ou_kernel(1000.0, a, sigma, np.array([5.0]))
+        assert cov[0, 0] == pytest.approx(sigma ** 2 / (-2 * a), rel=1e-12)
+        assert mean[0] == pytest.approx(0.0, abs=1e-100)
+
+
 def test_gauss_ou_kernel_matrix_case():
     A = np.array([[0.0, 1.0], [-1.0, -0.5]])
     S = np.array([[0.0, 0.0], [0.0, 1.0]])

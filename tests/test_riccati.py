@@ -237,3 +237,40 @@ def test_multivariate_spec_validation():
             ups=np.array([0.0]), sig=np.array([0.0]),
             C=np.eye(1), D=np.eye(1),  # B = 0 not positive definite
         )
+
+
+def test_negative_horizons_rejected():
+    s = ScalarRiccati(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        scalar_riccati(s, 0.5, -1.0)
+    spec = MatrixRiccati(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    with pytest.raises(ValueError):
+        matrix_riccati(spec, -1.0)
+    # rho_hat averages over [0.8t, t], so t = 0 is rejected too
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            coupled_oscillator_semigroup(0.0, 1.0, 1.0, np.array([1.0]), t)
+    assert scalar_riccati(s, 0.5, 0.0) == 0.5
+    np.testing.assert_array_equal(matrix_riccati(spec, 0.0), spec.p0)
+
+
+def test_long_horizons_reach_fixed_points():
+    spec = MatrixRiccati(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    assert matrix_riccati(spec, 1000.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
+    for s, z0 in ((ScalarRiccati(1.0, 1.0, 2.0), 5.0),
+                  (ScalarRiccati(0.3, -2.0, 0.5), 0.0),
+                  (ScalarRiccati(0.0, 1.5, 0.5), 2.0)):
+        assert scalar_riccati(s, z0, 1e4) == pytest.approx(s.z_inf, abs=1e-12)
+    # a0 = z0 = 0 keeps the flow at the unstable fixed point 0 at any t
+    assert scalar_riccati(ScalarRiccati(0.0, 1.0, 1.0), 0.0, 1e4) == 0.0
+
+
+def test_scalar_riccati_closed_form_degenerate_cases():
+    # beta = 0: zdot = -b z^2 solves to z0 / (1 + b z0 t)
+    assert scalar_riccati(ScalarRiccati(0.0, 0.0, 2.0), 3.0, 1.5) == \
+        pytest.approx(3.0 / (1 + 2.0 * 3.0 * 1.5), rel=1e-14)
+    # a0 = 0, a1 > 0: logistic flow z_inf z0 e^{a1 t} / (z_inf + z0 (e^{a1 t} - 1))
+    s = ScalarRiccati(0.0, 1.0, 0.5)
+    g = math.exp(3.0)
+    assert scalar_riccati(s, 0.1, 3.0) == \
+        pytest.approx(2.0 * 0.1 * g / (2.0 + 0.1 * (g - 1)), rel=1e-13)
