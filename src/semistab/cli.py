@@ -3,7 +3,8 @@
 A single JSON document describes one experiment: which command to run, the
 model and grid, the Lyapunov spelling, time parameters, and the output
 artifact.  Unknown keys are rejected with the offending path.  Exit codes:
-0 success, 1 usage or config error, 2 an asserted inequality failed.
+0 success, 1 usage or config error, 2 an asserted inequality failed or a
+numerical failure (reported on one stderr line, without a traceback).
 
 Artifacts are deterministic: floats are serialized in decimal scientific
 notation with 17 significant digits and keys are emitted in sorted order,
@@ -375,9 +376,11 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     """Validate the config, run the command, write artifacts.
 
     Returns the process exit code (0 ok, 1 config error, 2 assertion
-    failure).  The artifact embeds neither wall-clock data nor `threads`,
-    which changes no result, so reruns with the same config and seed are
-    byte-identical whatever the thread count.
+    failure or numerical failure: an ArithmeticError, a flow or particle
+    extinction, reported as one `numerical failure:` line).  The artifact
+    embeds neither wall-clock data nor `threads`, which changes no result,
+    so reruns with the same config and seed are byte-identical whatever
+    the thread count.
     """
     t0 = time.perf_counter()
     try:
@@ -402,6 +405,10 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, spectral.FlowExtinctionError,
+            simulate.ExtinctionError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
 
     wrote = []
     if path is not None:

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _SUB_MARKOV_SLACK = 1e-9
+# Grid entries per broadcast density call in `discretize`: its temporaries
+# stay near 512 KB each instead of growing with the whole n x n matrix.
+_DENSITY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -553,20 +556,28 @@ def discretize(model, grid: GridDomain, t: float,
     """Quadrature realization of the kernel on the grid.
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
-    (truncated eigenseries may dip microscopically negative).
+    (truncated eigenseries may dip microscopically negative).  The density
+    is evaluated on blocks of rows in broadcast calls, x a column, and row
+    by row only when that fails (densities of a scalar x), so that a failing
+    row is still named.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     pts, w = grid.points, grid.cell_weights
     n = grid.size
     K = np.empty((n, n))
-    for i in range(n):
-        try:
-            K[i] = model.density(t, pts[i], pts) * w
-        except Exception as exc:  # keep the offending row identifiable
-            raise ArithmeticError(
-                f"density evaluation failed at grid row {i} (x={pts[i]!r})"
-            ) from exc
+    step = max(1, _DENSITY_BLOCK // n)
+    try:
+        for lo in range(0, n, step):
+            K[lo:lo + step] = model.density(t, pts[lo:lo + step, None], pts) * w
+    except Exception:
+        for i in range(n):
+            try:
+                K[i] = model.density(t, pts[i], pts) * w
+            except Exception as exc:  # keep the offending row identifiable
+                raise ArithmeticError(
+                    f"density evaluation failed at grid row {i} (x={float(pts[i])!r})"
+                ) from exc
     np.clip(K, 0.0, None, out=K)
     return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
                             quad_tol=quad_tol)

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .contraction import _pair_scan
 from .core import GridDomain, LyapunovSpec, MeasureVec
 from .kernels import DiscreteOperator
 
@@ -218,15 +219,9 @@ class RateReport:
 
 
 def _alpha_over(P: DiscreteOperator, mask: np.ndarray) -> float:
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
+    if not mask.any():
         raise ValueError("empty sub-level set")
-    rows = P.matrix[idx]
-    worst = 0.0
-    for a in range(len(idx) - 1):
-        tv = 0.5 * np.abs(rows[a] - rows[a + 1:]).sum(axis=1).max()
-        worst = max(worst, float(tv))
-    return 1.0 - worst
+    return 1.0 - 0.5 * _pair_scan(P.matrix[mask])[0]
 
 
 def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,

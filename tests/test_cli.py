@@ -256,3 +256,11 @@ def test_threads_do_not_change_artifact_bytes(tmp_path):
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert "threads" not in json.loads(paths[0].read_text())["inputs"]
+
+
+def test_grid_outside_the_domain_is_a_numerical_failure(capsys):
+    cfg = {"command": "eigen", "model": {"name": "dirichlet_heat"},
+           "grid": {"min": -1.0, "max": 1.0, "n": 50}, "time": {"tau": 0.5}}
+    assert run_experiment(cfg) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("numerical failure: density evaluation failed at grid row 0")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
 from semistab.contraction import (
+    _pair_scan,
     build_pvc_chain,
     decay_envelope_constant,
     foster_lyapunov_verify,
@@ -233,3 +235,85 @@ def test_nonexpansive_reports_empty_window():
                              T=5, trials=5)
     assert not rep.window_ok
     assert "2 alpha1" in rep.violated
+
+
+def brute_pair_scan(K, w=None):
+    """Double loop over i < j; a strictly larger value moves the witness."""
+    best, pair = -math.inf, (0, 0)
+    for i in range(K.shape[0]):
+        for j in range(i + 1, K.shape[0]):
+            diff = np.abs(K[i] - K[j])
+            v = diff.sum() if w is None else (diff * w).sum() / (w[i] + w[j])
+            if v > best:
+                best, pair = float(v), (i, j)
+    return max(best, 0.0), pair
+
+
+@st.composite
+def scan_inputs(draw):
+    """Random square matrices, some with dyadic entries (exactly tied sums)
+    and some with duplicated rows, plus positive weights."""
+    n = draw(st.sampled_from([1, 2, 3, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        K = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n))
+        w = rng.choice([0.5, 1.0, 2.0], size=n)
+    else:
+        K = rng.random((n, n))
+        w = rng.uniform(0.5, 3.0, size=n)
+    for _ in range(draw(st.integers(0, n))):
+        src, dst = rng.integers(n, size=2)
+        K[dst], w[dst] = K[src], w[src]
+    return K, w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scan_inputs(), st.booleans())
+def test_pair_scan_matches_brute_force(inputs, weighted):
+    K, w = inputs
+    w = w if weighted else None
+    value, pair = _pair_scan(K, w)
+    ref_value, ref_pair = brute_pair_scan(K, w)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+    assert pair == ref_pair
+
+
+def test_pair_scan_exact_ties_take_the_smallest_index_pair():
+    # every pair of point masses is at L1 distance 2 and weighted ratio 1
+    K = np.eye(5)
+    assert _pair_scan(K) == (2.0, (0, 1))
+    assert _pair_scan(K, np.array([3.0, 0.5, 1.0, 2.0, 0.25])) == (1.0, (0, 1))
+    # rows 1 and 3 equal: (1, 2) and (2, 3) tie at the maximum
+    K = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert _pair_scan(K) == (2.0, (1, 2))
+
+
+def test_one_state_scans():
+    P = DiscreteOperator(np.array([[0.7]]), GridDomain.uniform_open(0.0, 1.0, 1),
+                         1.0, quad_tol=1e-9)
+    rep = v_dobrushin(P, HALF)
+    assert (rep.beta, rep.witness_pair) == (0.0, (0, 0))
+    P3 = chain(np.eye(3)[::-1])
+    V = LyapunovSpec.table(np.array([1.0, 2.0, 3.0]), P3.grid)
+    assert local_minorization(P3, V, 1.5) == 1.0  # sub-level set {state 0}
+
+
+def test_nonexpansive_batched_trials_keep_the_per_trial_stream():
+    # a permutation chain moves mass out to large V, so the norm rises
+    P = chain(np.eye(3)[::-1])
+    V = LyapunovSpec.table(np.array([1.0, 2.0, 3.0]), P.grid)
+    rep = nonexpansive_check(P, V, np.sqrt, rho=1.0, r=1.5, T=6, trials=7, seed=3)
+    rng = np.random.default_rng(3)
+    weights = 1.0 + V(P.grid.points)
+    worst = 0.0
+    for _ in range(7):
+        mu = rng.dirichlet(np.ones(3)) - rng.dirichlet(np.ones(3))
+        prev = np.abs(mu) @ weights
+        for _ in range(6):
+            mu = mu @ P.matrix
+            cur = np.abs(mu) @ weights
+            if cur - prev > 1e-12 * max(prev, 1.0):
+                worst = max(worst, cur - prev)
+            prev = cur
+    assert not rep.monotone_ok
+    assert rep.worst_increase == pytest.approx(worst, rel=1e-12)

@@ -399,3 +399,23 @@ def test_half_harmonic_drift_bounded():
     c_t = QV.max()
     k = g.size // 20
     assert max(QV[:k].max(), QV[-k:].max()) < c_t  # decay toward both edges
+
+
+@pytest.mark.parametrize("model, grid", [
+    (HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 300)),
+    (DirichletHeat(), GridDomain.uniform_open(0.0, 1.0, 300)),
+    (GaussOU(), GaussOU().default_grid(150)),
+    (HalfHarmonicLinear(0.3, 2.0), GridDomain.uniform_open(0.0, 5.0, 10)),
+    (HalfHarmonicOscillator(), GridDomain.uniform_open(0.0, 8.0, 1)),
+])
+def test_discretize_matches_row_by_row_assembly(model, grid):
+    pts, w = grid.points, grid.cell_weights
+    rows = np.array([model.density(0.5, x, pts) * w for x in pts])
+    assert np.array_equal(discretize(model, grid, 0.5).matrix,
+                          np.clip(rows, 0.0, None))
+
+
+def test_discretize_names_the_failing_row():
+    grid = GridDomain.uniform_open(-1.0, 1.0, 20)
+    with pytest.raises(ArithmeticError, match=r"grid row 0 \(x=-0\.95\)"):
+        discretize(DirichletHeat(), grid, 0.5)
