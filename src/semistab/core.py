@@ -434,3 +434,25 @@ def coupling_equivalence(mu1: MeasureVec, mu2: MeasureVec, eps: float):
     if mass < eps - 1e-12:
         return False, None
     return True, MeasureVec(overlap / mass, mu1.grid)
+
+
+def _grad_hess(f, x, h):
+    """Central-difference gradient and Hessian of scalar f at x, step h."""
+    d = x.size
+    g = np.zeros(d)
+    H = np.zeros((d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        g[i] = (f(x + e) - f(x - e)) / (2 * h)
+        H[i, i] = (f(x + e) - 2 * f(x) + f(x - e)) / (h * h)
+    for i in range(d):
+        for j in range(i + 1, d):
+            ei = np.zeros(d)
+            ej = np.zeros(d)
+            ei[i] = h
+            ej[j] = h
+            H[i, j] = H[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4 * h * h)
+    return g, H

@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import _grad_hess
+
 __all__ = [
     "MongeSurface",
     "BoundaryFrame",
@@ -87,37 +89,14 @@ class MongeSurface:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.grad is not None:
             return np.atleast_1d(np.asarray(self.grad(theta), dtype=float))
-        h = self.fd_step
-        g = np.empty(self.chart_dim)
-        for i in range(self.chart_dim):
-            e = np.zeros(self.chart_dim)
-            e[i] = h
-            g[i] = (self.phi(theta + e) - self.phi(theta - e)) / (2 * h)
-        return g
+        return _grad_hess(self.phi, theta, self.fd_step)[0]
 
     def hessian(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.hess is not None:
             H = np.atleast_2d(np.asarray(self.hess(theta), dtype=float))
         else:
-            h = self.fd_step
-            d = self.chart_dim
-            H = np.empty((d, d))
-            f0 = self.phi(theta)
-            for i in range(d):
-                ei = np.zeros(d)
-                ei[i] = h
-                H[i, i] = (self.phi(theta + ei) - 2 * f0 + self.phi(theta - ei)) / h**2
-            for i in range(d):
-                for j in range(i + 1, d):
-                    ei = np.zeros(d)
-                    ej = np.zeros(d)
-                    ei[i] = h
-                    ej[j] = h
-                    H[i, j] = H[j, i] = (
-                        self.phi(theta + ei + ej) - self.phi(theta + ei - ej)
-                        - self.phi(theta - ei + ej) + self.phi(theta - ei - ej)
-                    ) / (4 * h**2)
+            H = _grad_hess(self.phi, theta, self.fd_step)[1]
         if np.abs(H - H.T).max() > 1e-8:
             raise ValueError("Hessian not symmetric at this chart point")
         return H
@@ -202,8 +181,12 @@ def weingarten_identity_check(surface: MongeSurface, theta,
 
 
 def _focal_crossing(W: np.ndarray, u: float):
-    """Smallest |u*| <= |u| where det(I - u* W) hits zero, or None."""
-    eigs = np.linalg.eigvals(W)
+    """Smallest |u*| <= |u| where det(I - u* W) hits zero, or None.
+
+    W is one shape matrix or a stack of them; the stack crosses where any
+    of its members does.
+    """
+    eigs = np.linalg.eigvals(W).ravel()
     crossings = []
     for lam in eigs:
         if abs(lam.imag) > 1e-12 or lam.real == 0:
@@ -212,6 +195,11 @@ def _focal_crossing(W: np.ndarray, u: float):
         if u != 0 and u_star * u > 0 and abs(u_star) <= abs(u):
             crossings.append(abs(u_star))
     return min(crossings) if crossings else None
+
+
+def _offset_dets(W: np.ndarray, u: float):
+    """Offset Jacobians |det(I - u W)| of one shape matrix or a stack."""
+    return np.abs(np.linalg.det(np.eye(W.shape[-1]) - u * W))
 
 
 def offset_jacobian(surface: MongeSurface, theta, u: float) -> float:
@@ -223,7 +211,7 @@ def offset_jacobian(surface: MongeSurface, theta, u: float) -> float:
             f"offset depth |u| = {abs(u):g} crosses the focal distance "
             f"{cross:g} at this chart point"
         )
-    return abs(float(np.linalg.det(np.eye(surface.chart_dim) - u * ff.W)))
+    return float(_offset_dets(ff.W, u))
 
 
 @dataclass(frozen=True)
@@ -325,26 +313,23 @@ class CoareaReport:
     ok: bool
 
 
-def _chart_nodes(surface: MongeSurface, n_theta: int):
-    axes = []
-    weights = []
-    for lo, hi in surface.chart_domain:
-        h = (hi - lo) / n_theta
-        axes.append(lo + (np.arange(n_theta) + 0.5) * h)
-        weights.append(h)
-    if surface.chart_dim == 1:
-        return [np.array([t]) for t in axes[0]], weights[0]
-    nodes = [np.array([a, b]) for a in axes[0] for b in axes[1]]
-    return nodes, weights[0] * weights[1]
+def _chart_forms(surface: MongeSurface, n_theta: int):
+    """Midpoint nodes of the chart, n_theta per axis, each evaluated once.
 
-
-def _surface_slice_integral(surface, nodes, w_theta, r):
-    total = 0.0
-    for th in nodes:
-        ff = fundamental_forms(surface, th)
-        det = float(np.linalg.det(np.eye(surface.chart_dim) - r * ff.W))
-        total += abs(det) * math.sqrt(float(np.linalg.det(ff.g))) * w_theta
-    return total
+    Returns the embedded points and unit normals (one row per node), the
+    stacked shape matrices W and the area weights sqrt(det g) * cell volume.
+    """
+    steps = [(hi - lo) / n_theta for lo, hi in surface.chart_domain]
+    axes = [lo + (np.arange(n_theta) + 0.5) * h
+            for (lo, _), h in zip(surface.chart_domain, steps)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    nodes = nodes.reshape(-1, surface.chart_dim)
+    forms = [fundamental_forms(surface, th) for th in nodes]
+    points = np.array([surface.embed(th) for th in nodes])
+    N = np.array([ff.N for ff in forms])
+    W = np.array([ff.W for ff in forms])
+    area = np.sqrt(np.linalg.det(np.array([ff.g for ff in forms]))) * math.prod(steps)
+    return points, N, W, area
 
 
 def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
@@ -359,25 +344,17 @@ def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
     integrable blowup of profiles like u^(-1/2) at the boundary.  Shrinks
     alpha when a focal crossing is detected inside the tube.
     """
-    nodes, w_theta = _chart_nodes(surface, n_theta)
+    _, _, W, area = _chart_forms(surface, n_theta)
     # focal guard on the coarse nodes
     a = alpha
     for _ in range(20):
-        crossing = None
-        for th in nodes:
-            ff = fundamental_forms(surface, th)
-            c = _focal_crossing(ff.W, a)
-            if c is not None:
-                crossing = c if crossing is None else min(crossing, c)
-        if crossing is None:
+        if _focal_crossing(W, a) is None:
             break
         a = 0.5 * a
 
     def radial_integrand(s):
         u = s * s
-        return 2.0 * s * float(f(u)) * _surface_slice_integral(
-            surface, nodes, w_theta, u
-        )
+        return 2.0 * s * float(f(u)) * float(_offset_dets(W, u) @ area)
 
     s_max = math.sqrt(a)
     # route 1: midpoint in s
@@ -421,32 +398,22 @@ def level_set_density(kernel: dict, surface: MongeSurface, x, r: float,
         raise ValueError("offset depth r exceeds the tube radius alpha")
     mx = np.atleast_1d(np.asarray(m_t(x), dtype=float))
 
-    def q(y):
-        return c_t * math.exp(-float((y - mx) @ (y - mx)) / (2 * sigma_t**2))
-
     prev = None
     n_cur = n_theta
     for _ in range(6):
-        nodes, w_theta = _chart_nodes(surface, n_cur)
-        total = 0.0
-        kappa = 0.0
-        kappa_minus = 0.0
-        for th in nodes:
-            ff = fundamental_forms(surface, th)
-            det = abs(float(np.linalg.det(np.eye(surface.chart_dim) - r * ff.W)))
-            y = surface.embed(th) + r * ff.N
-            total += q(y) * det * math.sqrt(float(np.linalg.det(ff.g))) * w_theta
-            for rr in (0.0, 0.5 * alpha, alpha):
-                kappa = max(kappa, abs(float(np.linalg.det(
-                    np.eye(surface.chart_dim) - rr * ff.W))))
-                kappa_minus = max(kappa_minus, abs(float(np.linalg.det(
-                    np.eye(surface.chart_dim) + rr * ff.W))))
+        points, N, W, area = _chart_forms(surface, n_cur)
+        dy = points + r * N - mx
+        q = c_t * np.exp(-np.sum(dy * dy, axis=1) / (2 * sigma_t**2))
+        total = float((q * _offset_dets(W, r)) @ area)
         if prev is not None and abs(total - prev) <= 1e-5 * max(abs(total), 1e-6):
             break
         prev = total
         n_cur *= 2
     else:
         raise ArithmeticError("level-set quadrature did not converge")
+    depths = (0.0, 0.5 * alpha, alpha)
+    kappa = max(float(_offset_dets(W, rr).max()) for rr in depths)
+    kappa_minus = max(float(_offset_dets(W, -rr).max()) for rr in depths)
     eps = 0.5
     n_amb = surface.n
     varpi = c_t * (2 * math.pi * sigma_t**2) ** (n_amb / 2)

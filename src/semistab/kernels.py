@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import erf
 
-from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
+from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, _grad_hess
 
 __all__ = [
     "DiscreteOperator",
@@ -579,8 +579,11 @@ def discretize(model, grid: GridDomain, t: float,
                     f"density evaluation failed at grid row {i} (x={float(pts[i])!r})"
                 ) from exc
     np.clip(K, 0.0, None, out=K)
-    return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
-                            quad_tol=quad_tol)
+    try:
+        return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
+                                quad_tol=quad_tol)
+    except ValueError as exc:  # rows off by more than a quadrature error
+        raise ArithmeticError(f"{n}-point grid quadrature failed: {exc}") from exc
 
 
 def doob_h_transform(Q: DiscreteOperator, h: FunctionVec,
@@ -621,27 +624,6 @@ def _as_point_fun(V):
     if isinstance(V, LyapunovSpec):
         return V.at
     return lambda x: float(V(np.asarray(x, dtype=float)))
-
-
-def _grad_hess(f, x, h):
-    d = x.size
-    g = np.zeros(d)
-    H = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-        H[i, i] = (f(x + e) - 2 * f(x) + f(x - e)) / (h * h)
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4 * h * h)
-    return g, H
 
 
 def generator_apply(drift, diffusion, V, x, fd_step: float = 1e-4) -> GeneratorValue:

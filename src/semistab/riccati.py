@@ -42,10 +42,15 @@ class ScalarRiccati:
     b: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.a0, self.a1, self.b)):
+            raise ValueError("a0, a1 and b must be finite")
         if self.a0 < 0:
             raise ValueError("a0 must be nonnegative")
         if self.b <= 0:
             raise ValueError("b must be positive")
+        # 4 beta^2 of `kernels._scalar_flow`; z_inf takes its square root
+        if not math.isfinite(self.a1 * self.a1 + 4 * self.a0 * self.b):
+            raise ValueError("the discriminant a1^2 + 4 a0 b overflows")
 
     @property
     def z_inf(self) -> float:

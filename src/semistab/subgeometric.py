@@ -120,6 +120,35 @@ def jensen_drift_check(P: DiscreteOperator, V: LyapunovSpec,
                         float(gap1[worst1]), worst1)
 
 
+def _invert_log_integral(rate: Callable, top: float, t: float) -> float:
+    """u in (0, top] with int_u^top dv / rate(v) = t.
+
+    The integral runs in w = log v, which stays robust across the many
+    decades between u and top.  Halving brackets the root, geometric
+    bisection refines it; below top * 1e-14 the floor is returned.
+    """
+    def integral(u):
+        val, _ = quad(lambda w: math.exp(w) / float(rate(math.exp(w))),
+                      math.log(u), math.log(top), limit=200)
+        return val
+
+    lo = top / 2
+    while integral(lo) < t and lo > top * 1e-14:
+        lo /= 2
+    if integral(lo) < t:
+        return lo
+    hi = min(2 * lo, top)
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if integral(mid) >= t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return math.sqrt(lo * hi)
+
+
 def ode_majorant(u0: float, varsigma: Callable, T: int) -> np.ndarray:
     """Bounds u_t <= I^{-1}(t) for decreasing sequences with steps <= -varsigma(u).
 
@@ -131,32 +160,9 @@ def ode_majorant(u0: float, varsigma: Callable, T: int) -> np.ndarray:
     probe = varsigma(np.linspace(u0 * 1e-6, u0, 32))
     if np.any(probe <= 0) or np.any(np.diff(probe) < -1e-12):
         raise ValueError("varsigma must be positive increasing on (0, u0]")
-
-    def I(u):
-        # substitute v = e^w: robust across the many decades between u and u0
-        val, _ = quad(lambda w: math.exp(w) / float(varsigma(math.exp(w))),
-                      math.log(u), math.log(u0), limit=200)
-        return val
-
-    lo_floor = u0 * 1e-14
     out = np.empty(T)
     for t in range(1, T + 1):
-        lo = u0 / 2
-        while I(lo) < t and lo > lo_floor:
-            lo /= 2
-        if I(lo) < t:
-            out[t - 1] = lo
-            continue
-        hi = min(2 * lo, u0)
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if I(mid) >= t:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * hi:
-                break
-        out[t - 1] = math.sqrt(lo * hi)
+        out[t - 1] = _invert_log_integral(varsigma, u0, t)
     return out
 
 
@@ -181,28 +187,7 @@ def general_rate_bound(psi: Callable, rho: float, iota: float,
 
     if t <= 0:
         return RateBound(iota, True)
-
-    def J(u):
-        val, _ = quad(lambda w: math.exp(w) / float(psi_rho(math.exp(w))),
-                      math.log(u), math.log(iota), limit=200)
-        return val
-
-    lo_floor = iota * 1e-14
-    lo = iota / 2
-    while J(lo) < t and lo > lo_floor:
-        lo /= 2
-    if J(lo) < t:
-        return RateBound(lo, False)
-    hi = min(2 * lo, iota)
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if J(mid) >= t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return RateBound(math.sqrt(lo * hi), False)
+    return RateBound(_invert_log_integral(psi_rho, iota, t), False)
 
 
 @dataclass(frozen=True)

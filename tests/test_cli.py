@@ -264,3 +264,20 @@ def test_grid_outside_the_domain_is_a_numerical_failure(capsys):
     assert run_experiment(cfg) == 2
     err = _one_line_error(capsys)
     assert err.startswith("numerical failure: density evaluation failed at grid row 0")
+
+
+def test_riccati_overflowing_coefficients_are_a_config_error(capsys):
+    cfg = {"command": "riccati",
+           "extra": {"kind": "scalar", "a0": 1e308, "b": 1e308}}
+    assert run_experiment(cfg) == 1
+    assert _one_line_error(capsys).startswith(
+        "config error: the discriminant a1^2 + 4 a0 b overflows")
+
+
+def test_grid_too_coarse_for_the_kernel_is_a_numerical_failure(capsys):
+    cfg = {"command": "eigen", "model": {"name": "harmonic"},
+           "grid": {"min": -8.0, "max": 8.0, "n": 3}, "time": {"tau": 0.5}}
+    assert run_experiment(cfg) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("numerical failure: 3-point grid quadrature failed: "
+                          "sub-Markov rows must sum to <= 1")

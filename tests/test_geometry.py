@@ -246,3 +246,141 @@ def test_alternate_chart_consistency():
 def test_chart_domain_enforced():
     with pytest.raises(ValueError):
         frame(PARABOLA, [2.5])
+
+
+def test_coarea_evaluates_the_forms_once_per_chart_node(monkeypatch):
+    import semistab.geometry as geometry
+
+    calls = []
+
+    def counted(surface, theta):
+        calls.append(1)
+        return fundamental_forms(surface, theta)
+
+    monkeypatch.setattr(geometry, "fundamental_forms", counted)
+    coarea_check(PARABOLA_IN, lambda r: r ** -0.5, alpha=0.2, n_r=16, n_theta=24)
+    assert len(calls) == 24
+
+
+def _reference_nodes(surface, n_theta):
+    steps = [(hi - lo) / n_theta for lo, hi in surface.chart_domain]
+    axes = [lo + (np.arange(n_theta) + 0.5) * h
+            for (lo, _), h in zip(surface.chart_domain, steps)]
+    if surface.chart_dim == 1:
+        return [np.array([t]) for t in axes[0]], steps[0]
+    return [np.array([a, b]) for a in axes[0] for b in axes[1]], steps[0] * steps[1]
+
+
+def _reference_coarea(surface, f, alpha, n_r, n_theta):
+    """Per-node loop: every offset Jacobian and focal test one node at a time."""
+    nodes, w = _reference_nodes(surface, n_theta)
+    forms = [fundamental_forms(surface, th) for th in nodes]
+    eye = np.eye(surface.chart_dim)
+
+    def crosses(W, u):
+        lam = np.linalg.eigvals(W)
+        lam = lam.real[(np.abs(lam.imag) <= 1e-12) & (lam.real != 0)]
+        return any(u / l > 0 and abs(1 / l) <= abs(u) for l in lam)
+
+    a = alpha
+    for _ in range(20):
+        if not any(crosses(ff.W, a) for ff in forms):
+            break
+        a *= 0.5
+
+    def radial(s):
+        u = s * s
+        area = 0.0
+        for ff in forms:
+            area += abs(float(np.linalg.det(eye - u * ff.W))) * math.sqrt(
+                float(np.linalg.det(ff.g))) * w
+        return 2.0 * s * float(f(u)) * area
+
+    hs = math.sqrt(a) / n_r
+    route1 = sum(radial((k + 0.5) * hs) * hs for k in range(n_r))
+    hg, xi = math.sqrt(a) / (2 * n_r), 0.5 / math.sqrt(3.0)
+    route2 = sum(0.5 * hg * (radial((k + 0.5 - xi) * hg) + radial((k + 0.5 + xi) * hg))
+                 for k in range(2 * n_r))
+    return route1, route2, a
+
+
+@pytest.mark.parametrize("surface, f, alpha, n_r, n_theta", [
+    (PARABOLA_IN, lambda r: r ** -0.5, 0.2, 16, 24),
+    (PARABOLA, lambda r: r ** -0.5, 0.3, 8, 16),
+    (PARABOLA_IN, lambda r: 1.0, 0.8, 8, 16),            # focal shrink
+    (make_surface("paraboloid", epsilon=-1), lambda r: r ** -0.5, 0.2, 6, 12),
+    (make_surface("paraboloid", epsilon=-1), lambda r: r ** -0.5, 0.9, 4, 8),  # focal
+])
+def test_coarea_matches_a_per_node_loop(surface, f, alpha, n_r, n_theta):
+    rep = coarea_check(surface, f, alpha=alpha, n_r=n_r, n_theta=n_theta)
+    route1, route2, a = _reference_coarea(surface, f, alpha, n_r, n_theta)
+    assert rep.alpha_used == a
+    assert (a < alpha) == (alpha in (0.8, 0.9))
+    assert rep.tube_integral == pytest.approx(route1, rel=1e-12)
+    assert rep.iterated_integral == pytest.approx(route2, rel=1e-12)
+    # rel_gap is itself a relative quantity: ulps of the routes move it by ~1e-16
+    assert rep.rel_gap == pytest.approx(abs(route1 - route2) / route2, abs=1e-12)
+
+
+def test_level_set_density_matches_a_per_node_loop():
+    kernel = {"c_t": 1.0 / (2 * math.pi), "sigma_t": 1.0, "m_t": lambda x: x}
+    eye = np.eye(1)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = np.array([rng.uniform(-2, 2), rng.uniform(0.3, 3.0)])
+        r, alpha = rng.uniform(0.0, 0.2), 0.25
+        res = level_set_density(kernel, PARABOLA_IN, x=x, r=r, alpha=alpha,
+                                n_theta=32)
+        prev, n_cur = None, 32
+        while True:
+            nodes, w = _reference_nodes(PARABOLA_IN, n_cur)
+            total = kappa = kappa_minus = 0.0
+            for th in nodes:
+                ff = fundamental_forms(PARABOLA_IN, th)
+                y = PARABOLA_IN.embed(th) + r * ff.N
+                q = kernel["c_t"] * math.exp(-float((y - x) @ (y - x)) / 2)
+                total += q * abs(float(np.linalg.det(eye - r * ff.W))) * math.sqrt(
+                    float(np.linalg.det(ff.g))) * w
+                for rr in (0.0, 0.5 * alpha, alpha):
+                    kappa = max(kappa, abs(float(np.linalg.det(eye - rr * ff.W))))
+                    kappa_minus = max(kappa_minus,
+                                      abs(float(np.linalg.det(eye + rr * ff.W))))
+            if prev is not None and abs(total - prev) <= 1e-5 * max(abs(total), 1e-6):
+                break
+            prev, n_cur = total, 2 * n_cur
+        bound = 2 * math.exp(alpha ** 2 / 2) * kappa_minus * kappa / alpha
+        assert res.value == pytest.approx(total, rel=1e-12)
+        assert res.bound == pytest.approx(bound, rel=1e-12)
+
+
+def test_finite_difference_fallback_keeps_its_stencils():
+    """Surfaces without grad/hess callbacks: the central-difference stencils."""
+    def reference(phi, theta, h):
+        d = theta.size
+        g, H = np.empty(d), np.empty((d, d))
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = h
+            g[i] = (phi(theta + e) - phi(theta - e)) / (2 * h)
+            H[i, i] = (phi(theta + e) - 2 * phi(theta) + phi(theta - e)) / h**2
+            for j in range(i + 1, d):
+                ej = np.zeros(d)
+                ej[j] = h
+                H[i, j] = H[j, i] = (
+                    phi(theta + e + ej) - phi(theta + e - ej)
+                    - phi(theta - e + ej) + phi(theta - e - ej)
+                ) / (4 * h**2)
+        return g, H
+
+    rng = np.random.default_rng(11)
+    for phi, domain in (
+        (lambda th: float(np.sin(th[0]) + th[0] ** 3), ((-2.0, 2.0),)),
+        (lambda th: float(np.sin(th[0]) * np.cos(2 * th[1]) + th[0] * th[1] ** 2),
+         ((-2.0, 2.0), (-2.0, 2.0))),
+    ):
+        surf = MongeSurface(phi=phi, chart_domain=domain, n=len(domain) + 1)
+        for _ in range(20):
+            th = rng.uniform(-1.9, 1.9, size=surf.chart_dim)
+            g, H = reference(phi, th, surf.fd_step)
+            assert np.array_equal(surf.gradient(th), g)
+            assert np.array_equal(surf.hessian(th), H)

@@ -38,6 +38,23 @@ def test_scalar_riccati_fixed_points():
         scalar_riccati(s, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (math.nan, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, math.inf),
+    (1e308, 0.0, 1e308),    # a0 b overflows
+    (1e308, 0.0, 1.0),      # 4 a0 b overflows
+    (0.0, 1e200, 1.0),      # a1^2 overflows
+])
+def test_scalar_riccati_rejects_coefficients_whose_rate_overflows(coeffs):
+    with pytest.raises(ValueError):
+        ScalarRiccati(*coeffs)
+
+
+def test_scalar_riccati_huge_finite_rate():
+    s = ScalarRiccati(1e307, 0.0, 1.0)
+    assert s.z_inf == pytest.approx(math.sqrt(1e307), rel=1e-15)
+    assert scalar_riccati(s, 0.0, 10.0) == pytest.approx(s.z_inf, rel=1e-15)
+
+
 def test_scalar_riccati_monotone_and_comparison():
     rng = np.random.default_rng(0)
     for _ in range(100):
