@@ -47,22 +47,31 @@ _OPEN_GRID_MODELS = {"dirichlet_heat", "half_harmonic", "half_harmonic_linear"}
 _TIME_KEYS = {"eigen": {"tau"}, "contract": {"tau"}, "decay": {"tau", "t_max"}}
 
 
-def _check_keys(section: dict, allowed: set, path: str):
+def _check_keys(section: dict, allowed: set, path: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be a JSON object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key}")
+    return section
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise AssertionFailed(f"non-finite value {x!r} in artifact")
-        return format(x, ".16e")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    raise TypeError(f"unsupported scalar {type(x)}")
+def _extra(cfg: dict, *keys) -> dict:
+    """The command's `extra` section, checked against its keys."""
+    return _check_keys(cfg.get("extra", {}), set(keys), "extra")
+
+
+def _one_line(exc) -> str:
+    """exc's message with control characters escaped: one printed line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+
+
+def _fmt(x) -> str:
+    """A finite float in decimal scientific notation, 17 significant digits."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise AssertionFailed(f"non-finite value {x!r} in artifact")
+    return format(x, ".16e")
 
 
 def _render_json(obj, indent=0) -> str:
@@ -88,7 +97,7 @@ def _render_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        return _fmt(obj)
     if isinstance(obj, np.ndarray):
         return _render_json(obj.tolist(), indent)
     raise TypeError(f"unsupported artifact value {type(obj)}")
@@ -99,15 +108,7 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            v = float(v)
-            if not math.isfinite(v):
-                raise AssertionFailed("non-finite value in CSV artifact")
-            cells.append(format(v, ".16e"))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -123,9 +124,9 @@ def _build_grid(cfg_grid: dict, model_name: str) -> GridDomain:
 
 
 def _build_model(cfg_model: dict):
+    _check_keys(cfg_model, {"name", "params"}, "model")
     if "name" not in cfg_model:
         raise ConfigError("model.name is required")
-    _check_keys(cfg_model, {"name", "params"}, "model")
     try:
         return kernels.make_model(cfg_model["name"], **cfg_model.get("params", {}))
     except TypeError as exc:
@@ -142,16 +143,21 @@ def _assertions_block(pairs):
     return out
 
 
+def _discretize(cfg, tau_default: float):
+    """Model, grid, time step and discretized operator of a grid command."""
+    model = _build_model(cfg.get("model", {}))
+    grid = _build_grid(cfg.get("grid", {}), model.name)
+    tau = float(cfg.get("time", {}).get("tau", tau_default))
+    return model, grid, tau, kernels.discretize(model, grid, tau)
+
+
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (results dict, assertions list,
 # curve rows or None, key summary scalar).
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(cfg):
-    model = _build_model(cfg.get("model", {}))
-    grid = _build_grid(cfg.get("grid", {}), model.name)
-    tau = float(cfg.get("time", {}).get("tau", 0.5))
-    op = kernels.discretize(model, grid, tau)
+    model, grid, tau, op = _discretize(cfg, 0.5)
     triple = spectral.leading_eigentriple(op, tol=1e-12)
     results = {
         "rho": triple.rho,
@@ -172,11 +178,8 @@ def _cmd_eigen(cfg):
 
 
 def _cmd_contract(cfg):
-    model = _build_model(cfg.get("model", {}))
-    grid = _build_grid(cfg.get("grid", {}), model.name)
-    tau = float(cfg.get("time", {}).get("tau", 1.0))
     V = LyapunovSpec.parse(cfg.get("lyapunov", "poly:2"))
-    op = kernels.discretize(model, grid, tau)
+    _, grid, _, op = _discretize(cfg, 1.0)
     cert = contraction.foster_lyapunov_verify(op, V)
     results = {
         "ok": cert.ok,
@@ -200,16 +203,12 @@ def _cmd_contract(cfg):
 
 
 def _cmd_decay(cfg):
-    model = _build_model(cfg.get("model", {}))
-    grid = _build_grid(cfg.get("grid", {}), model.name)
-    tau = float(cfg.get("time", {}).get("tau", 1.0))
     T = int(cfg.get("time", {}).get("t_max", 12))
-    op = kernels.discretize(model, grid, tau)
+    _, grid, _, op = _discretize(cfg, 1.0)
     triple = spectral.leading_eigentriple(op, tol=1e-12)
     P = kernels.doob_h_transform(op, triple.h, triple.rho)
     V = LyapunovSpec.parse(cfg.get("lyapunov", "poly:2"))
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"x1", "x2"}, "extra")
+    extra = _extra(cfg, "x1", "x2")
     x1 = float(extra.get("x1", -2.0))
     x2 = float(extra.get("x2", 2.0))
     i = int(np.argmin(np.abs(grid.points - x1)))
@@ -223,8 +222,7 @@ def _cmd_decay(cfg):
 
 
 def _cmd_rate(cfg):
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"chain", "rho", "t_max", "start"}, "extra")
+    extra = _extra(cfg, "chain", "rho", "t_max", "start")
     chain_name = extra.get("chain", "certified")
     if chain_name == "certified":
         P, V, drift, c = subgeometric.build_certified_chain()
@@ -235,6 +233,8 @@ def _cmd_rate(cfg):
     n = P.grid.size
     nu = np.zeros(n)
     start = int(extra.get("start", n - 1))
+    if not 1 <= start <= n - 1:
+        raise ConfigError(f"extra.start must lie in [1, {n - 1}]")
     nu[start], nu[0] = 1.0, -1.0
     rep = subgeometric.polynomial_rate_check(
         P, V, drift, float(extra.get("rho", 0.9)),
@@ -253,9 +253,7 @@ def _cmd_rate(cfg):
 
 
 def _cmd_riccati(cfg):
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"kind", "a0", "a1", "b", "z0", "t", "seed_spec"},
-                "extra")
+    extra = _extra(cfg, "kind", "a0", "a1", "b", "z0", "t", "seed_spec")
     kind = extra.get("kind", "scalar")
     t = float(extra.get("t", 10.0))
     if kind == "scalar":
@@ -297,12 +295,10 @@ def _cmd_riccati(cfg):
 
 
 def _cmd_geometry(cfg):
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"op", "surface", "theta", "u", "epsilon"}, "extra")
+    extra = _extra(cfg, "op", "surface", "theta", "u", "epsilon")
     name = extra.get("surface", "parabola")
     eps = int(extra.get("epsilon", 1))
-    surf = geometry.make_surface(name, epsilon=eps) if name != "graph_example_8_4" \
-        else geometry.make_surface(name)
+    surf = geometry.make_surface(name, epsilon=eps)
     op_name = extra.get("op", "shape")
     theta = np.atleast_1d(np.asarray(extra.get("theta", 0.0), dtype=float))
     if isinstance(surf, dict):
@@ -328,8 +324,7 @@ def _cmd_geometry(cfg):
 
 
 def _cmd_simulate(cfg):
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"case", "budget"}, "extra")
+    extra = _extra(cfg, "case", "budget")
     case = extra.get("case", "harmonic_mass_t1")
     rep = simulate.mc_validate(case, budget=float(extra.get("budget", 1.0)),
                                seed=int(cfg.get("seed", 0)))
@@ -339,8 +334,7 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_validate(cfg):
-    extra = cfg.get("extra", {})
-    _check_keys(extra, {"cases", "budget"}, "extra")
+    extra = _extra(cfg, "cases", "budget")
     names = extra.get("cases", "all")
     if names == "all":
         names = simulate.list_cases()
@@ -375,9 +369,10 @@ _DISPATCH = {
 def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     """Validate the config, run the command, write artifacts.
 
-    Returns the process exit code (0 ok, 1 config error, 2 assertion
-    failure or numerical failure: an ArithmeticError, a flow or particle
-    extinction, reported as one `numerical failure:` line).  The artifact
+    Returns the process exit code (0 ok, 1 config error, an unwritable
+    output path included, 2 assertion failure or numerical failure: an
+    ArithmeticError, a flow or particle extinction or a non-finite artifact
+    value).  Every nonzero exit prints exactly one stderr line.  The artifact
     embeds neither wall-clock data nor `threads`, which changes no result,
     so reruns with the same config and seed are byte-identical whatever
     the thread count.
@@ -395,48 +390,50 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
         if seed is not None:
             config = {**config, "seed": int(seed)}
         _check_keys(config.get("time", {}), _TIME_KEYS.get(command, set()), "time")
-        out_cfg = config.get("output", {})
-        _check_keys(out_cfg, {"path", "format"}, "output")
+        out_cfg = _check_keys(config.get("output", {}), {"path", "format"}, "output")
         path = out_cfg.get("path")
+        if path is not None and not isinstance(path, str):
+            raise ConfigError("output.path must be a string")
         fmt = out_cfg.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, not {fmt!r}")
         results, assertions, rows, key = _DISPATCH[command](config)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        wrote = []
+        if path is not None:
+            path = Path(path)
+            if out_dir is not None:
+                path = Path(out_dir) / path.name
+            if fmt == "csv" and rows is None:
+                raise ConfigError("this command has no curve output")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if fmt == "csv":
+                _write_csv(path, ("t", "value"), rows)
+            else:
+                _write_json(path, {
+                    "inputs": {k: v for k, v in config.items()
+                               if k not in ("output", "threads")},
+                    "results": results,
+                    "assertions": _assertions_block(assertions),
+                })
+            wrote.append(str(path))
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
-    except (ArithmeticError, spectral.FlowExtinctionError,
+    except (ArithmeticError, AssertionFailed, spectral.FlowExtinctionError,
             simulate.ExtinctionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
         return 2
 
-    wrote = []
-    if path is not None:
-        path = Path(path)
-        if out_dir is not None:
-            path = Path(out_dir) / path.name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            if rows is None:
-                print("config error: this command has no curve output",
-                      file=sys.stderr)
-                return 1
-            _write_csv(path, ("t", "value"), rows)
-        else:
-            payload = {
-                "inputs": {k: v for k, v in config.items()
-                           if k not in ("output", "threads")},
-                "results": results,
-                "assertions": _assertions_block(assertions),
-            }
-            _write_json(path, payload)
-        wrote.append(str(path))
     failed = [a for a in assertions if not a[3]]
     wall = time.perf_counter() - t0
     status = "FAIL" if failed else "ok"
-    print(f"{config['command']}: key={key:.6g} assertions="
+    key = "null" if key is None else format(key, ".6g")
+    print(f"{config['command']}: key={key} assertions="
           f"{len(assertions) - len(failed)}/{len(assertions)} "
           f"{' '.join(wrote)} [{status}, {wall:.2f}s]")
+    if failed:
+        print(f"assertion failed: {', '.join(a[0] for a in failed)}",
+              file=sys.stderr)
     return 2 if failed else 0
 
 
@@ -468,7 +465,7 @@ def main(argv=None) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
     return run_experiment(config, out_dir=args.out, seed=args.seed,
                           threads=args.threads)

@@ -88,6 +88,8 @@ class GridDomain:
     @classmethod
     def uniform_closed(cls, a: float, b: float, n: int) -> "GridDomain":
         """Uniform grid on [a, b] with trapezoid weights (endpoints included)."""
+        if n < 2:
+            raise GridError(f"a closed grid needs n >= 2 points, got {n}")
         pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
         w = np.full(n, h)
@@ -97,6 +99,8 @@ class GridDomain:
     @classmethod
     def uniform_open(cls, a: float, b: float, n: int) -> "GridDomain":
         """Midpoint grid on (a, b): cell centers, endpoints excluded."""
+        if n < 1:
+            raise GridError(f"an open grid needs n >= 1 points, got {n}")
         h = (b - a) / n
         pts = a + (np.arange(n) + 0.5) * h
         return cls(pts, np.full(n, h), ((a, b),),
@@ -250,6 +254,8 @@ class LyapunovSpec:
 
     @classmethod
     def parse(cls, spelling: str) -> "LyapunovSpec":
+        if not isinstance(spelling, str):
+            raise ValueError(f"Lyapunov spelling must be a string, not {spelling!r}")
         spelling = spelling.strip()
         if spelling.startswith("product:"):
             inner = spelling[len("product:"):].strip()

@@ -69,7 +69,7 @@ class MongeSurface:
 
     def in_chart(self, theta, margin: float = 0.0) -> bool:
         theta = np.atleast_1d(theta)
-        return all(
+        return theta.shape == (self.chart_dim,) and all(
             lo + margin <= t <= hi - margin
             for t, (lo, hi) in zip(theta, self.chart_domain)
         )
@@ -122,8 +122,8 @@ class BoundaryFrame:
                 raise ValueError("W != g^{-1} Omega")
 
 
-def frame(surface: MongeSurface, theta) -> BoundaryFrame:
-    """Tangent rows, unit normal and metric at a chart point.
+def _frame_parts(surface: MongeSurface, theta):
+    """Gradient, tangent rows, unit normal and metric from one gradient call.
 
     Metric is the rank-one update I + grad grad'; its determinant equals
     1 + |grad|^2 exactly.
@@ -132,37 +132,34 @@ def frame(surface: MongeSurface, theta) -> BoundaryFrame:
     if not surface.in_chart(theta):
         raise ValueError(f"theta {theta} outside chart domain")
     grad = surface.gradient(theta)
-    d = surface.chart_dim
+    d, others = surface.chart_dim, surface._other_axes()
     T = np.zeros((d, surface.n))
-    others = surface._other_axes()
-    for i in range(d):
-        T[i, others[i]] = 1.0
-        T[i, surface.graph_axis] = grad[i]
+    T[:, others] = np.eye(d)
+    T[:, surface.graph_axis] = grad
     N = np.zeros(surface.n)
-    for i in range(d):
-        N[others[i]] = grad[i]
+    N[others] = grad
     N[surface.graph_axis] = -1.0
     N = surface.epsilon * N / math.sqrt(1.0 + float(grad @ grad))
-    g = np.eye(d) + np.outer(grad, grad)
-    return BoundaryFrame(T, N, g)
+    return grad, T, N, np.eye(d) + np.outer(grad, grad)
+
+
+def frame(surface: MongeSurface, theta) -> BoundaryFrame:
+    """Tangent rows, unit normal and metric at a chart point."""
+    return BoundaryFrame(*_frame_parts(surface, theta)[1:])
 
 
 def fundamental_forms(surface: MongeSurface, theta) -> BoundaryFrame:
     """Frame with the second fundamental form and shape matrix filled in."""
-    base = frame(surface, theta)
-    grad = surface.gradient(np.atleast_1d(theta))
-    H = surface.hessian(np.atleast_1d(theta))
+    grad, T, N, g = _frame_parts(surface, theta)
+    H = surface.hessian(theta)
     Omega = -surface.epsilon * H / math.sqrt(1.0 + float(grad @ grad))
-    W = np.linalg.solve(base.g, Omega)
-    return BoundaryFrame(base.T, base.N, base.g, Omega, W)
+    return BoundaryFrame(T, N, g, Omega, np.linalg.solve(g, Omega))
 
 
 def gram_det_two_ways(surface: MongeSurface, theta):
     """det g by the Gram product and by the rank-one formula 1 + |grad|^2."""
-    fr = frame(surface, theta)
-    by_gram = float(np.linalg.det(fr.T @ fr.T.T))
-    grad = surface.gradient(np.atleast_1d(theta))
-    return by_gram, 1.0 + float(grad @ grad)
+    grad, T, _, _ = _frame_parts(surface, theta)
+    return float(np.linalg.det(T @ T.T)), 1.0 + float(grad @ grad)
 
 
 def weingarten_identity_check(surface: MongeSurface, theta,
@@ -233,31 +230,23 @@ def signed_distance(surface: MongeSurface, x, tube_alpha: float,
     round trip psi(foot) + d N(foot) fails to reproduce x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = surface.chart_dim
+    d, ax, others = surface.chart_dim, surface.graph_axis, surface._other_axes()
     axes = [np.linspace(lo, hi, max(2, round(n_starts ** (1 / d))))
             for lo, hi in surface.chart_domain]
-    if d == 1:
-        starts = [np.array([t]) for t in np.linspace(*surface.chart_domain[0], n_starts)]
-    else:
-        starts = [np.array([a, b]) for a in axes[0] for b in axes[1]]
+    starts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    lo_b, hi_b = np.array(surface.chart_domain, dtype=float).T
 
-    def objective(theta):
+    def newton(theta):
+        # iterates stay in the chart box by clipping, so the chart
+        # derivatives are read directly, without a validated frame
         delta = x - surface.embed(theta)
-        return float(delta @ delta)
-
-    lo_b = np.array([b[0] for b in surface.chart_domain])
-    hi_b = np.array([b[1] for b in surface.chart_domain])
-
-    def newton(theta0):
-        theta = theta0.copy()
-        f_cur = objective(theta)
+        f_cur = float(delta @ delta)
         for _ in range(max_iter):
-            delta = x - surface.embed(theta)
-            fr = frame(surface, theta)
-            grad_f = -2.0 * fr.T @ delta
-            Hphi = surface.hessian(theta)
+            grad_phi = surface.gradient(theta)
+            grad_f = -2.0 * (delta[others] + grad_phi * delta[ax])
             # d2/dtheta2 |x - psi|^2 = 2(g - (x - psi)_graph * hess phi)
-            H = 2.0 * (fr.g - delta[surface.graph_axis] * Hphi)
+            H = 2.0 * (np.eye(d) + np.outer(grad_phi, grad_phi)
+                       - delta[ax] * surface.hessian(theta))
             lo_eig = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
             if lo_eig < 1e-10:
                 H = H + (1e-10 - lo_eig) * np.eye(d)
@@ -267,29 +256,21 @@ def signed_distance(surface: MongeSurface, x, tube_alpha: float,
             t_ls = 1.0
             while t_ls > 1e-8:
                 new = np.clip(theta + t_ls * step, lo_b, hi_b)
-                f_new = objective(new)
+                delta_new = x - surface.embed(new)
+                f_new = float(delta_new @ delta_new)
                 if f_new <= f_cur + 1e-12:
                     break
                 t_ls *= 0.5
             else:
                 break
-            if np.linalg.norm(new - theta) < 1e-14:
-                theta, f_cur = new, f_new
+            stalled = np.linalg.norm(new - theta) < 1e-14
+            theta, delta, f_cur = new, delta_new, f_new
+            if stalled:
                 break
-            theta, f_cur = new, f_new
-        return theta
+        return theta, f_cur
 
-    best = None
-    for s in starts:
-        theta = newton(s)
-        if theta is None:
-            continue
-        val = objective(theta)
-        if best is None or val < best[1]:
-            best = (theta, val)
-    if best is None:
-        raise ArithmeticError("projection search failed from every start")
-    foot, val = best
+    # min keeps the first start among equal objective values
+    foot, _ = min((newton(s) for s in starts), key=lambda r: r[1])
     if not surface.in_chart(foot, margin=boundary_margin):
         raise ValueError("projection foot lies on the chart boundary")
     fr = frame(surface, foot)

@@ -54,7 +54,10 @@ class ScalarRiccati:
 
     @property
     def z_inf(self) -> float:
-        return (self.a1 + math.sqrt(self.a1 ** 2 + 4 * self.a0 * self.b)) / (2 * self.b)
+        root = math.sqrt(self.a1 ** 2 + 4 * self.a0 * self.b)
+        if self.a1 < 0:  # the sum a1 + root would cancel
+            return 2 * self.a0 / (root - self.a1)
+        return (self.a1 + root) / (2 * self.b)
 
     def rhs(self, z):
         return self.a0 + self.a1 * z - self.b * z * z

@@ -157,6 +157,8 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
     reductions run in partition order, so the output is a deterministic
     function of the seed and the budgets.
     """
+    if n_particles < 1:
+        raise ValueError(f"n_particles = {n_particles} must be at least 1")
     observables = observables or {}
     n_steps = max(1, int(round(t / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -224,6 +226,8 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
     decay-rate estimate averages the per-period log mass decrements after
     burn-in.  Raises ExtinctionError if every particle dies within a period.
     """
+    if n_particles < 1:
+        raise ValueError(f"n_particles = {n_particles} must be at least 1")
     steps_per_period = int(round(resample_period / dt))
     if steps_per_period < 1 or abs(steps_per_period * dt - resample_period) > 1e-9:
         raise ValueError("resample_period must be a positive multiple of dt")

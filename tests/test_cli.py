@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semistab import cli
 from semistab.cli import main, run_experiment
 
 
@@ -281,3 +287,115 @@ def test_grid_too_coarse_for_the_kernel_is_a_numerical_failure(capsys):
     err = _one_line_error(capsys)
     assert err.startswith("numerical failure: 3-point grid quadrature failed: "
                           "sub-Markov rows must sum to <= 1")
+
+
+_HARMONIC = {"model": {"name": "harmonic"},
+             "grid": {"min": -8.0, "max": 8.0, "n": 50}}
+
+
+@pytest.mark.parametrize("cfg, code, message", [
+    ({"command": "riccati", "extra": []}, 1,
+     "config error: extra must be a JSON object"),
+    ({"command": "eigen", **_HARMONIC, "time": []}, 1,
+     "config error: time must be a JSON object"),
+    ({"command": "riccati", "output": []}, 1,
+     "config error: output must be a JSON object"),
+    ({"command": "eigen", "model": "name"}, 1,
+     "config error: model must be a JSON object"),
+    ({"command": "contract", **_HARMONIC, "lyapunov": 5}, 1,
+     "config error: Lyapunov spelling must be a string"),
+    ({"command": "eigen", "model": {"name": "harmonic"},
+      "grid": {"min": -8.0, "max": 8.0, "n": 0}}, 1,
+     "config error: a closed grid needs n >= 2 points, got 0"),
+    ({"command": "eigen", "model": {"name": "harmonic"},
+      "grid": {"min": -8.0, "max": 8.0, "n": 1}}, 1,
+     "config error: a closed grid needs n >= 2 points, got 1"),
+    ({"command": "eigen", "model": {"name": "dirichlet_heat"},
+      "grid": {"min": 0.0, "max": 1.0, "n": 0}}, 1,
+     "config error: an open grid needs n >= 1 points, got 0"),
+    ({"command": "rate", "extra": {"start": 10**9}}, 1,
+     "config error: extra.start must lie in [1, 499]"),
+    ({"command": "rate", "extra": {"start": -1}}, 1,
+     "config error: extra.start must lie in [1, 499]"),
+    ({"command": "simulate", "extra": {"budget": 0}}, 1,
+     "config error: n_particles = 0 must be at least 1"),
+    ({"command": "simulate", "extra": {"budget": -1}}, 1,
+     "config error: n_particles = -100000 must be at least 1"),
+    ({"command": "simulate", "extra": {"budget": 1e-9}}, 1,
+     "config error: n_particles = 0 must be at least 1"),
+    ({"command": "riccati", "output": {"path": 5}}, 1,
+     "config error: output.path must be a string"),
+    ({"command": "riccati", "output": {"path": ""}}, 1, "config error: "),
+    ({"command": "geometry", "extra": {"theta": []}}, 1,
+     "config error: theta [] outside chart domain"),
+    ({"command": "riccati", "extra": {"kind": "scalar", "a0": 0.0, "a1": 1.0}}, 2,
+     "assertion failed: flow_reaches_fixed_point"),
+    ({"command": "decay", **_HARMONIC, "time": {"t_max": 0}}, 0,
+     "decay: key=null assertions=0/0"),
+    ({"command": "riccati",
+      "extra": {"kind": "scalar", "a0": 1e4, "a1": -1e8, "b": 1e-4}}, 0,
+     "riccati: key=0.0001 assertions=1/1"),
+    ({"command": "geometry",
+      "extra": {"surface": "graph_example_8_4", "epsilon": -1}}, 0,
+     "geometry: key="),
+])
+def test_configs_end_in_one_line(capsys, cfg, code, message):
+    assert run_experiment(cfg) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    line = err if code else out
+    assert err == "" or code
+    assert len(line.strip().splitlines()) == 1
+    assert line.startswith(message)
+
+
+def test_decay_without_a_fitted_rate_keeps_null(tmp_path):
+    out = tmp_path / "decay.json"
+    cfg = {"command": "decay", **_HARMONIC, "time": {"t_max": 0},
+           "output": {"path": str(out), "format": "json"}}
+    assert run_experiment(cfg) == 0
+    assert '"fitted_rate": null' in out.read_text()
+
+
+# one cheap valid config per command; the fuzzer replaces one top-level value
+_BASE_CONFIGS = [
+    {"command": "eigen", **_HARMONIC, "time": {"tau": 0.5}},
+    {"command": "decay", **_HARMONIC, "lyapunov": "poly:2",
+     "time": {"tau": 1.0, "t_max": 5}},
+    {"command": "simulate", "seed": 1,
+     "extra": {"case": "harmonic_mass_t1", "budget": 0.001}},
+    {"command": "validate", "seed": 1,
+     "extra": {"cases": ["harmonic_mass_t1"], "budget": 0.001}},
+    {"command": "rate"},
+    {"command": "riccati", "extra": {"kind": "scalar", "a0": 1.0, "a1": 1.0,
+                                     "b": 2.0}},
+    {"command": "riccati", "extra": {"kind": "matrix_tanh", "t": 1.0}},
+    {"command": "geometry",
+     "extra": {"op": "shape", "surface": "parabola", "theta": 0.5}},
+]
+
+
+def _json_leaves(floats):
+    return (st.none() | st.booleans() | st.integers(-3, 3) | floats
+            | st.text(max_size=5))
+
+
+# nested entries hold only small numbers, so no drawn value can set a large
+# grid size, horizon or budget
+_NESTED = _json_leaves(st.floats(-3.0, 3.0))
+_JSON_VALUES = (_json_leaves(st.floats(allow_nan=False, allow_infinity=False))
+                | st.lists(_NESTED, max_size=3)
+                | st.dictionaries(st.text(max_size=5), _NESTED, max_size=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(base=st.sampled_from(_BASE_CONFIGS),
+       key=st.sampled_from(sorted(cli._TOP_KEYS)), value=_JSON_VALUES)
+def test_config_fuzzer_exits_cleanly(base, key, value):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_experiment({**base, key: value}, out_dir=tmp)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().strip().splitlines()) == 1

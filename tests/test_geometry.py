@@ -384,3 +384,52 @@ def test_finite_difference_fallback_keeps_its_stencils():
             g, H = reference(phi, th, surf.fd_step)
             assert np.array_equal(surf.gradient(th), g)
             assert np.array_equal(surf.hessian(th), H)
+
+
+def test_fundamental_forms_reads_the_gradient_once():
+    calls = []
+
+    def grad(th):
+        calls.append(th)
+        return 2.0 * np.asarray(th, dtype=float)
+
+    surf = MongeSurface(phi=lambda th: float(th[0] ** 2 + th[1] ** 2),
+                        grad=grad, hess=lambda th: 2.0 * np.eye(2),
+                        chart_domain=((-2.0, 2.0), (-2.0, 2.0)), n=3)
+    for th in ([0.0, 0.0], [0.5, -1.2], [1.9, 0.3]):
+        calls.clear()
+        ff = fundamental_forms(surf, th)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ff.W, fundamental_forms(PARABOLOID, th).W)
+
+
+def test_signed_distance_builds_one_frame(monkeypatch):
+    import semistab.geometry as geo
+
+    calls = []
+
+    def counting_frame(surface, theta):
+        calls.append(theta)
+        return frame(surface, theta)
+
+    monkeypatch.setattr(geo, "frame", counting_frame)
+    for surf, th in ((PARABOLA_IN, [0.7]), (PARABOLOID, [0.4, -0.9])):
+        x = surf.embed(th) + 0.1 * frame(surf, th).N
+        calls.clear()
+        res = signed_distance(surf, x, tube_alpha=0.5)
+        assert len(calls) == 1
+        assert res.d == pytest.approx(0.1, abs=1e-8)
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_signed_distance_roundtrip_paraboloid(epsilon):
+    surf = make_surface("paraboloid", epsilon=epsilon)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        th = rng.uniform(-1.2, 1.2, size=2)
+        u = rng.uniform(-0.2, 0.2)
+        x = surf.embed(th) + u * frame(surf, th).N
+        res = signed_distance(surf, x, tube_alpha=0.5)
+        assert res.d == pytest.approx(u, abs=1e-8)
+        np.testing.assert_allclose(res.foot_theta, th, atol=1e-6)
+        assert res.roundtrip_error <= 1e-8

@@ -49,6 +49,13 @@ def test_scalar_riccati_rejects_coefficients_whose_rate_overflows(coeffs):
         ScalarRiccati(*coeffs)
 
 
+def test_scalar_riccati_z_inf_without_cancellation():
+    # a1 < 0 with a0 b small against a1^2: a1 + sqrt(a1^2 + 4 a0 b) cancels
+    s = ScalarRiccati(1e4, -1e8, 1e-4)
+    assert s.z_inf == pytest.approx(1e-4, rel=1e-15)
+    assert scalar_riccati(s, 0.0, 10.0) == pytest.approx(s.z_inf, rel=1e-15)
+
+
 def test_scalar_riccati_huge_finite_rate():
     s = ScalarRiccati(1e307, 0.0, 1.0)
     assert s.z_inf == pytest.approx(math.sqrt(1e307), rel=1e-15)
