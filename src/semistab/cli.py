@@ -2,7 +2,8 @@
 
 A single JSON document describes one experiment: which command to run, the
 model and grid, the Lyapunov spelling, time parameters, and the output
-artifact.  Unknown keys are rejected with the offending path.  Exit codes:
+artifact.  `_SCHEMA` declares each command's keys, types and defaults;
+any other key or a mistyped value is rejected with its path.  Exit codes:
 0 success, 1 usage or config error, 2 an asserted inequality failed or a
 numerical failure (reported on one stderr line, without a traceback).
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -32,33 +34,59 @@ class ConfigError(ValueError):
     pass
 
 
-class AssertionFailed(RuntimeError):
-    pass
-
-
-_TOP_KEYS = {"command", "model", "grid", "lyapunov", "time", "output",
-             "seed", "threads", "extra"}
-_COMMANDS = {"eigen", "contract", "decay", "rate", "riccati", "geometry",
-             "simulate", "validate"}
-
 _OPEN_GRID_MODELS = {"dirichlet_heat", "half_harmonic", "half_harmonic_linear"}
 
-# keys each command reads from the `time` section; other commands read none
-_TIME_KEYS = {"eigen": {"tau"}, "contract": {"tau"}, "decay": {"tau", "t_max"}}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+          str: (str, "a string"), dict: (dict, "a JSON object")}
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> dict:
-    if not isinstance(section, dict):
+def _typed(kind, value, path: str):
+    """`value` checked against a schema kind (see `_SCHEMA`)."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path} must be one of {', '.join(kind)}, not {value!r}")
+        return value
+    if kind not in _KINDS:
+        return value if kind is None else kind(value, path)
+    abc, what = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, abc)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path} must be {what}, not {value!r}")
+    return kind(value) if kind in (int, float) else value
+
+
+def _numbers(value, path: str):
+    """A number or a list of numbers."""
+    if isinstance(value, list):
+        return [_typed(float, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return _typed(float, value, path)
+
+
+def _case_names(value, path: str):
+    if value == "all" or isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise ConfigError(f'{path} must be "all" or a list of case names')
+
+
+def _resolve(spec: dict, given, path: str) -> dict:
+    """`given` checked against a spec (see `_SCHEMA`), defaults filled in."""
+    if not isinstance(given, dict):
         raise ConfigError(f"{path} must be a JSON object")
-    for key in section:
-        if key not in allowed:
+    for key in given:
+        if key not in spec:
             raise ConfigError(f"unknown key {path}.{key}")
-    return section
-
-
-def _extra(cfg: dict, *keys) -> dict:
-    """The command's `extra` section, checked against its keys."""
-    return _check_keys(cfg.get("extra", {}), set(keys), "extra")
+    resolved = {}
+    for key, rule in spec.items():
+        name = key if path == "config" else f"{path}.{key}"
+        if isinstance(rule, dict):
+            resolved[key] = _resolve(rule, given.get(key, {}), name)
+        elif key in given:
+            resolved[key] = _typed(rule[0], given[key], name)
+        elif len(rule) == 2:
+            resolved[key] = rule[1]
+        else:
+            raise ConfigError(f"{name} is required")
+    return resolved
 
 
 def _one_line(exc) -> str:
@@ -70,7 +98,7 @@ def _fmt(x) -> str:
     """A finite float in decimal scientific notation, 17 significant digits."""
     x = float(x)
     if not math.isfinite(x):
-        raise AssertionFailed(f"non-finite value {x!r} in artifact")
+        raise ArithmeticError(f"non-finite value {x!r} in artifact")
     return format(x, ".16e")
 
 
@@ -112,52 +140,30 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _build_grid(cfg_grid: dict, model_name: str) -> GridDomain:
-    _check_keys(cfg_grid, {"min", "max", "n"}, "grid")
-    try:
-        lo, hi, n = float(cfg_grid["min"]), float(cfg_grid["max"]), int(cfg_grid["n"])
-    except KeyError as exc:
-        raise ConfigError(f"grid.{exc.args[0]} is required") from None
-    if model_name in _OPEN_GRID_MODELS:
-        return GridDomain.uniform_open(lo, hi, n)
-    return GridDomain.uniform_closed(lo, hi, n)
+def _assertions_block(pairs):
+    return [{"name": name, "lhs": float(lhs), "rhs": float(rhs), "pass": bool(ok)}
+            for name, lhs, rhs, ok in pairs]
 
 
-def _build_model(cfg_model: dict):
-    _check_keys(cfg_model, {"name", "params"}, "model")
-    if "name" not in cfg_model:
-        raise ConfigError("model.name is required")
+def _discretize(cfg):
+    """Model, grid and discretized operator of a grid command."""
     try:
-        return kernels.make_model(cfg_model["name"], **cfg_model.get("params", {}))
+        model = kernels.make_model(cfg["model"]["name"], **cfg["model"]["params"])
     except TypeError as exc:
         raise ConfigError(f"model.params: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _assertions_block(pairs):
-    out = []
-    for name, lhs, rhs, ok in pairs:
-        out.append({"name": name, "lhs": float(lhs), "rhs": float(rhs),
-                    "pass": bool(ok)})
-    return out
-
-
-def _discretize(cfg, tau_default: float):
-    """Model, grid, time step and discretized operator of a grid command."""
-    model = _build_model(cfg.get("model", {}))
-    grid = _build_grid(cfg.get("grid", {}), model.name)
-    tau = float(cfg.get("time", {}).get("tau", tau_default))
-    return model, grid, tau, kernels.discretize(model, grid, tau)
+    g = cfg["grid"]
+    grid = (GridDomain.uniform_open if model.name in _OPEN_GRID_MODELS
+            else GridDomain.uniform_closed)(g["min"], g["max"], g["n"])
+    return model, grid, kernels.discretize(model, grid, cfg["time"]["tau"])
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns (results dict, assertions list,
-# curve rows or None, key summary scalar).
+# Command implementations.  Each takes the resolved config and returns
+# (results dict, assertions list, curve rows or None, key summary scalar).
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(cfg):
-    model, grid, tau, op = _discretize(cfg, 0.5)
+    model, grid, op = _discretize(cfg)
     triple = spectral.leading_eigentriple(op, tol=1e-12)
     results = {
         "rho": triple.rho,
@@ -166,7 +172,7 @@ def _cmd_eigen(cfg):
         "residual_left": triple.residual_left,
         "iterations": triple.iterations,
         "grid_n": grid.size,
-        "tau": tau,
+        "tau": cfg["time"]["tau"],
     }
     assertions = [("power_iteration_converged", float(triple.converged), 1.0,
                    triple.converged)]
@@ -178,8 +184,8 @@ def _cmd_eigen(cfg):
 
 
 def _cmd_contract(cfg):
-    V = LyapunovSpec.parse(cfg.get("lyapunov", "poly:2"))
-    _, grid, _, op = _discretize(cfg, 1.0)
+    V = LyapunovSpec.parse(cfg["lyapunov"])
+    _, grid, op = _discretize(cfg)
     cert = contraction.foster_lyapunov_verify(op, V)
     results = {
         "ok": cert.ok,
@@ -203,16 +209,15 @@ def _cmd_contract(cfg):
 
 
 def _cmd_decay(cfg):
-    T = int(cfg.get("time", {}).get("t_max", 12))
-    _, grid, _, op = _discretize(cfg, 1.0)
+    T = cfg["time"]["t_max"]
+    if T < 0:
+        raise ConfigError(f"time.t_max must be >= 0, not {T}")
+    _, grid, op = _discretize(cfg)
     triple = spectral.leading_eigentriple(op, tol=1e-12)
     P = kernels.doob_h_transform(op, triple.h, triple.rho)
-    V = LyapunovSpec.parse(cfg.get("lyapunov", "poly:2"))
-    extra = _extra(cfg, "x1", "x2")
-    x1 = float(extra.get("x1", -2.0))
-    x2 = float(extra.get("x2", 2.0))
-    i = int(np.argmin(np.abs(grid.points - x1)))
-    j = int(np.argmin(np.abs(grid.points - x2)))
+    V = LyapunovSpec.parse(cfg["lyapunov"])
+    i = int(np.argmin(np.abs(grid.points - cfg["extra"]["x1"])))
+    j = int(np.argmin(np.abs(grid.points - cfg["extra"]["x2"])))
     curve = contraction.geometric_decay_curve(
         P, V, MeasureVec.dirac(grid, i), MeasureVec.dirac(grid, j), T
     )
@@ -222,24 +227,20 @@ def _cmd_decay(cfg):
 
 
 def _cmd_rate(cfg):
-    extra = _extra(cfg, "chain", "rho", "t_max", "start")
-    chain_name = extra.get("chain", "certified")
-    if chain_name == "certified":
+    extra = cfg["extra"]
+    if extra["chain"] == "certified":
         P, V, drift, c = subgeometric.build_certified_chain()
-    elif chain_name == "canonical":
-        P, V, drift, c = subgeometric.build_subgeo_chain()
     else:
-        raise ConfigError(f"extra.chain must be certified or canonical")
+        P, V, drift, c = subgeometric.build_subgeo_chain()
     n = P.grid.size
     nu = np.zeros(n)
-    start = int(extra.get("start", n - 1))
+    # null starts from the top state; the chains differ in size
+    start = n - 1 if extra["start"] is None else extra["start"]
     if not 1 <= start <= n - 1:
         raise ConfigError(f"extra.start must lie in [1, {n - 1}]")
     nu[start], nu[0] = 1.0, -1.0
     rep = subgeometric.polynomial_rate_check(
-        P, V, drift, float(extra.get("rho", 0.9)),
-        MeasureVec(nu, P.grid), int(extra.get("t_max", 200)),
-    )
+        P, V, drift, extra["rho"], MeasureVec(nu, P.grid), extra["t_max"])
     rows = list(zip(rep.times.tolist(), rep.values.tolist()))
     results = {"certified": rep.certified, "note": rep.note}
     assertions = []
@@ -253,99 +254,79 @@ def _cmd_rate(cfg):
 
 
 def _cmd_riccati(cfg):
-    extra = _extra(cfg, "kind", "a0", "a1", "b", "z0", "t", "seed_spec")
-    kind = extra.get("kind", "scalar")
-    t = float(extra.get("t", 10.0))
-    if kind == "scalar":
-        spec = riccati.ScalarRiccati(float(extra.get("a0", 1.0)),
-                                     float(extra.get("a1", 0.0)),
-                                     float(extra.get("b", 1.0)))
-        z = riccati.scalar_riccati(spec, float(extra.get("z0", 0.0)), t)
+    extra = cfg["extra"]
+    if extra["kind"] == "scalar":
+        spec = riccati.ScalarRiccati(extra["a0"], extra["a1"], extra["b"])
+        z = riccati.scalar_riccati(spec, extra["z0"], extra["t"])
         gap = abs(z - spec.z_inf)
         results = {"z_final": z, "z_inf": spec.z_inf, "gap": gap}
         assertions = [("flow_reaches_fixed_point", gap, 1e-8, gap <= 1e-8)]
         return results, assertions, None, z
-    if kind == "matrix_tanh":
+    if extra["kind"] == "matrix_tanh":
         spec = riccati.MatrixRiccati(np.zeros((1, 1)), np.ones((1, 1)),
                                      np.ones((1, 1)))
-        p = riccati.matrix_riccati(spec, t)
-        err = abs(p[0, 0] - math.tanh(t))
-        results = {"p_final": float(p[0, 0]), "tanh_t": math.tanh(t),
+        p = riccati.matrix_riccati(spec, extra["t"])
+        err = abs(p[0, 0] - math.tanh(extra["t"]))
+        results = {"p_final": float(p[0, 0]), "tanh_t": math.tanh(extra["t"]),
                    "abs_error": err}
         assertions = [("matches_tanh", err, 1e-8, err <= 1e-8)]
         return results, assertions, None, float(p[0, 0])
-    if kind == "coupled":
-        rng = np.random.default_rng(int(extra.get("seed_spec", 0)))
-        A = rng.normal(size=(2, 2))
-        Sig = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
-        Cs = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
-        S = Cs @ Cs.T
-        res = riccati.coupled_oscillator_semigroup(A, Sig, S,
-                                                   np.array([1.0, -1.0]), 30.0)
-        spec = riccati.MatrixRiccati(A, Sig @ Sig.T, S)
-        p_inf = riccati.matrix_riccati(spec, 60.0)
-        target = -0.5 * float(np.trace(S @ p_inf))
-        err = abs(res.rho_hat - target)
-        results = {"rho_hat": res.rho_hat, "rho_algebraic": target,
-                   "abs_error": err,
-                   "algebraic_residual": riccati.algebraic_residual(spec, p_inf)}
-        assertions = [("rho_matches_fixed_point", err, 1e-6, err <= 1e-6)]
-        return results, assertions, None, res.rho_hat
-    raise ConfigError("extra.kind must be scalar, matrix_tanh or coupled")
+    rng = np.random.default_rng(extra["seed_spec"])
+    A = rng.normal(size=(2, 2))
+    Sig = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
+    Cs = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
+    S = Cs @ Cs.T
+    res = riccati.coupled_oscillator_semigroup(A, Sig, S,
+                                               np.array([1.0, -1.0]), 30.0)
+    spec = riccati.MatrixRiccati(A, Sig @ Sig.T, S)
+    p_inf = riccati.matrix_riccati(spec, 60.0)
+    target = -0.5 * float(np.trace(S @ p_inf))
+    err = abs(res.rho_hat - target)
+    results = {"rho_hat": res.rho_hat, "rho_algebraic": target,
+               "abs_error": err,
+               "algebraic_residual": riccati.algebraic_residual(spec, p_inf)}
+    assertions = [("rho_matches_fixed_point", err, 1e-6, err <= 1e-6)]
+    return results, assertions, None, res.rho_hat
 
 
 def _cmd_geometry(cfg):
-    extra = _extra(cfg, "op", "surface", "theta", "u", "epsilon")
-    name = extra.get("surface", "parabola")
-    eps = int(extra.get("epsilon", 1))
-    surf = geometry.make_surface(name, epsilon=eps)
-    op_name = extra.get("op", "shape")
-    theta = np.atleast_1d(np.asarray(extra.get("theta", 0.0), dtype=float))
+    extra = cfg["extra"]
+    surf = geometry.make_surface(extra["surface"], epsilon=extra["epsilon"])
+    theta = np.atleast_1d(extra["theta"])
     if isinstance(surf, dict):
         surf = surf["psi0"]
-    if op_name == "shape":
+    if extra["op"] == "shape":
         ff = geometry.fundamental_forms(surf, theta)
         results = {"W": ff.W, "Omega": ff.Omega, "g": ff.g}
         key = float(ff.W.ravel()[0])
         return results, [], None, key
-    if op_name == "frame":
+    if extra["op"] == "frame":
         fr = geometry.frame(surf, theta)
         return {"N": fr.N, "T": fr.T, "g": fr.g}, [], None, float(fr.g.ravel()[0])
-    if op_name == "offset":
-        u = float(extra.get("u", 0.1))
-        val = geometry.offset_jacobian(surf, theta, u)
+    if extra["op"] == "offset":
+        val = geometry.offset_jacobian(surf, theta, extra["u"])
         return {"offset_jacobian": val}, [], None, val
-    if op_name == "weingarten_residual":
-        r = geometry.weingarten_identity_check(surf, theta)
-        return ({"residual": r}, [("weingarten_identity", r, 1e-5, r <= 1e-5)],
-                None, r)
-    raise ConfigError("extra.op must be shape, frame, offset or "
-                      "weingarten_residual")
+    r = geometry.weingarten_identity_check(surf, theta)
+    return ({"residual": r}, [("weingarten_identity", r, 1e-5, r <= 1e-5)],
+            None, r)
 
 
 def _cmd_simulate(cfg):
-    extra = _extra(cfg, "case", "budget")
-    case = extra.get("case", "harmonic_mass_t1")
-    rep = simulate.mc_validate(case, budget=float(extra.get("budget", 1.0)),
-                               seed=int(cfg.get("seed", 0)))
+    rep = simulate.mc_validate(cfg["extra"]["case"], budget=cfg["extra"]["budget"],
+                               seed=cfg["seed"])
     results = {"case": rep.case, "estimate": rep.estimate, "oracle": rep.oracle,
                "stderr": rep.stderr, "z": rep.z}
     return results, [], None, rep.estimate
 
 
 def _cmd_validate(cfg):
-    extra = _extra(cfg, "cases", "budget")
-    names = extra.get("cases", "all")
-    if names == "all":
-        names = simulate.list_cases()
-    elif not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigError('extra.cases must be "all" or a list of case names')
-    budget = float(extra.get("budget", 1.0))
-    seed = int(cfg.get("seed", 0))
+    names = cfg["extra"]["cases"]
+    names = simulate.list_cases() if names == "all" else names
     results = {}
     assertions = []
     for name in names:
-        rep = simulate.mc_validate(name, budget=budget, seed=seed)
+        rep = simulate.mc_validate(name, budget=cfg["extra"]["budget"],
+                                   seed=cfg["seed"])
         results[name] = {"estimate": rep.estimate, "oracle": rep.oracle,
                          "stderr": rep.stderr, "z": rep.z, "pass": rep.ok}
         tol = rep.band if rep.band is not None else 3.0 * rep.stderr
@@ -354,63 +335,81 @@ def _cmd_validate(cfg):
     return results, assertions, None, float(n_pass)
 
 
-_DISPATCH = {
-    "eigen": _cmd_eigen,
-    "contract": _cmd_contract,
-    "decay": _cmd_decay,
-    "rate": _cmd_rate,
-    "riccati": _cmd_riccati,
-    "geometry": _cmd_geometry,
-    "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
+# Every key each command reads.  A key maps to a nested spec (a section),
+# to (kind,) if it is required or to (kind, default).  A kind is None
+# (anything), a tuple of choices, a check function of (value, path), or int,
+# float, str or dict: a number given as a bool or a string, a non-integer
+# count and a non-finite float are rejected, and counts and numbers come
+# back as int and float.  Every command takes the keys of _COMMON; a `time`
+# or `extra` section that it does not read must be empty.
+_COMMON = {"command": (None,), "seed": (int, 0), "threads": (int, 1),
+           "output": {"path": (str, None), "format": (("json", "csv"), "json")},
+           "time": {}, "extra": {}}
+_GRID = {"model": {"name": (str,), "params": (dict, {})},
+         "grid": {"min": (float,), "max": (float,), "n": (int,)}}
+_SCHEMA = {
+    "eigen": {**_COMMON, **_GRID, "time": {"tau": (float, 0.5)}},
+    "contract": {**_COMMON, **_GRID, "lyapunov": (None, "poly:2"),
+                 "time": {"tau": (float, 1.0)}},
+    "decay": {**_COMMON, **_GRID, "lyapunov": (None, "poly:2"),
+              "time": {"tau": (float, 1.0), "t_max": (int, 12)},
+              "extra": {"x1": (float, -2.0), "x2": (float, 2.0)}},
+    "rate": {**_COMMON, "extra": {
+        "chain": (("certified", "canonical"), "certified"), "rho": (float, 0.9),
+        "t_max": (int, 200), "start": (int, None)}},
+    "riccati": {**_COMMON, "extra": {
+        "kind": (("scalar", "matrix_tanh", "coupled"), "scalar"),
+        "a0": (float, 1.0), "a1": (float, 0.0), "b": (float, 1.0),
+        "z0": (float, 0.0), "t": (float, 10.0), "seed_spec": (int, 0)}},
+    "geometry": {**_COMMON, "extra": {
+        "op": (("shape", "frame", "offset", "weingarten_residual"), "shape"),
+        "surface": (str, "parabola"), "theta": (_numbers, 0.0),
+        "u": (float, 0.1), "epsilon": (int, 1)}},
+    "simulate": {**_COMMON, "extra": {"case": (str, "harmonic_mass_t1"),
+                                      "budget": (float, 1.0)}},
+    "validate": {**_COMMON, "extra": {"cases": (_case_names, "all"),
+                                      "budget": (float, 1.0)}},
 }
+_TOP_KEYS = set().union(*_SCHEMA.values())
+_DISPATCH = {name: globals()[f"_cmd_{name}"] for name in _SCHEMA}
 
 
 def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
-    """Validate the config, run the command, write artifacts.
+    """Resolve the config against its command's schema, run the command and
+    write artifacts.
 
     Returns the process exit code (0 ok, 1 config error, an unwritable
     output path included, 2 assertion failure or numerical failure: an
     ArithmeticError, a flow or particle extinction or a non-finite artifact
-    value).  Every nonzero exit prints exactly one stderr line.  The artifact
-    embeds neither wall-clock data nor `threads`, which changes no result,
-    so reruns with the same config and seed are byte-identical whatever
-    the thread count.
+    value).  Every nonzero exit prints exactly one stderr line.  The
+    artifact's `inputs` is the resolved config without `output` and
+    `threads`, which changes no result; with no wall-clock data in it,
+    reruns with the same config and seed are byte-identical.
     """
     t0 = time.perf_counter()
     try:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        _check_keys(config, _TOP_KEYS, "config")
-        command = config.get("command")
-        if command not in _COMMANDS:
-            raise ConfigError(
-                f"config.command must be one of {sorted(_COMMANDS)}"
-            )
+        if config.get("command") not in tuple(_SCHEMA):
+            raise ConfigError(f"config.command must be one of {sorted(_SCHEMA)}")
         if seed is not None:
-            config = {**config, "seed": int(seed)}
-        _check_keys(config.get("time", {}), _TIME_KEYS.get(command, set()), "time")
-        out_cfg = _check_keys(config.get("output", {}), {"path", "format"}, "output")
-        path = out_cfg.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ConfigError("output.path must be a string")
-        fmt = out_cfg.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"output.format must be json or csv, not {fmt!r}")
-        results, assertions, rows, key = _DISPATCH[command](config)
+            config = {**config, "seed": seed}
+        cfg = _resolve(_SCHEMA[config["command"]], config, "config")
+        results, assertions, rows, key = _DISPATCH[cfg["command"]](cfg)
         wrote = []
-        if path is not None:
-            path = Path(path)
+        out = cfg["output"]
+        if out["path"] is not None:
+            path = Path(out["path"])
             if out_dir is not None:
                 path = Path(out_dir) / path.name
-            if fmt == "csv" and rows is None:
+            if out["format"] == "csv" and rows is None:
                 raise ConfigError("this command has no curve output")
             path.parent.mkdir(parents=True, exist_ok=True)
-            if fmt == "csv":
+            if out["format"] == "csv":
                 _write_csv(path, ("t", "value"), rows)
             else:
                 _write_json(path, {
-                    "inputs": {k: v for k, v in config.items()
+                    "inputs": {k: v for k, v in cfg.items()
                                if k not in ("output", "threads")},
                     "results": results,
                     "assertions": _assertions_block(assertions),
@@ -419,7 +418,7 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
-    except (ArithmeticError, AssertionFailed, spectral.FlowExtinctionError,
+    except (ArithmeticError, spectral.FlowExtinctionError,
             simulate.ExtinctionError) as exc:
         print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
         return 2
@@ -428,7 +427,7 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     wall = time.perf_counter() - t0
     status = "FAIL" if failed else "ok"
     key = "null" if key is None else format(key, ".6g")
-    print(f"{config['command']}: key={key} assertions="
+    print(f"{cfg['command']}: key={key} assertions="
           f"{len(assertions) - len(failed)}/{len(assertions)} "
           f"{' '.join(wrote)} [{status}, {wall:.2f}s]")
     if failed:
@@ -463,8 +462,9 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(),
+                            parse_constant=lambda c: _typed(float, float(c), c))
+    except (OSError, ValueError) as exc:
         print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
     return run_experiment(config, out_dir=args.out, seed=args.seed,

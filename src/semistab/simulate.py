@@ -78,7 +78,6 @@ class ParticleEnsemble:
     positions: np.ndarray     # (n, dim)
     log_weights: np.ndarray   # (n,)
     alive: np.ndarray         # (n,) bool
-    seed_key: tuple = ()
 
     @property
     def n(self):
@@ -175,7 +174,6 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
             positions=np.tile(x0, (m, 1)),
             log_weights=np.zeros(m),
             alive=np.ones(m, dtype=bool),
-            seed_key=(seed, part),
         )
         for _ in range(n_steps):
             x_old = ens.positions.copy()

@@ -338,6 +338,33 @@ _HARMONIC = {"model": {"name": "harmonic"},
     ({"command": "geometry",
       "extra": {"surface": "graph_example_8_4", "epsilon": -1}}, 0,
      "geometry: key="),
+    ({"command": "eigen", **_HARMONIC, "extra": {"banana": 1}}, 1,
+     "config error: unknown key extra.banana"),
+    ({"command": "eigen", **_HARMONIC, "lyapunov": "nonsense"}, 1,
+     "config error: unknown key config.lyapunov"),
+    ({"command": "riccati", "model": {"name": "harmonic"}}, 1,
+     "config error: unknown key config.model"),
+    ({"command": "riccati", "grid": {"min": -8.0, "max": 8.0, "n": 50}}, 1,
+     "config error: unknown key config.grid"),
+    ({"command": "eigen", "model": {"name": "harmonic"},
+      "grid": {"min": -8.0, "max": 8.0, "n": 50.9}}, 1,
+     "config error: grid.n must be an integer, not 50.9"),
+    ({"command": "riccati", "extra": {"a0": "2.0"}}, 1,
+     "config error: extra.a0 must be a finite number, not '2.0'"),
+    ({"command": "riccati", "extra": {"t": True}}, 1,
+     "config error: extra.t must be a finite number, not True"),
+    ({"command": "simulate", "seed": True}, 1,
+     "config error: seed must be an integer, not True"),
+    ({"command": "riccati", "threads": "many"}, 1,
+     "config error: threads must be an integer, not 'many'"),
+    ({"command": "geometry", "extra": {"theta": "1"}}, 1,
+     "config error: extra.theta must be a finite number, not '1'"),
+    ({"command": "decay", **_HARMONIC, "time": {"t_max": -1}}, 1,
+     "config error: time.t_max must be >= 0, not -1"),
+    ({"command": "riccati", "extra": {"t": float("nan")}}, 1,
+     "config error: extra.t must be a finite number, not nan"),
+    ({"command": "riccati", "extra": {"t": 10**400}}, 1,
+     "config error: extra.t must be a finite number, not 1000"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code
@@ -347,6 +374,31 @@ def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert err == "" or code
     assert len(line.strip().splitlines()) == 1
     assert line.startswith(message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"command": "simulate", "seed": Infinity}',
+     "config error: Infinity must be a finite number, not inf"),
+    ('{"command": "riccati", "extra": {"t": NaN}}',
+     "config error: NaN must be a finite number, not nan"),
+])
+def test_non_finite_json_constants_are_config_errors(tmp_path, capsys, text,
+                                                      message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 1
+    assert _one_line_error(capsys).startswith(message)
+
+
+def test_inputs_hold_the_resolved_config(tmp_path):
+    out = tmp_path / "eigen.json"
+    cfg = {"command": "eigen", **_HARMONIC, "threads": 2,
+           "output": {"path": str(out)}}
+    assert run_experiment(cfg) == 0
+    assert json.loads(out.read_text())["inputs"] == {
+        "command": "eigen", "extra": {}, "grid": _HARMONIC["grid"],
+        "model": {"name": "harmonic", "params": {}}, "seed": 0,
+        "time": {"tau": 0.5}}
 
 
 def test_decay_without_a_fitted_rate_keeps_null(tmp_path):
@@ -396,6 +448,41 @@ def test_config_fuzzer_exits_cleanly(base, key, value):
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_experiment({**base, key: value}, out_dir=tmp)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def _schema_paths(spec, prefix=()):
+    for key, rule in spec.items():
+        if isinstance(rule, dict):
+            yield from _schema_paths(rule, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# budgets stay at most 0.01 (a hundredth of the full particle count)
+_BUDGETS = (st.none() | st.booleans() | st.integers(-3, 0)
+            | st.floats(-3.0, 0.01) | st.text(max_size=5))
+
+
+@pytest.mark.parametrize("base, path", [
+    pytest.param(base, path, id=f"{i}-{base['command']}-{'.'.join(path)}")
+    for i, base in enumerate(_BASE_CONFIGS)
+    for path in _schema_paths(cli._SCHEMA[base["command"]])])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schema_key_fuzzer_exits_cleanly(base, path, data):
+    value = data.draw(_BUDGETS if path[-1] == "budget" else _NESTED)
+    cfg = json.loads(json.dumps(base))
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_experiment(cfg, out_dir=tmp)
     assert code in (0, 1, 2)
     if code:
         assert len(err.getvalue().strip().splitlines()) == 1
