@@ -62,6 +62,16 @@ def _numbers(value, path: str):
     return _typed(float, value, path)
 
 
+def _at_least(kind, low):
+    """A schema kind: a `kind` value no smaller than `low`."""
+    def check(value, path: str):
+        value = _typed(kind, value, path)
+        if value < low:
+            raise ConfigError(f"{path} must be >= {low}, not {value}")
+        return value
+    return check
+
+
 def _case_names(value, path: str):
     if value == "all" or isinstance(value, list) and all(isinstance(v, str) for v in value):
         return value
@@ -210,8 +220,6 @@ def _cmd_contract(cfg):
 
 def _cmd_decay(cfg):
     T = cfg["time"]["t_max"]
-    if T < 0:
-        raise ConfigError(f"time.t_max must be >= 0, not {T}")
     _, grid, op = _discretize(cfg)
     triple = spectral.leading_eigentriple(op, tol=1e-12)
     P = kernels.doob_h_transform(op, triple.h, triple.rho)
@@ -234,8 +242,9 @@ def _cmd_rate(cfg):
         P, V, drift, c = subgeometric.build_subgeo_chain()
     n = P.grid.size
     nu = np.zeros(n)
-    # null starts from the top state; the chains differ in size
-    start = n - 1 if extra["start"] is None else extra["start"]
+    # null starts from the top state, as the chains differ in size; the
+    # artifact's inputs name the state used
+    start = extra["start"] = n - 1 if extra["start"] is None else extra["start"]
     if not 1 <= start <= n - 1:
         raise ConfigError(f"extra.start must lie in [1, {n - 1}]")
     nu[start], nu[0] = 1.0, -1.0
@@ -313,7 +322,7 @@ def _cmd_geometry(cfg):
 
 def _cmd_simulate(cfg):
     rep = simulate.mc_validate(cfg["extra"]["case"], budget=cfg["extra"]["budget"],
-                               seed=cfg["seed"])
+                               seed=cfg["seed"], threads=cfg["threads"])
     results = {"case": rep.case, "estimate": rep.estimate, "oracle": rep.oracle,
                "stderr": rep.stderr, "z": rep.z}
     return results, [], None, rep.estimate
@@ -326,7 +335,7 @@ def _cmd_validate(cfg):
     assertions = []
     for name in names:
         rep = simulate.mc_validate(name, budget=cfg["extra"]["budget"],
-                                   seed=cfg["seed"])
+                                   seed=cfg["seed"], threads=cfg["threads"])
         results[name] = {"estimate": rep.estimate, "oracle": rep.oracle,
                          "stderr": rep.stderr, "z": rep.z, "pass": rep.ok}
         tol = rep.band if rep.band is not None else 3.0 * rep.stderr
@@ -340,9 +349,10 @@ def _cmd_validate(cfg):
 # (anything), a tuple of choices, a check function of (value, path), or int,
 # float, str or dict: a number given as a bool or a string, a non-integer
 # count and a non-finite float are rejected, and counts and numbers come
-# back as int and float.  Every command takes the keys of _COMMON; a `time`
-# or `extra` section that it does not read must be empty.
-_COMMON = {"command": (None,), "seed": (int, 0), "threads": (int, 1),
+# back as int and float; `_at_least` adds a lower bound to int or float.
+# Every command takes the keys of _COMMON; a `time` or `extra` section that
+# it does not read must be empty.
+_COMMON = {"command": (None,), "seed": (int, 0), "threads": (_at_least(int, 1), 1),
            "output": {"path": (str, None), "format": (("json", "csv"), "json")},
            "time": {}, "extra": {}}
 _GRID = {"model": {"name": (str,), "params": (dict, {})},
@@ -352,11 +362,12 @@ _SCHEMA = {
     "contract": {**_COMMON, **_GRID, "lyapunov": (None, "poly:2"),
                  "time": {"tau": (float, 1.0)}},
     "decay": {**_COMMON, **_GRID, "lyapunov": (None, "poly:2"),
-              "time": {"tau": (float, 1.0), "t_max": (int, 12)},
+              "time": {"tau": (float, 1.0), "t_max": (_at_least(int, 0), 12)},
               "extra": {"x1": (float, -2.0), "x2": (float, 2.0)}},
     "rate": {**_COMMON, "extra": {
-        "chain": (("certified", "canonical"), "certified"), "rho": (float, 0.9),
-        "t_max": (int, 200), "start": (int, None)}},
+        "chain": (("certified", "canonical"), "certified"),
+        "rho": (_at_least(float, 0.0), 0.9), "t_max": (_at_least(int, 1), 200),
+        "start": (int, None)}},
     "riccati": {**_COMMON, "extra": {
         "kind": (("scalar", "matrix_tanh", "coupled"), "scalar"),
         "a0": (float, 1.0), "a1": (float, 0.0), "b": (float, 1.0),
@@ -376,7 +387,8 @@ _DISPATCH = {name: globals()[f"_cmd_{name}"] for name in _SCHEMA}
 
 def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     """Resolve the config against its command's schema, run the command and
-    write artifacts.
+    write artifacts.  `seed` and `threads`, when given, override the
+    config's values.
 
     Returns the process exit code (0 ok, 1 config error, an unwritable
     output path included, 2 assertion failure or numerical failure: an
@@ -392,8 +404,9 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
             raise ConfigError("config must be a JSON object")
         if config.get("command") not in tuple(_SCHEMA):
             raise ConfigError(f"config.command must be one of {sorted(_SCHEMA)}")
-        if seed is not None:
-            config = {**config, "seed": seed}
+        for key, value in (("seed", seed), ("threads", threads)):
+            if value is not None:
+                config = {**config, key: value}
         cfg = _resolve(_SCHEMA[config["command"]], config, "config")
         results, assertions, rows, key = _DISPATCH[cfg["command"]](cfg)
         wrote = []

@@ -6,14 +6,25 @@ exact Brownian-bridge crossing survival for each barrier, which removes the
 sqrt(dt) discrete-monitoring bias; general indicator domains fall back to
 exit checks at grid times only.
 
-Reproducibility: particles are processed in fixed partitions of 10^4, each
-with its own seeded substream, and reduced in partition order, so results
-depend on the seed alone.
+Reproducibility: Feynman-Kac particles are processed in fixed partitions of
+10^4, each with its own seeded substream, and reduced in partition order;
+the quasi-stationary estimate draws everything from one seeded stream.
+Results depend on the seed alone, never on `threads`.  With threads >= 2
+(capped by the host's cores) the Feynman-Kac partitions run on a thread
+pool, and the quasi-stationary estimate draws its random numbers on one
+producer thread, which makes the serial calls in the serial order while the
+calling thread moves, weights and resamples the particles; once waiting for
+the producer has cost more than its draws, the draws move back to the
+calling thread.  Every thread is joined before an estimator returns or
+raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,6 +46,9 @@ __all__ = [
 ]
 
 _PARTITION = 10_000
+# normals per noise block of the quasi-stationary estimate: a few steps of a
+# small population; one call for c steps gives the bits of c calls
+_BLOCK_NUMBERS = 1 << 14
 
 
 class ExtinctionError(RuntimeError):
@@ -88,13 +102,9 @@ class ParticleEnsemble:
         return w
 
 
-def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
-             rng: np.random.Generator) -> ParticleEnsemble:
-    """One Euler step x + b(x) dt + sigma sqrt(dt) xi on the live particles."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def _euler(model: SDEModel, ens: ParticleEnsemble, dt: float, noise) -> ParticleEnsemble:
+    """x + b(x) dt + sigma sqrt(dt) noise into a new positions array."""
     x = ens.positions
-    noise = rng.standard_normal(x.shape)
     drift = np.asarray(model.drift(x), dtype=float)
     new = x + drift * dt + model.diffusion * math.sqrt(dt) * noise
     bad = ~np.isfinite(new).all(axis=1)
@@ -105,36 +115,77 @@ def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
     return ens
 
 
+def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
+             rng: np.random.Generator) -> ParticleEnsemble:
+    """One Euler step x + b(x) dt + sigma sqrt(dt) xi on the live particles."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return _euler(model, ens, dt, rng.standard_normal(ens.positions.shape))
+
+
+def _log_no_crossing(arg):
+    """log1p(-clip(exp(arg), 0, 1 - 1e-16)) with the same bits, avoiding
+    numpy's slow exp path below about -708, where most rows fall at small dt.
+
+    exp runs on arg clamped to [-700, 0]: the clip maps every arg >= 0 to
+    1 - 1e-16 anyway, exp is exactly 0 below -745.2, and only the rows in
+    [-745.2, -700) are recomputed.
+    """
+    p = np.exp(np.minimum(np.maximum(arg, -700.0), 0.0))
+    low = arg < -700.0
+    if low.any():
+        p[low] = 0.0
+        window = low & (arg >= -745.2)
+        p[window] = np.exp(arg[window])
+    return np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
+
+
 def _bridge_log_survival(x_old, x_new, interval, sigma, dt):
-    """Log of the within-step non-crossing probability for interval barriers."""
+    """Log of the within-step non-crossing probability for interval barriers,
+    on every row (those of dead particles included)."""
     total = np.zeros(len(x_old))
     a, b = interval
     denom = sigma * sigma * dt
     if np.isfinite(a):
-        p = np.exp(-2.0 * (x_old[:, 0] - a) * (x_new[:, 0] - a) / denom)
-        total += np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
+        total += _log_no_crossing(-2.0 * (x_old[:, 0] - a) * (x_new[:, 0] - a) / denom)
     if np.isfinite(b):
-        p = np.exp(-2.0 * (b - x_old[:, 0]) * (b - x_new[:, 0]) / denom)
-        total += np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
+        total += _log_no_crossing(-2.0 * (b - x_old[:, 0]) * (b - x_new[:, 0]) / denom)
     return total
 
 
-def _apply_absorption(absorb, x_old, x_new, logw, alive, sigma, dt):
+def _step(model, absorb, ens, noise, dt, u_old):
+    """One Euler step of `ens`, then the weighting and killing of `absorb`.
+
+    `u_old` is the soft potential at the current positions, or None to
+    evaluate it; the potential at the new positions is returned to serve
+    as the next step's `u_old`.
+    """
+    x_old = ens.positions  # _euler writes a new array, so this one stays put
+    _euler(model, ens, dt, noise)
+    x_new = ens.positions
+    u_new = None
     if absorb.soft_potential is not None:
-        u_old = np.asarray(absorb.soft_potential(x_old), dtype=float)
+        if u_old is None:
+            u_old = np.asarray(absorb.soft_potential(x_old), dtype=float)
         u_new = np.asarray(absorb.soft_potential(x_new), dtype=float)
-        logw -= 0.5 * dt * (u_old + u_new)
+        ens.log_weights -= 0.5 * dt * (u_old + u_new)
     if absorb.hard_interval is not None:
         a, b = absorb.hard_interval
-        inside = (x_new[:, 0] > a) & (x_new[:, 0] < b)
-        alive &= inside
-        ok = alive
-        logw[ok] += _bridge_log_survival(x_old[ok], x_new[ok],
-                                         absorb.hard_interval, sigma, dt)
+        ens.alive &= (x_new[:, 0] > a) & (x_new[:, 0] < b)
+        np.add(ens.log_weights,
+               _bridge_log_survival(x_old, x_new, absorb.hard_interval,
+                                    model.diffusion, dt),
+               out=ens.log_weights, where=ens.alive)
     elif absorb.hard_indicator is not None:
-        inside = np.asarray(absorb.hard_indicator(x_new), dtype=bool)
-        alive &= inside
-    return logw, alive
+        ens.alive &= np.asarray(absorb.hard_indicator(x_new), dtype=bool)
+    return u_new
+
+
+def _workers(threads: int, tasks: int) -> int:
+    """Threads worth starting for `tasks` independent tasks."""
+    if threads < 1:
+        raise ValueError(f"threads = {threads} must be at least 1")
+    return min(threads, os.cpu_count() or 1, tasks)
 
 
 @dataclass(frozen=True)
@@ -147,59 +198,69 @@ class FKResult:
     all_dead: bool
 
 
+def _fk_partition(model, absorb, x0, m, n_steps, dt, rng, observables):
+    """[(sum w, sum w^2)] followed by (sum f w, sum (f w)^2) per observable,
+    over one partition of m particles."""
+    ens = ParticleEnsemble(np.tile(x0, (m, 1)), np.zeros(m), np.ones(m, dtype=bool))
+    u = None
+    for _ in range(n_steps):
+        u = _step(model, absorb, ens, rng.standard_normal(ens.positions.shape), dt, u)
+    w = ens.weights()
+    sums = [(float(w.sum()), float((w * w).sum()))]
+    for f in observables.values():
+        fw = np.asarray(f(ens.positions), dtype=float) * w
+        sums.append((float(fw.sum()), float((fw * fw).sum())))
+    return sums
+
+
 def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
                          n_particles: int, dt: float, seed: int,
-                         observables: Optional[dict] = None) -> FKResult:
+                         observables: Optional[dict] = None,
+                         threads: int = 1) -> FKResult:
     """Weighted-particle estimate of the killed semigroup mass and averages.
 
     Partition k of 10^4 particles draws from substream (seed, k); the
-    reductions run in partition order, so the output is a deterministic
-    function of the seed and the budgets.
+    partitions run on up to `threads` threads and their sums are reduced in
+    partition order, so the output is a deterministic function of the seed
+    and the budgets.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     observables = observables or {}
     n_steps = max(1, int(round(t / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    sums = 0.0
-    sumsq = 0.0
-    obs_sums = {k: 0.0 for k in observables}
-    obs_sumsq = {k: 0.0 for k in observables}
-    total = 0
-    part = 0
-    while total < n_particles:
-        m = min(_PARTITION, n_particles - total)
-        rng = np.random.default_rng([seed, part])
-        ens = ParticleEnsemble(
-            positions=np.tile(x0, (m, 1)),
-            log_weights=np.zeros(m),
-            alive=np.ones(m, dtype=bool),
-        )
-        for _ in range(n_steps):
-            x_old = ens.positions.copy()
-            sde_step(model, ens, dt, rng)
-            ens.log_weights, ens.alive = _apply_absorption(
-                absorb, x_old, ens.positions, ens.log_weights, ens.alive,
-                model.diffusion, dt,
-            )
-        w = ens.weights()
-        sums += float(w.sum())
-        sumsq += float((w * w).sum())
-        for name, f in observables.items():
-            fw = np.asarray(f(ens.positions), dtype=float) * w
-            obs_sums[name] += float(fw.sum())
-            obs_sumsq[name] += float((fw * fw).sum())
-        total += m
-        part += 1
+    sizes = [min(_PARTITION, n_particles - done)
+             for done in range(0, n_particles, _PARTITION)]
+    workers = _workers(threads, len(sizes))
+
+    def partition(k):
+        return _fk_partition(model, absorb, x0, sizes[k], n_steps, dt,
+                             np.random.default_rng([seed, k]), observables)
+
+    if workers == 1:
+        parts = map(partition, range(len(sizes)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(partition, range(len(sizes))))
+    totals = [[0.0, 0.0] for _ in range(1 + len(observables))]
+    for part in parts:
+        for tot, (s, s2) in zip(totals, part):
+            tot[0] += s
+            tot[1] += s2
     n = float(n_particles)
+    (sums, sumsq), *obs_totals = totals
     q1 = sums / n
     var = max(sumsq / n - q1 * q1, 0.0)
     stderr = math.sqrt(var / n)
     qf = {}
     qf_se = {}
-    for name in observables:
-        mean = obs_sums[name] / n
-        v = max(obs_sumsq[name] / n - mean * mean, 0.0)
+    for name, (s, s2) in zip(observables, obs_totals):
+        mean = s / n
+        v = max(s2 / n - mean * mean, 0.0)
         qf[name] = mean
         qf_se[name] = math.sqrt(v / n)
     return FKResult(q1, stderr, qf, qf_se, n_particles, all_dead=(sums == 0.0))
@@ -214,22 +275,118 @@ class QSDResult:
     n_resamplings: int
 
 
+def _qsd_draws(rng, shape, steps_per_period, n_periods):
+    """Every draw of the quasi-stationary estimate after its initial sample,
+    in stream order.  Each period yields its noise blocks, then None; the
+    resampling weights sent in there get the resampled indices back."""
+    n = shape[0]
+    block = max(1, _BLOCK_NUMBERS // math.prod(shape))
+    for _ in range(n_periods):
+        for done in range(0, steps_per_period, block):
+            yield rng.standard_normal((min(block, steps_per_period - done),) + shape)
+        p = yield None
+        yield rng.choice(n, size=n, p=p)
+
+
+class _Inline:
+    """The draws made on the calling thread."""
+
+    def __init__(self, draws):
+        self.next, self.resample, self.close = draws.__next__, draws.send, draws.close
+
+
+class _Producer:
+    """The draws made on one producer thread, at most a few blocks ahead.
+
+    The consumer takes items with `next` and hands the weights over with
+    `resample`; `close` stops and joins the thread, also in mid-period.
+    `waited` is the wall time the consumer spent waiting for items, `drew`
+    the CPU time the producer spent drawing them.
+    """
+
+    def __init__(self, draws):
+        import queue
+
+        self.draws = draws
+        self.waited = self.drew = 0.0
+        self._full = queue.Full
+        self._items = queue.Queue(maxsize=2)
+        self._weights = queue.Queue()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, args=(draws,),
+                                        name="semistab-qsd-draws", daemon=True)
+        self._thread.start()
+
+    def _put(self, item) -> bool:
+        while not self._stop.is_set():
+            try:
+                self._items.put(item, timeout=0.05)
+                return True
+            except self._full:
+                pass
+        return False
+
+    def _draw(self, call, arg):
+        start = time.thread_time()  # CPU time: waits for the GIL do not count
+        item = call(arg)
+        self.drew += time.thread_time() - start
+        return item
+
+    def _run(self, draws):
+        try:
+            item = self._draw(next, draws)
+            while self._put(item):
+                if item is not None:
+                    item = self._draw(next, draws)
+                elif (p := self._weights.get()) is not None:
+                    item = self._draw(draws.send, p)
+                else:
+                    break
+        except StopIteration:
+            pass
+        except Exception as exc:  # re-raised on the consumer's thread
+            self._put(exc)
+
+    def next(self):
+        start = time.perf_counter()
+        item = self._items.get()
+        self.waited += time.perf_counter() - start
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def resample(self, p):
+        self._weights.put(p)
+        return self.next()
+
+    def close(self):
+        self._stop.set()
+        self._weights.put(None)
+        self._thread.join()
+
+
 def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
                           eta0_sampler: Callable, t: float, n_particles: int,
                           resample_period: float, dt: float, seed: int,
-                          burn_in_fraction: float = 0.5) -> QSDResult:
+                          burn_in_fraction: float = 0.5,
+                          threads: int = 1) -> QSDResult:
     """Interacting-particle estimate of the quasi-stationary law and rate.
 
     Multinomial resampling with full weight reset every resample_period; the
     decay-rate estimate averages the per-period log mass decrements after
     burn-in.  Raises ExtinctionError if every particle dies within a period.
+    With threads >= 2 one producer thread makes the random draws, in the
+    same order and with the same bits as the serial run.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     steps_per_period = int(round(resample_period / dt))
     if steps_per_period < 1 or abs(steps_per_period * dt - resample_period) > 1e-9:
         raise ValueError("resample_period must be a positive multiple of dt")
     n_periods = int(round(t / resample_period))
+    workers = _workers(threads, 2)  # the calling thread and one producer
     rng = np.random.default_rng([seed, 0xA5])
     x = np.atleast_2d(np.asarray(eta0_sampler(rng, n_particles), dtype=float))
     if x.shape[0] != n_particles:
@@ -237,32 +394,39 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
     ens = ParticleEnsemble(x, np.zeros(n_particles),
                            np.ones(n_particles, dtype=bool))
     decrements = np.empty(n_periods)
-    for k in range(n_periods):
-        for _ in range(steps_per_period):
-            x_old = ens.positions.copy()
-            sde_step(model, ens, dt, rng)
-            ens.log_weights, ens.alive = _apply_absorption(
-                absorb, x_old, ens.positions, ens.log_weights, ens.alive,
-                model.diffusion, dt,
-            )
-        w = ens.weights()
-        mass = float(w.mean())
-        if mass <= 0:
-            raise ExtinctionError(
-                f"all particles absorbed in period {k}; increase the "
-                f"population or shorten the resampling period"
-            )
-        decrements[k] = math.log(mass)
-        idx = rng.choice(n_particles, size=n_particles, p=w / w.sum())
-        ens.positions = ens.positions[idx]
-        ens.log_weights = np.zeros(n_particles)
-        ens.alive = np.ones(n_particles, dtype=bool)
+    draws = _qsd_draws(rng, x.shape, steps_per_period, n_periods)
+    draws = _Producer(draws) if workers > 1 else _Inline(draws)
+    try:
+        for k in range(n_periods):
+            u = None
+            while (block := draws.next()) is not None:
+                for z in block:
+                    u = _step(model, absorb, ens, z, dt, u)
+            w = ens.weights()
+            mass = float(w.mean())
+            if mass <= 0:
+                raise ExtinctionError(
+                    f"all particles absorbed in period {k}; increase the "
+                    f"population or shorten the resampling period"
+                )
+            decrements[k] = math.log(mass)
+            if isinstance(draws, _Producer) and k > 0 and draws.waited > draws.drew:
+                # waiting for the producer has cost more than drawing here would
+                # have (a host that lends the second core out does that); it is
+                # idle at a period end, so the generator moves to this thread
+                draws.close()
+                draws = _Inline(draws.draws)
+            idx = draws.resample(w / w.sum())
+            ens.positions = ens.positions[idx]
+            ens.log_weights = np.zeros(n_particles)
+            ens.alive = np.ones(n_particles, dtype=bool)
+    finally:
+        draws.close()
     start = int(burn_in_fraction * n_periods)
     tail = decrements[start:]
     rho_hat = float(tail.mean()) / resample_period
     rho_se = float(tail.std(ddof=1)) / math.sqrt(len(tail)) / resample_period
     return QSDResult(ens.positions, rho_hat, rho_se, decrements, n_periods)
-
 
 # ---------------------------------------------------------------------------
 # Named validation cases.
@@ -290,12 +454,13 @@ def _ou():
 _DIRICHLET_SURV_T03 = 0.28970892125637967  # frozen sine-series value
 
 
-def _case_harmonic_mass(budget, seed):
+def _case_harmonic_mass(budget, seed, threads):
     n = int(100_000 * budget)
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
         [0.0], t=1.0, n_particles=n, dt=1e-3, seed=seed,
+        threads=threads,
     )
     oracle = 1.0 / math.sqrt(math.cosh(1.0))
     z = (res.q1_hat - oracle) / res.stderr
@@ -303,12 +468,13 @@ def _case_harmonic_mass(budget, seed):
                             res.stderr, z, abs(z) <= 3.0)
 
 
-def _case_dirichlet_survival(budget, seed):
+def _case_dirichlet_survival(budget, seed, threads):
     n = int(100_000 * budget)
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(hard_interval=(0.0, 1.0)),
         [0.5], t=0.3, n_particles=n, dt=1e-3, seed=seed,
+        threads=threads,
     )
     oracle = _DIRICHLET_SURV_T03
     z = (res.q1_hat - oracle) / res.stderr
@@ -316,11 +482,12 @@ def _case_dirichlet_survival(budget, seed):
                             res.stderr, z, abs(z) <= 3.0)
 
 
-def _case_ou_stationary_var(budget, seed):
+def _case_ou_stationary_var(budget, seed, threads):
     n = int(100_000 * budget)
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.0], t=5.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2},
+        threads=threads,
     )
     est = res.qf_hat["x2"]
     se = res.qf_stderr["x2"]
@@ -328,13 +495,14 @@ def _case_ou_stationary_var(budget, seed):
     return ValidationReport("ou_stationary_var", est, 0.5, se, z, abs(z) <= 3.0)
 
 
-def _case_qsd_harmonic(budget, seed):
+def _case_qsd_harmonic(budget, seed, threads):
     n = int(20_000 * budget)
     res = qsd_particle_estimate(
         _brownian(),
         AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
         lambda rng, m: rng.normal(0.0, 1.0, size=(m, 1)),
         t=14.0, n_particles=n, resample_period=0.05, dt=1e-3, seed=seed,
+        threads=threads,
     )
     band = 0.02
     z = (res.rho_hat + 0.5) / max(res.rho_stderr, 1e-12)
@@ -343,13 +511,14 @@ def _case_qsd_harmonic(budget, seed):
                             abs(res.rho_hat + 0.5) <= band, band=band)
 
 
-def _case_qsd_dirichlet(budget, seed):
+def _case_qsd_dirichlet(budget, seed, threads):
     n = int(20_000 * budget)
     res = qsd_particle_estimate(
         _brownian(),
         AbsorptionSpec(hard_interval=(0.0, 1.0)),
         lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
         t=3.0, n_particles=n, resample_period=0.02, dt=1e-3, seed=seed,
+        threads=threads,
     )
     oracle = -math.pi ** 2 / 2
     band = 0.1
@@ -359,13 +528,14 @@ def _case_qsd_dirichlet(budget, seed):
                             abs(res.rho_hat - oracle) <= band, band=band)
 
 
-def _case_qsd_ou_var(budget, seed):
+def _case_qsd_ou_var(budget, seed, threads):
     # h-transformed harmonic dynamics: plain OU, stationary variance 1/2
     n = int(50_000 * budget)
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.3], t=6.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2,
                                 "x": lambda x: x[:, 0]},
+        threads=threads,
     )
     var = res.qf_hat["x2"] - res.qf_hat["x"] ** 2
     se = res.qf_stderr["x2"]
@@ -388,10 +558,11 @@ def list_cases():
 
 
 def mc_validate(case_name: str, budget: float = 1.0,
-                seed: int = 20240 ) -> ValidationReport:
-    """Run a registered seeded validation case at a fraction of full budget."""
+                seed: int = 20240, threads: int = 1) -> ValidationReport:
+    """Run a registered seeded validation case at a fraction of full budget,
+    on up to `threads` threads; the report does not depend on `threads`."""
     if case_name not in _CASES:
         raise ValueError(
             f"unknown case {case_name!r}; available: {', '.join(list_cases())}"
         )
-    return _CASES[case_name](budget, seed)
+    return _CASES[case_name](budget, seed, threads)

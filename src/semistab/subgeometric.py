@@ -218,7 +218,12 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     and minorization over the sub-level sets of phi(V) and phi2(V), scanning
     candidate radii for a nonempty admissibility window at the given rho.
     When no radius qualifies, the curve is returned without assertion.
+    Needs T >= 1 steps and rho >= 0, which keeps the weights positive.
     """
+    if T < 1:
+        raise ValueError(f"T = {T} must be at least 1")
+    if not rho >= 0:
+        raise ValueError(f"rho = {rho} must be >= 0")
     vals = V(P.grid.points)
     if abs(float(mu.masses.sum())) > 1e-12:
         raise ValueError("mu must have zero total mass")

@@ -264,6 +264,43 @@ def test_threads_do_not_change_artifact_bytes(tmp_path):
     assert "threads" not in json.loads(paths[0].read_text())["inputs"]
 
 
+# budgets that give every Feynman-Kac case two partitions of particles
+_THREADED_BUDGETS = {"harmonic_mass_t1": 0.11, "dirichlet_survival_t03": 0.11,
+                     "ou_stationary_var": 0.11, "ou_qsd_variance": 0.21,
+                     "qsd_harmonic_rho": 0.05, "qsd_dirichlet_rho": 0.05}
+
+
+@pytest.mark.parametrize("case", sorted(_THREADED_BUDGETS))
+def test_simulate_artifacts_do_not_depend_on_threads(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, {
+        "command": "simulate", "seed": 3,
+        "extra": {"case": case, "budget": _THREADED_BUDGETS[case]},
+        "output": {"path": "sim.json", "format": "json"}})
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        artifacts.append((out / "sim.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
+def test_threads_flag_is_checked_like_the_config_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "riccati", "threads": 2})
+    assert main(["run", str(cfg), "--threads", "0"]) == 1
+    assert _one_line_error(capsys).strip() == "config error: threads must be >= 1, not 0"
+    assert run_experiment({"command": "riccati"}, threads=-1) == 1
+    assert _one_line_error(capsys).strip() == "config error: threads must be >= 1, not -1"
+
+
+@pytest.mark.parametrize("chain, start", [("certified", 499), ("canonical", 199)])
+def test_rate_inputs_name_the_start_state_used(tmp_path, chain, start):
+    out = tmp_path / "rate.json"
+    cfg = {"command": "rate", "extra": {"chain": chain, "t_max": 3},
+           "output": {"path": str(out)}}
+    assert run_experiment(cfg) == 0
+    assert json.loads(out.read_text())["inputs"]["extra"]["start"] == start
+
+
 def test_grid_outside_the_domain_is_a_numerical_failure(capsys):
     cfg = {"command": "eigen", "model": {"name": "dirichlet_heat"},
            "grid": {"min": -1.0, "max": 1.0, "n": 50}, "time": {"tau": 0.5}}
@@ -365,6 +402,14 @@ _HARMONIC = {"model": {"name": "harmonic"},
      "config error: extra.t must be a finite number, not nan"),
     ({"command": "riccati", "extra": {"t": 10**400}}, 1,
      "config error: extra.t must be a finite number, not 1000"),
+    ({"command": "rate", "extra": {"t_max": 0}}, 1,
+     "config error: extra.t_max must be >= 1, not 0"),
+    ({"command": "rate", "extra": {"t_max": -2}}, 1,
+     "config error: extra.t_max must be >= 1, not -2"),
+    ({"command": "rate", "extra": {"rho": -3}}, 1,
+     "config error: extra.rho must be >= 0.0, not -3.0"),
+    ({"command": "simulate", "threads": 0}, 1,
+     "config error: threads must be >= 1, not 0"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from semistab import simulate
 from semistab.simulate import (
     AbsorptionSpec,
     ExtinctionError,
@@ -184,3 +187,190 @@ def test_absorption_spec_validation():
         AbsorptionSpec(hard_interval=(0, 1), hard_indicator=lambda x: x[:, 0] > 0)
     with pytest.raises(ValueError):
         SDEModel(drift=lambda x: x, diffusion=np.eye(2))
+
+
+def _bridge_reference(x_old, x_new, interval, sigma, dt):
+    # the crossing term as first written, on the rows it is given
+    total = np.zeros(len(x_old))
+    a, b = interval
+    denom = sigma * sigma * dt
+    if np.isfinite(a):
+        p = np.exp(-2.0 * (x_old[:, 0] - a) * (x_new[:, 0] - a) / denom)
+        total += np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
+    if np.isfinite(b):
+        p = np.exp(-2.0 * (b - x_old[:, 0]) * (b - x_new[:, 0]) / denom)
+        total += np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
+    return total
+
+
+def test_bridge_term_matches_the_direct_formula():
+    rng = np.random.default_rng(0)
+    x_old = rng.uniform(0.0, 1.0, (20000, 1))
+    x_new = x_old + 0.05 * rng.standard_normal((20000, 1))
+    dt = 1e-3
+    arg = -2.0 * x_old[:, 0] * x_new[:, 0] / dt
+    # exponents above 0 (crossings), in [-700, 0], in the recomputed window
+    # [-745.2, -700) and below it, where exp underflows to 0
+    assert (arg > 0).any() and ((arg <= 0) & (arg >= -700)).any()
+    assert ((arg < -700) & (arg >= -745.2)).sum() > 10 and (arg < -745.2).any()
+    for interval in ((0.0, 1.0), (0.0, np.inf), (-np.inf, 1.0), (-0.3, 0.7)):
+        got = simulate._bridge_log_survival(x_old, x_new, interval, 1.0, dt)
+        assert np.array_equal(got, _bridge_reference(x_old, x_new, interval, 1.0, dt))
+
+
+def _reference_steps(model, absorb, x, logw, alive, rng, steps, dt):
+    # one standard_normal call and two potential calls per step, and the
+    # crossing term only on the live rows
+    for _ in range(steps):
+        x_old = x
+        x = (x + np.asarray(model.drift(x), dtype=float) * dt
+             + model.diffusion * math.sqrt(dt) * rng.standard_normal(x.shape))
+        if absorb.soft_potential is not None:
+            logw -= 0.5 * dt * (absorb.soft_potential(x_old) + absorb.soft_potential(x))
+        if absorb.hard_interval is not None:
+            a, b = absorb.hard_interval
+            alive &= (x[:, 0] > a) & (x[:, 0] < b)
+            logw[alive] += _bridge_reference(x_old[alive], x[alive], (a, b),
+                                             model.diffusion, dt)
+    return x, logw, alive
+
+
+_MIXED = AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2,
+                        hard_interval=(-1.0, 1.5))
+
+
+def test_fk_reproduces_the_one_call_per_step_loop():
+    # five partitions, their sums reduced in partition order
+    n, t, dt, seed = 43000, 0.02, 1e-3, 3
+    sums = np.zeros(4)
+    for part, m in enumerate((10000,) * 4 + (3000,)):
+        x, logw, alive = _reference_steps(
+            OU, _MIXED, np.full((m, 1), 0.2), np.zeros(m), np.ones(m, dtype=bool),
+            np.random.default_rng([seed, part]), round(t / dt), dt)
+        w = np.where(alive, np.exp(logw), 0.0)
+        fw = x[:, 0] * w
+        sums += [float(w.sum()), float((w * w).sum()), float(fw.sum()),
+                 float((fw * fw).sum())]
+    q1, x_mean = sums[0] / n, sums[2] / n
+    for threads in (1, 2):
+        res = feynman_kac_estimate(OU, _MIXED, [0.2], t=t, n_particles=n, dt=dt,
+                                   seed=seed, observables={"x": lambda x: x[:, 0]},
+                                   threads=threads)
+        assert res.q1_hat == q1
+        assert res.stderr == math.sqrt((sums[1] / n - q1 * q1) / n)
+        assert res.qf_hat["x"] == x_mean
+        assert res.qf_stderr["x"] == math.sqrt((sums[3] / n - x_mean * x_mean) / n)
+
+
+def test_qsd_reproduces_the_one_call_per_step_loop():
+    n, period, dt, seed = 3000, 0.03, 1e-3, 4
+    rng = np.random.default_rng([seed, 0xA5])
+    x = rng.uniform(-0.5, 0.5, size=(n, 1))
+    decrements = []
+    for _ in range(5):
+        x, logw, alive = _reference_steps(OU, _MIXED, x, np.zeros(n),
+                                          np.ones(n, dtype=bool), rng, 30, dt)
+        w = np.where(alive, np.exp(logw), 0.0)
+        decrements.append(math.log(w.mean()))
+        x = x[rng.choice(n, size=n, p=w / w.sum())]
+    for threads in (1, 2):
+        res = qsd_particle_estimate(
+            OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
+            t=5 * period, n_particles=n, resample_period=period, dt=dt,
+            seed=seed, threads=threads)
+        assert np.array_equal(res.positions, x)
+        assert np.array_equal(res.log_decrements, decrements)
+
+
+@pytest.mark.parametrize("absorb", [
+    AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
+    AbsorptionSpec(hard_interval=(0.0, 1.0)),
+], ids=["soft", "hard_interval"])
+def test_qsd_threads_give_identical_results(absorb):
+    # a short switch interval interleaves the producer and the consumer finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [qsd_particle_estimate(
+            BM, absorb, lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
+            t=0.4, n_particles=2000, resample_period=0.02, dt=1e-3, seed=14,
+            threads=threads) for threads in (1, 2)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(runs[0].positions, runs[1].positions)
+    assert np.array_equal(runs[0].log_decrements, runs[1].log_decrements)
+    assert runs[0].rho_hat == runs[1].rho_hat
+    assert runs[0].rho_stderr == runs[1].rho_stderr
+
+
+def test_fk_threads_give_identical_results():
+    runs = [feynman_kac_estimate(
+        OU, AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
+        [0.3], t=0.1, n_particles=25000, dt=1e-3, seed=15,
+        observables={"x": lambda x: x[:, 0], "x2": lambda x: x[:, 0] ** 2},
+        threads=threads) for threads in (1, 2, 3)]
+    for res in runs[1:]:
+        assert res == runs[0]
+
+
+def test_qsd_extinction_with_a_producer_thread_joins_it():
+    before = threading.active_count()
+    with pytest.raises(ExtinctionError):
+        qsd_particle_estimate(
+            BM, AbsorptionSpec(hard_interval=(0.0, 0.05)),
+            lambda rng, m: rng.uniform(0.02, 0.03, size=(m, 1)),
+            t=1.0, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
+            threads=2,
+        )
+    assert threading.active_count() == before
+
+
+def test_a_failing_drift_joins_every_thread():
+    def drift(x):
+        raise RuntimeError("drift failed")
+
+    model = SDEModel(drift=drift, diffusion=1.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="drift failed"):
+        feynman_kac_estimate(model, AbsorptionSpec(), [0.0], t=0.1,
+                             n_particles=20000, dt=1e-2, seed=1, threads=2)
+    with pytest.raises(RuntimeError, match="drift failed"):
+        qsd_particle_estimate(model, AbsorptionSpec(),
+                              lambda rng, m: rng.uniform(size=(m, 1)), t=0.1,
+                              n_particles=100, resample_period=0.05, dt=1e-2,
+                              seed=1, threads=2)
+    assert threading.active_count() == before
+
+
+def test_threads_below_one_are_rejected():
+    with pytest.raises(ValueError, match="threads = 0"):
+        feynman_kac_estimate(BM, AbsorptionSpec(), [0.0], t=0.1,
+                             n_particles=10, dt=1e-2, seed=1, threads=0)
+    with pytest.raises(ValueError, match="threads = -1"):
+        mc_validate("qsd_harmonic_rho", budget=0.01, threads=-1)
+
+
+def test_qsd_draws_move_to_the_caller_when_the_producer_is_late(monkeypatch):
+    # with no producer CPU time on record, any wait counts as late: after the
+    # second period the generator moves to the calling thread
+    handed = []
+
+    class Inline(simulate._Inline):
+        def __init__(self, draws):
+            handed.append(draws)
+            super().__init__(draws)
+
+    runs = []
+    for threads in (1, 2):
+        before = threading.active_count()
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_Inline", Inline)
+            m.setattr(simulate.time, "thread_time", lambda: 0.0)
+            runs.append(qsd_particle_estimate(
+                OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
+                t=0.15, n_particles=3000, resample_period=0.03, dt=1e-3, seed=4,
+                threads=threads))
+        assert threading.active_count() == before
+    assert len(handed) == 2  # the serial run's, then the producer's hand-over
+    assert np.array_equal(runs[0].positions, runs[1].positions)
+    assert np.array_equal(runs[0].log_decrements, runs[1].log_decrements)
