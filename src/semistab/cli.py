@@ -355,6 +355,7 @@ def _cmd_validate(cfg):
 _COMMON = {"command": (None,), "seed": (int, 0), "threads": (_at_least(int, 1), 1),
            "output": {"path": (str, None), "format": (("json", "csv"), "json")},
            "time": {}, "extra": {}}
+_MONTE_CARLO = {**_COMMON, "seed": (int, 20240)}  # mc_validate's default seed
 _GRID = {"model": {"name": (str,), "params": (dict, {})},
          "grid": {"min": (float,), "max": (float,), "n": (int,)}}
 _SCHEMA = {
@@ -376,10 +377,10 @@ _SCHEMA = {
         "op": (("shape", "frame", "offset", "weingarten_residual"), "shape"),
         "surface": (str, "parabola"), "theta": (_numbers, 0.0),
         "u": (float, 0.1), "epsilon": (int, 1)}},
-    "simulate": {**_COMMON, "extra": {"case": (str, "harmonic_mass_t1"),
-                                      "budget": (float, 1.0)}},
-    "validate": {**_COMMON, "extra": {"cases": (_case_names, "all"),
-                                      "budget": (float, 1.0)}},
+    "simulate": {**_MONTE_CARLO, "extra": {"case": (str, "harmonic_mass_t1"),
+                                           "budget": (float, 1.0)}},
+    "validate": {**_MONTE_CARLO, "extra": {"cases": (_case_names, "all"),
+                                           "budget": (float, 1.0)}},
 }
 _TOP_KEYS = set().union(*_SCHEMA.values())
 _DISPATCH = {name: globals()[f"_cmd_{name}"] for name in _SCHEMA}

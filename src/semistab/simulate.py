@@ -8,22 +8,21 @@ exit checks at grid times only.
 
 Reproducibility: Feynman-Kac particles are processed in fixed partitions of
 10^4, each with its own seeded substream, and reduced in partition order;
-the quasi-stationary estimate draws everything from one seeded stream.
+the quasi-stationary estimate draws everything from one seeded stream,
+whose noise blocks and resampling uniforms never depend on the particles.
 Results depend on the seed alone, never on `threads`.  With threads >= 2
 (capped by the host's cores) the Feynman-Kac partitions run on a thread
-pool, and the quasi-stationary estimate draws its random numbers on one
-producer thread, which makes the serial calls in the serial order while the
-calling thread moves, weights and resamples the particles; once waiting for
-the producer has cost more than its draws, the draws move back to the
-calling thread.  Every thread is joined before an estimator returns or
-raises.
+pool, and a one-worker pool draws the next item of the quasi-stationary
+stream while the calling thread moves, weights and resamples the particles;
+once waiting for the worker has cost more than its draws, the rest of the
+stream is drawn on the calling thread.  Every thread is joined before an
+estimator returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -275,94 +274,38 @@ class QSDResult:
     n_resamplings: int
 
 
-def _qsd_draws(rng, shape, steps_per_period, n_periods):
+def _qsd_draws(rng, shape, chunks, n_periods):
     """Every draw of the quasi-stationary estimate after its initial sample,
-    in stream order.  Each period yields its noise blocks, then None; the
-    resampling weights sent in there get the resampled indices back."""
-    n = shape[0]
-    block = max(1, _BLOCK_NUMBERS // math.prod(shape))
+    in stream order: each period's noise blocks of `chunks` steps, then the
+    uniforms of its resampling.  None of them depends on the particles."""
     for _ in range(n_periods):
-        for done in range(0, steps_per_period, block):
-            yield rng.standard_normal((min(block, steps_per_period - done),) + shape)
-        p = yield None
-        yield rng.choice(n, size=n, p=p)
+        for steps in chunks:
+            yield rng.standard_normal((steps,) + shape)
+        yield rng.random(shape[0])
 
 
-class _Inline:
-    """The draws made on the calling thread."""
+def _ahead(items, pool):
+    """`items` in order, the next one always drawn on `pool` while the caller
+    works on the current one.  Once the caller has waited for items longer
+    than the worker spent drawing them (a host that lends the second core
+    out does that), the rest are drawn on the calling thread."""
 
-    def __init__(self, draws):
-        self.next, self.resample, self.close = draws.__next__, draws.send, draws.close
-
-
-class _Producer:
-    """The draws made on one producer thread, at most a few blocks ahead.
-
-    The consumer takes items with `next` and hands the weights over with
-    `resample`; `close` stops and joins the thread, also in mid-period.
-    `waited` is the wall time the consumer spent waiting for items, `drew`
-    the CPU time the producer spent drawing them.
-    """
-
-    def __init__(self, draws):
-        import queue
-
-        self.draws = draws
-        self.waited = self.drew = 0.0
-        self._full = queue.Full
-        self._items = queue.Queue(maxsize=2)
-        self._weights = queue.Queue()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, args=(draws,),
-                                        name="semistab-qsd-draws", daemon=True)
-        self._thread.start()
-
-    def _put(self, item) -> bool:
-        while not self._stop.is_set():
-            try:
-                self._items.put(item, timeout=0.05)
-                return True
-            except self._full:
-                pass
-        return False
-
-    def _draw(self, call, arg):
+    def draw():
         start = time.thread_time()  # CPU time: waits for the GIL do not count
-        item = call(arg)
-        self.drew += time.thread_time() - start
-        return item
+        return next(items, None), time.thread_time() - start
 
-    def _run(self, draws):
-        try:
-            item = self._draw(next, draws)
-            while self._put(item):
-                if item is not None:
-                    item = self._draw(next, draws)
-                elif (p := self._weights.get()) is not None:
-                    item = self._draw(draws.send, p)
-                else:
-                    break
-        except StopIteration:
-            pass
-        except Exception as exc:  # re-raised on the consumer's thread
-            self._put(exc)
-
-    def next(self):
+    waited = drew = 0.0
+    item = next(items, None)
+    while item is not None and waited <= drew:
+        pending = pool.submit(draw)
+        yield item
         start = time.perf_counter()
-        item = self._items.get()
-        self.waited += time.perf_counter() - start
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-    def resample(self, p):
-        self._weights.put(p)
-        return self.next()
-
-    def close(self):
-        self._stop.set()
-        self._weights.put(None)
-        self._thread.join()
+        item, cost = pending.result()
+        waited += time.perf_counter() - start
+        drew += cost
+    if item is not None:
+        yield item
+    yield from items
 
 
 def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
@@ -374,9 +317,12 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
 
     Multinomial resampling with full weight reset every resample_period; the
     decay-rate estimate averages the per-period log mass decrements after
-    burn-in.  Raises ExtinctionError if every particle dies within a period.
-    With threads >= 2 one producer thread makes the random draws, in the
-    same order and with the same bits as the serial run.
+    burn-in, of which `t` must leave at least two.  Raises ExtinctionError
+    if every particle dies within a period and ArithmeticError if the mass
+    of a period is not finite.  The draws form one stream that does not
+    depend on the particles; with threads >= 2 a pool worker draws the next
+    item of it while this thread moves, weights and resamples the particles,
+    until waiting for the worker costs more than its draws.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
@@ -386,43 +332,55 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
     if steps_per_period < 1 or abs(steps_per_period * dt - resample_period) > 1e-9:
         raise ValueError("resample_period must be a positive multiple of dt")
     n_periods = int(round(t / resample_period))
-    workers = _workers(threads, 2)  # the calling thread and one producer
+    start = int(burn_in_fraction * n_periods)
+    if not 0 <= burn_in_fraction < 1 or n_periods - start < 2:
+        raise ValueError(
+            f"burn_in_fraction = {burn_in_fraction} must be in [0, 1) and t = {t} "
+            f"must leave at least 2 periods of resample_period = {resample_period} "
+            f"after it")
+    workers = _workers(threads, 2)  # the calling thread and one pool worker
     rng = np.random.default_rng([seed, 0xA5])
     x = np.atleast_2d(np.asarray(eta0_sampler(rng, n_particles), dtype=float))
     if x.shape[0] != n_particles:
         x = x.T
     ens = ParticleEnsemble(x, np.zeros(n_particles),
                            np.ones(n_particles, dtype=bool))
+    block = max(1, _BLOCK_NUMBERS // x.size)
+    chunks = [min(block, steps_per_period - done)
+              for done in range(0, steps_per_period, block)]
     decrements = np.empty(n_periods)
-    draws = _qsd_draws(rng, x.shape, steps_per_period, n_periods)
-    draws = _Producer(draws) if workers > 1 else _Inline(draws)
-    try:
+
+    def run(draws):
         for k in range(n_periods):
             u = None
-            while (block := draws.next()) is not None:
-                for z in block:
+            for _ in chunks:
+                for z in next(draws):
                     u = _step(model, absorb, ens, z, dt, u)
             w = ens.weights()
             mass = float(w.mean())
+            if not math.isfinite(mass):
+                raise ArithmeticError(f"particle mass {mass} in period {k}")
             if mass <= 0:
                 raise ExtinctionError(
                     f"all particles absorbed in period {k}; increase the "
                     f"population or shorten the resampling period"
                 )
             decrements[k] = math.log(mass)
-            if isinstance(draws, _Producer) and k > 0 and draws.waited > draws.drew:
-                # waiting for the producer has cost more than drawing here would
-                # have (a host that lends the second core out does that); it is
-                # idle at a period end, so the generator moves to this thread
-                draws.close()
-                draws = _Inline(draws.draws)
-            idx = draws.resample(w / w.sum())
-            ens.positions = ens.positions[idx]
+            # what Generator.choice(n, n, p=w / w.sum()) does with the uniforms
+            cdf = np.cumsum(w / w.sum())
+            cdf /= cdf[-1]
+            ens.positions = ens.positions[cdf.searchsorted(next(draws), side="right")]
             ens.log_weights = np.zeros(n_particles)
             ens.alive = np.ones(n_particles, dtype=bool)
-    finally:
-        draws.close()
-    start = int(burn_in_fraction * n_periods)
+
+    draws = _qsd_draws(rng, x.shape, chunks, n_periods)
+    if workers == 1:
+        run(draws)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            run(_ahead(draws, pool))
     tail = decrements[start:]
     rho_hat = float(tail.mean()) / resample_period
     rho_se = float(tail.std(ddof=1)) / math.sqrt(len(tail)) / resample_period

@@ -284,6 +284,21 @@ def test_simulate_artifacts_do_not_depend_on_threads(tmp_path, capsys, case):
     assert artifacts[0] == artifacts[1]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {"case": "qsd_harmonic_rho", "budget": 0.05}),
+    ("validate", {"cases": ["harmonic_mass_t1"], "budget": 0.05}),
+])
+def test_monte_carlo_seed_defaults_to_mc_validates(tmp_path, capsys, command, extra):
+    artifacts = []
+    for seed in ({}, {"seed": 20240}):
+        out = tmp_path / f"{len(seed)}.json"
+        assert run_experiment({"command": command, "extra": extra, **seed,
+                               "output": {"path": str(out)}}) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
+    assert json.loads(artifacts[0])["inputs"]["seed"] == 20240
+
+
 def test_threads_flag_is_checked_like_the_config_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"command": "riccati", "threads": 2})
     assert main(["run", str(cfg), "--threads", "0"]) == 1

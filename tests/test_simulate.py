@@ -163,7 +163,7 @@ def test_qsd_extinction_reported():
         qsd_particle_estimate(
             BM, AbsorptionSpec(hard_interval=(0.0, 0.05)),
             lambda rng, m: rng.uniform(0.02, 0.03, size=(m, 1)),
-            t=1.0, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
+            t=1.5, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
         )
 
 
@@ -319,7 +319,7 @@ def test_qsd_extinction_with_a_producer_thread_joins_it():
         qsd_particle_estimate(
             BM, AbsorptionSpec(hard_interval=(0.0, 0.05)),
             lambda rng, m: rng.uniform(0.02, 0.03, size=(m, 1)),
-            t=1.0, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
+            t=1.5, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
             threads=2,
         )
     assert threading.active_count() == before
@@ -336,7 +336,7 @@ def test_a_failing_drift_joins_every_thread():
                              n_particles=20000, dt=1e-2, seed=1, threads=2)
     with pytest.raises(RuntimeError, match="drift failed"):
         qsd_particle_estimate(model, AbsorptionSpec(),
-                              lambda rng, m: rng.uniform(size=(m, 1)), t=0.1,
+                              lambda rng, m: rng.uniform(size=(m, 1)), t=0.15,
                               n_particles=100, resample_period=0.05, dt=1e-2,
                               seed=1, threads=2)
     assert threading.active_count() == before
@@ -351,26 +351,55 @@ def test_threads_below_one_are_rejected():
 
 
 def test_qsd_draws_move_to_the_caller_when_the_producer_is_late(monkeypatch):
-    # with no producer CPU time on record, any wait counts as late: after the
-    # second period the generator moves to the calling thread
-    handed = []
+    # with no worker CPU time on record, any wait counts as late: the first
+    # item drawn on the pool is the last
+    draws, drawers = simulate._qsd_draws, []
 
-    class Inline(simulate._Inline):
-        def __init__(self, draws):
-            handed.append(draws)
-            super().__init__(draws)
+    def recorded(*args):
+        for item in draws(*args):
+            drawers.append(threading.get_ident())
+            yield item
 
     runs = []
     for threads in (1, 2):
+        drawers.clear()
         before = threading.active_count()
         with monkeypatch.context() as m:
-            m.setattr(simulate, "_Inline", Inline)
+            m.setattr(simulate, "_qsd_draws", recorded)
             m.setattr(simulate.time, "thread_time", lambda: 0.0)
             runs.append(qsd_particle_estimate(
                 OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
                 t=0.15, n_particles=3000, resample_period=0.03, dt=1e-3, seed=4,
                 threads=threads))
         assert threading.active_count() == before
-    assert len(handed) == 2  # the serial run's, then the producer's hand-over
+        caller = threading.get_ident()
+        if threads == 1:
+            assert set(drawers) == {caller}
+        else:
+            assert drawers[0] == caller and drawers[1] != caller
+            assert set(drawers[2:]) == {caller}
+    assert len(drawers) > 3
     assert np.array_equal(runs[0].positions, runs[1].positions)
     assert np.array_equal(runs[0].log_decrements, runs[1].log_decrements)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_qsd_non_finite_mass_is_a_numerical_failure(threads):
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="period 0") as ei:
+        qsd_particle_estimate(
+            BM, AbsorptionSpec(soft_potential=lambda x: np.full(len(x), np.nan)),
+            lambda rng, m: rng.uniform(size=(m, 1)), t=0.2, n_particles=100,
+            resample_period=0.05, dt=1e-2, seed=1, threads=threads)
+    assert not isinstance(ei.value, ValueError)  # the CLI's config errors
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05])
+def test_qsd_horizon_needs_two_periods_after_burn_in(t):
+    with pytest.raises(ValueError, match=r"burn_in_fraction = 0\.5 .* t = 0\.0. .*"
+                                         r"resample_period = 0\.05"):
+        qsd_particle_estimate(BM, AbsorptionSpec(),
+                              lambda rng, m: rng.uniform(size=(m, 1)), t=t,
+                              n_particles=10, resample_period=0.05, dt=0.01,
+                              seed=1)
