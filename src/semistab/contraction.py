@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
 from .kernels import DiscreteOperator
@@ -51,6 +50,8 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
 
     The one extra array is pdist's condensed n(n-1)/2 distances.
     """
+    from scipy.spatial.distance import pdist
+
     n = K.shape[0]
     if n < 2:
         return 0.0, (0, 0)

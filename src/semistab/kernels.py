@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import erf
 
 from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, _grad_hess
 
@@ -194,6 +192,8 @@ def hermite_series_kernel(t: float, x, y, N: int) -> np.ndarray:
 
 def _gauss_cdf_0_to(z):
     # P(0 <= Z <= z) for standard normal Z
+    from scipy.special import erf
+
     return 0.5 * erf(np.asarray(z) / math.sqrt(2.0))
 
 
@@ -290,6 +290,8 @@ def _matrix_flow(A: np.ndarray, R: np.ndarray, S: np.ndarray, t: float,
     ceil(t ||H||_1) steps of one expm(hH), each renormalised to [I; p]:
     ||hH||_1 <= 1 keeps every step free of overflow at any t.
     """
+    from scipy.linalg import expm
+
     n = A.shape[0]
     H = np.block([[-A.T, S], [R, A]])
     steps = max(1, math.ceil(t * np.linalg.norm(H, 1)))

@@ -8,22 +8,17 @@ exit checks at grid times only.
 
 Reproducibility: Feynman-Kac particles are processed in fixed partitions of
 10^4, each with its own seeded substream, and reduced in partition order;
-the quasi-stationary estimate draws everything from one seeded stream,
-whose noise blocks and resampling uniforms never depend on the particles.
-Results depend on the seed alone, never on `threads`.  With threads >= 2
-(capped by the host's cores) the Feynman-Kac partitions run on a thread
-pool, and a one-worker pool draws the next item of the quasi-stationary
-stream while the calling thread moves, weights and resamples the particles;
-once waiting for the worker has cost more than its draws, the rest of the
-stream is drawn on the calling thread.  Every thread is joined before an
-estimator returns or raises.
+with threads >= 2 (capped by the host's cores) the partitions run on a
+thread pool that is joined before the estimator returns or raises.  The
+quasi-stationary estimate is one seeded stream that cannot be split, so it
+runs on the calling thread alone.  Results depend on the seed alone, never
+on `threads`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,9 +40,6 @@ __all__ = [
 ]
 
 _PARTITION = 10_000
-# normals per noise block of the quasi-stationary estimate: a few steps of a
-# small population; one call for c steps gives the bits of c calls
-_BLOCK_NUMBERS = 1 << 14
 
 
 class ExtinctionError(RuntimeError):
@@ -274,55 +266,19 @@ class QSDResult:
     n_resamplings: int
 
 
-def _qsd_draws(rng, shape, chunks, n_periods):
-    """Every draw of the quasi-stationary estimate after its initial sample,
-    in stream order: each period's noise blocks of `chunks` steps, then the
-    uniforms of its resampling.  None of them depends on the particles."""
-    for _ in range(n_periods):
-        for steps in chunks:
-            yield rng.standard_normal((steps,) + shape)
-        yield rng.random(shape[0])
-
-
-def _ahead(items, pool):
-    """`items` in order, the next one always drawn on `pool` while the caller
-    works on the current one.  Once the caller has waited for items longer
-    than the worker spent drawing them (a host that lends the second core
-    out does that), the rest are drawn on the calling thread."""
-
-    def draw():
-        start = time.thread_time()  # CPU time: waits for the GIL do not count
-        return next(items, None), time.thread_time() - start
-
-    waited = drew = 0.0
-    item = next(items, None)
-    while item is not None and waited <= drew:
-        pending = pool.submit(draw)
-        yield item
-        start = time.perf_counter()
-        item, cost = pending.result()
-        waited += time.perf_counter() - start
-        drew += cost
-    if item is not None:
-        yield item
-    yield from items
-
-
 def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
                           eta0_sampler: Callable, t: float, n_particles: int,
                           resample_period: float, dt: float, seed: int,
-                          burn_in_fraction: float = 0.5,
-                          threads: int = 1) -> QSDResult:
+                          burn_in_fraction: float = 0.5) -> QSDResult:
     """Interacting-particle estimate of the quasi-stationary law and rate.
 
     Multinomial resampling with full weight reset every resample_period; the
     decay-rate estimate averages the per-period log mass decrements after
     burn-in, of which `t` must leave at least two.  Raises ExtinctionError
     if every particle dies within a period and ArithmeticError if the mass
-    of a period is not finite.  The draws form one stream that does not
-    depend on the particles; with threads >= 2 a pool worker draws the next
-    item of it while this thread moves, weights and resamples the particles,
-    until waiting for the worker costs more than its draws.
+    of a period is not finite.  Every draw comes from one seeded stream on
+    the calling thread: the initial sample, one noise array per step and
+    the uniforms of each resampling.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
@@ -338,49 +294,34 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
             f"burn_in_fraction = {burn_in_fraction} must be in [0, 1) and t = {t} "
             f"must leave at least 2 periods of resample_period = {resample_period} "
             f"after it")
-    workers = _workers(threads, 2)  # the calling thread and one pool worker
     rng = np.random.default_rng([seed, 0xA5])
     x = np.atleast_2d(np.asarray(eta0_sampler(rng, n_particles), dtype=float))
     if x.shape[0] != n_particles:
         x = x.T
     ens = ParticleEnsemble(x, np.zeros(n_particles),
                            np.ones(n_particles, dtype=bool))
-    block = max(1, _BLOCK_NUMBERS // x.size)
-    chunks = [min(block, steps_per_period - done)
-              for done in range(0, steps_per_period, block)]
     decrements = np.empty(n_periods)
-
-    def run(draws):
-        for k in range(n_periods):
-            u = None
-            for _ in chunks:
-                for z in next(draws):
-                    u = _step(model, absorb, ens, z, dt, u)
-            w = ens.weights()
-            mass = float(w.mean())
-            if not math.isfinite(mass):
-                raise ArithmeticError(f"particle mass {mass} in period {k}")
-            if mass <= 0:
-                raise ExtinctionError(
-                    f"all particles absorbed in period {k}; increase the "
-                    f"population or shorten the resampling period"
-                )
-            decrements[k] = math.log(mass)
-            # what Generator.choice(n, n, p=w / w.sum()) does with the uniforms
-            cdf = np.cumsum(w / w.sum())
-            cdf /= cdf[-1]
-            ens.positions = ens.positions[cdf.searchsorted(next(draws), side="right")]
-            ens.log_weights = np.zeros(n_particles)
-            ens.alive = np.ones(n_particles, dtype=bool)
-
-    draws = _qsd_draws(rng, x.shape, chunks, n_periods)
-    if workers == 1:
-        run(draws)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1) as pool:
-            run(_ahead(draws, pool))
+    for k in range(n_periods):
+        u = None
+        for _ in range(steps_per_period):
+            u = _step(model, absorb, ens, rng.standard_normal(x.shape), dt, u)
+        w = ens.weights()
+        mass = float(w.mean())
+        if not math.isfinite(mass):
+            raise ArithmeticError(f"particle mass {mass} in period {k}")
+        if mass <= 0:
+            raise ExtinctionError(
+                f"all particles absorbed in period {k}; increase the "
+                f"population or shorten the resampling period"
+            )
+        decrements[k] = math.log(mass)
+        # what Generator.choice(n, n, p=w / w.sum()) does
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        ens.positions = ens.positions[cdf.searchsorted(rng.random(n_particles),
+                                                       side="right")]
+        ens.log_weights = np.zeros(n_particles)
+        ens.alive = np.ones(n_particles, dtype=bool)
     tail = decrements[start:]
     rho_hat = float(tail.mean()) / resample_period
     rho_se = float(tail.std(ddof=1)) / math.sqrt(len(tail)) / resample_period
@@ -412,8 +353,17 @@ def _ou():
 _DIRICHLET_SURV_T03 = 0.28970892125637967  # frozen sine-series value
 
 
+def _particles(full, budget, case):
+    """The particle count of `case` at a fraction `budget` of `full`."""
+    n = int(full * budget)
+    if n < 1:
+        raise ValueError(f"n_particles = {n} must be at least 1; budget = {budget} "
+                         f"of case {case!r} must be at least {1 / full:g}")
+    return n
+
+
 def _case_harmonic_mass(budget, seed, threads):
-    n = int(100_000 * budget)
+    n = _particles(100_000, budget, "harmonic_mass_t1")
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
@@ -427,7 +377,7 @@ def _case_harmonic_mass(budget, seed, threads):
 
 
 def _case_dirichlet_survival(budget, seed, threads):
-    n = int(100_000 * budget)
+    n = _particles(100_000, budget, "dirichlet_survival_t03")
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(hard_interval=(0.0, 1.0)),
@@ -441,7 +391,7 @@ def _case_dirichlet_survival(budget, seed, threads):
 
 
 def _case_ou_stationary_var(budget, seed, threads):
-    n = int(100_000 * budget)
+    n = _particles(100_000, budget, "ou_stationary_var")
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.0], t=5.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2},
@@ -454,13 +404,12 @@ def _case_ou_stationary_var(budget, seed, threads):
 
 
 def _case_qsd_harmonic(budget, seed, threads):
-    n = int(20_000 * budget)
+    n = _particles(20_000, budget, "qsd_harmonic_rho")
     res = qsd_particle_estimate(
         _brownian(),
         AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
         lambda rng, m: rng.normal(0.0, 1.0, size=(m, 1)),
         t=14.0, n_particles=n, resample_period=0.05, dt=1e-3, seed=seed,
-        threads=threads,
     )
     band = 0.02
     z = (res.rho_hat + 0.5) / max(res.rho_stderr, 1e-12)
@@ -470,13 +419,12 @@ def _case_qsd_harmonic(budget, seed, threads):
 
 
 def _case_qsd_dirichlet(budget, seed, threads):
-    n = int(20_000 * budget)
+    n = _particles(20_000, budget, "qsd_dirichlet_rho")
     res = qsd_particle_estimate(
         _brownian(),
         AbsorptionSpec(hard_interval=(0.0, 1.0)),
         lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
         t=3.0, n_particles=n, resample_period=0.02, dt=1e-3, seed=seed,
-        threads=threads,
     )
     oracle = -math.pi ** 2 / 2
     band = 0.1
@@ -488,7 +436,7 @@ def _case_qsd_dirichlet(budget, seed, threads):
 
 def _case_qsd_ou_var(budget, seed, threads):
     # h-transformed harmonic dynamics: plain OU, stationary variance 1/2
-    n = int(50_000 * budget)
+    n = _particles(50_000, budget, "ou_qsd_variance")
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.3], t=6.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2,
@@ -517,10 +465,16 @@ def list_cases():
 
 def mc_validate(case_name: str, budget: float = 1.0,
                 seed: int = 20240, threads: int = 1) -> ValidationReport:
-    """Run a registered seeded validation case at a fraction of full budget,
-    on up to `threads` threads; the report does not depend on `threads`."""
+    """Run a registered seeded validation case at a fraction of full budget.
+
+    `threads` reaches only the Feynman-Kac cases, whose partitions may run
+    on that many threads; the quasi-stationary cases run on the calling
+    thread.  The report does not depend on `threads`.
+    """
     if case_name not in _CASES:
         raise ValueError(
             f"unknown case {case_name!r}; available: {', '.join(list_cases())}"
         )
+    if threads < 1:
+        raise ValueError(f"threads = {threads} must be at least 1")
     return _CASES[case_name](budget, seed, threads)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .contraction import _pair_scan
 from .core import GridDomain, LyapunovSpec, MeasureVec
@@ -127,6 +126,8 @@ def _invert_log_integral(rate: Callable, top: float, t: float) -> float:
     decades between u and top.  Halving brackets the root, geometric
     bisection refines it; below top * 1e-14 the floor is returned.
     """
+    from scipy.integrate import quad
+
     def integral(u):
         val, _ = quad(lambda w: math.exp(w) / float(rate(math.exp(w))),
                       math.log(u), math.log(top), limit=200)

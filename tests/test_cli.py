@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +252,17 @@ def test_validate_cases_must_be_a_list(capsys):
     assert "extra.cases" in _one_line_error(capsys)
 
 
+def test_importing_the_cli_loads_no_scipy_spatial_or_integrate():
+    # only the pair scan and the integral inversion need them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import semistab.cli; "
+            "print(sorted({m for m in sys.modules "
+            "if m.startswith(('scipy.spatial', 'scipy.integrate'))}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_threads_do_not_change_artifact_bytes(tmp_path):
     paths = []
     for threads in (1, 4):
@@ -370,11 +382,14 @@ _HARMONIC = {"model": {"name": "harmonic"},
     ({"command": "rate", "extra": {"start": -1}}, 1,
      "config error: extra.start must lie in [1, 499]"),
     ({"command": "simulate", "extra": {"budget": 0}}, 1,
-     "config error: n_particles = 0 must be at least 1"),
+     "config error: n_particles = 0 must be at least 1; budget = 0.0 of case "
+     "'harmonic_mass_t1' must be at least 1e-05\n"),
     ({"command": "simulate", "extra": {"budget": -1}}, 1,
-     "config error: n_particles = -100000 must be at least 1"),
+     "config error: n_particles = -100000 must be at least 1; budget = -1.0 of "
+     "case 'harmonic_mass_t1' must be at least 1e-05\n"),
     ({"command": "simulate", "extra": {"budget": 1e-9}}, 1,
-     "config error: n_particles = 0 must be at least 1"),
+     "config error: n_particles = 0 must be at least 1; budget = 1e-09 of case "
+     "'harmonic_mass_t1' must be at least 1e-05\n"),
     ({"command": "riccati", "output": {"path": 5}}, 1,
      "config error: output.path must be a string"),
     ({"command": "riccati", "output": {"path": ""}}, 1, "config error: "),
@@ -425,6 +440,12 @@ _HARMONIC = {"model": {"name": "harmonic"},
      "config error: extra.rho must be >= 0.0, not -3.0"),
     ({"command": "simulate", "threads": 0}, 1,
      "config error: threads must be >= 1, not 0"),
+    ({"command": "simulate", "extra": {"case": "qsd_dirichlet_rho", "budget": 4e-5}},
+     1, "config error: n_particles = 0 must be at least 1; budget = 4e-05 of case "
+        "'qsd_dirichlet_rho' must be at least 5e-05\n"),
+    ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 0}},
+     1, "config error: n_particles = 0 must be at least 1; budget = 0.0 of case "
+        "'ou_qsd_variance' must be at least 2e-05\n"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

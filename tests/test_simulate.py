@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 
 import numpy as np
@@ -273,34 +272,11 @@ def test_qsd_reproduces_the_one_call_per_step_loop():
         w = np.where(alive, np.exp(logw), 0.0)
         decrements.append(math.log(w.mean()))
         x = x[rng.choice(n, size=n, p=w / w.sum())]
-    for threads in (1, 2):
-        res = qsd_particle_estimate(
-            OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
-            t=5 * period, n_particles=n, resample_period=period, dt=dt,
-            seed=seed, threads=threads)
-        assert np.array_equal(res.positions, x)
-        assert np.array_equal(res.log_decrements, decrements)
-
-
-@pytest.mark.parametrize("absorb", [
-    AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
-    AbsorptionSpec(hard_interval=(0.0, 1.0)),
-], ids=["soft", "hard_interval"])
-def test_qsd_threads_give_identical_results(absorb):
-    # a short switch interval interleaves the producer and the consumer finely
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [qsd_particle_estimate(
-            BM, absorb, lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
-            t=0.4, n_particles=2000, resample_period=0.02, dt=1e-3, seed=14,
-            threads=threads) for threads in (1, 2)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(runs[0].positions, runs[1].positions)
-    assert np.array_equal(runs[0].log_decrements, runs[1].log_decrements)
-    assert runs[0].rho_hat == runs[1].rho_hat
-    assert runs[0].rho_stderr == runs[1].rho_stderr
+    res = qsd_particle_estimate(
+        OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
+        t=5 * period, n_particles=n, resample_period=period, dt=dt, seed=seed)
+    assert np.array_equal(res.positions, x)
+    assert np.array_equal(res.log_decrements, decrements)
 
 
 def test_fk_threads_give_identical_results():
@@ -313,18 +289,6 @@ def test_fk_threads_give_identical_results():
         assert res == runs[0]
 
 
-def test_qsd_extinction_with_a_producer_thread_joins_it():
-    before = threading.active_count()
-    with pytest.raises(ExtinctionError):
-        qsd_particle_estimate(
-            BM, AbsorptionSpec(hard_interval=(0.0, 0.05)),
-            lambda rng, m: rng.uniform(0.02, 0.03, size=(m, 1)),
-            t=1.5, n_particles=2, resample_period=0.5, dt=1e-3, seed=13,
-            threads=2,
-        )
-    assert threading.active_count() == before
-
-
 def test_a_failing_drift_joins_every_thread():
     def drift(x):
         raise RuntimeError("drift failed")
@@ -334,11 +298,6 @@ def test_a_failing_drift_joins_every_thread():
     with pytest.raises(RuntimeError, match="drift failed"):
         feynman_kac_estimate(model, AbsorptionSpec(), [0.0], t=0.1,
                              n_particles=20000, dt=1e-2, seed=1, threads=2)
-    with pytest.raises(RuntimeError, match="drift failed"):
-        qsd_particle_estimate(model, AbsorptionSpec(),
-                              lambda rng, m: rng.uniform(size=(m, 1)), t=0.15,
-                              n_particles=100, resample_period=0.05, dt=1e-2,
-                              seed=1, threads=2)
     assert threading.active_count() == before
 
 
@@ -350,49 +309,13 @@ def test_threads_below_one_are_rejected():
         mc_validate("qsd_harmonic_rho", budget=0.01, threads=-1)
 
 
-def test_qsd_draws_move_to_the_caller_when_the_producer_is_late(monkeypatch):
-    # with no worker CPU time on record, any wait counts as late: the first
-    # item drawn on the pool is the last
-    draws, drawers = simulate._qsd_draws, []
-
-    def recorded(*args):
-        for item in draws(*args):
-            drawers.append(threading.get_ident())
-            yield item
-
-    runs = []
-    for threads in (1, 2):
-        drawers.clear()
-        before = threading.active_count()
-        with monkeypatch.context() as m:
-            m.setattr(simulate, "_qsd_draws", recorded)
-            m.setattr(simulate.time, "thread_time", lambda: 0.0)
-            runs.append(qsd_particle_estimate(
-                OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
-                t=0.15, n_particles=3000, resample_period=0.03, dt=1e-3, seed=4,
-                threads=threads))
-        assert threading.active_count() == before
-        caller = threading.get_ident()
-        if threads == 1:
-            assert set(drawers) == {caller}
-        else:
-            assert drawers[0] == caller and drawers[1] != caller
-            assert set(drawers[2:]) == {caller}
-    assert len(drawers) > 3
-    assert np.array_equal(runs[0].positions, runs[1].positions)
-    assert np.array_equal(runs[0].log_decrements, runs[1].log_decrements)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_qsd_non_finite_mass_is_a_numerical_failure(threads):
-    before = threading.active_count()
+def test_qsd_non_finite_mass_is_a_numerical_failure():
     with pytest.raises(ArithmeticError, match="period 0") as ei:
         qsd_particle_estimate(
             BM, AbsorptionSpec(soft_potential=lambda x: np.full(len(x), np.nan)),
             lambda rng, m: rng.uniform(size=(m, 1)), t=0.2, n_particles=100,
-            resample_period=0.05, dt=1e-2, seed=1, threads=threads)
+            resample_period=0.05, dt=1e-2, seed=1)
     assert not isinstance(ei.value, ValueError)  # the CLI's config errors
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("t", [0.01, 0.05])
