@@ -309,11 +309,13 @@ def test_threads_below_one_are_rejected():
         mc_validate("qsd_harmonic_rho", budget=0.01, threads=-1)
 
 
-def test_qsd_non_finite_mass_is_a_numerical_failure():
+@pytest.mark.parametrize("dim", [1, 2])
+def test_qsd_non_finite_mass_is_a_numerical_failure(dim):
+    model = SDEModel(drift=lambda x: np.zeros_like(x), diffusion=1.0, dim=dim)
     with pytest.raises(ArithmeticError, match="period 0") as ei:
         qsd_particle_estimate(
-            BM, AbsorptionSpec(soft_potential=lambda x: np.full(len(x), np.nan)),
-            lambda rng, m: rng.uniform(size=(m, 1)), t=0.2, n_particles=100,
+            model, AbsorptionSpec(soft_potential=lambda x: np.full(len(x), np.nan)),
+            lambda rng, m: rng.uniform(size=(m, dim)), t=0.2, n_particles=100,
             resample_period=0.05, dt=1e-2, seed=1)
     assert not isinstance(ei.value, ValueError)  # the CLI's config errors
 
