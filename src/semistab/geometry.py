@@ -17,19 +17,10 @@ import numpy as np
 from .core import _grad_hess
 
 __all__ = [
-    "MongeSurface",
-    "BoundaryFrame",
-    "BoundaryProfile",
-    "make_surface",
-    "make_polynomial_surface",
-    "frame",
-    "fundamental_forms",
-    "weingarten_identity_check",
-    "offset_jacobian",
-    "signed_distance",
-    "coarea_check",
-    "level_set_density",
-    "boundary_lyapunov",
+    "MongeSurface", "BoundaryFrame", "BoundaryProfile", "make_surface",
+    "make_polynomial_surface", "frame", "fundamental_forms",
+    "weingarten_identity_check", "offset_jacobian", "signed_distance",
+    "coarea_check", "level_set_density", "boundary_lyapunov",
 ]
 
 
@@ -38,9 +29,13 @@ class MongeSurface:
     """Graph chart theta -> (theta, phi(theta)) up to an axis permutation.
 
     phi maps the (n-1)-dimensional chart domain to the graph coordinate
-    `graph_axis` of ambient R^n.  Derivatives use the analytic callbacks
-    when supplied, central differences at fd_step otherwise.  epsilon flips
-    the normal orientation (and with it the signs of Omega and W).
+    `graph_axis` of ambient R^n.  The callbacks take a stack of chart points
+    of shape (m, n-1): phi returns shape (m,), grad (m, n-1) and hess
+    (m, n-1, n-1), so a user-built surface writes them over the rows (as in
+    `th[:, 0] ** 2`); one-point callbacks do not work.  Derivatives use grad
+    and hess when supplied, central differences at fd_step, one chart point
+    at a time, otherwise.  epsilon flips the normal orientation (and with it
+    the signs of Omega and W).
     """
 
     phi: Callable
@@ -67,43 +62,60 @@ class MongeSurface:
     def chart_dim(self) -> int:
         return self.n - 1
 
+    def _inside(self, thetas, margin: float = 0.0) -> np.ndarray:
+        """Row mask of a stack of chart points inside the chart box."""
+        lo, hi = np.array(self.chart_domain, dtype=float).T
+        if thetas.shape[1:] != lo.shape:
+            return np.zeros(len(thetas), dtype=bool)
+        return ((lo + margin <= thetas) & (thetas <= hi - margin)).all(axis=1)
+
     def in_chart(self, theta, margin: float = 0.0) -> bool:
-        theta = np.atleast_1d(theta)
-        return theta.shape == (self.chart_dim,) and all(
-            lo + margin <= t <= hi - margin
-            for t, (lo, hi) in zip(theta, self.chart_domain)
-        )
+        return bool(self._inside(_stack(theta), margin)[0])
 
     def _other_axes(self):
         return [i for i in range(self.n) if i != self.graph_axis]
 
-    def embed(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty(self.n)
-        out[self.graph_axis] = self.phi(theta)
-        for k, ax in enumerate(self._other_axes()):
-            out[ax] = theta[k]
+    def _points(self, thetas) -> np.ndarray:
+        """Embedded points of a stack of chart points, one row each."""
+        out = np.empty((len(thetas), self.n))
+        out[:, self.graph_axis] = np.reshape(self.phi(thetas), len(thetas))
+        out[:, self._other_axes()] = thetas
         return out
 
-    def gradient(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.grad is not None:
-            return np.atleast_1d(np.asarray(self.grad(theta), dtype=float))
-        return _grad_hess(self.phi, theta, self.fd_step)[0]
+    def _fd(self, thetas, part: int) -> list:
+        return [_grad_hess(lambda p: self.phi(p[None])[0], th, self.fd_step)[part]
+                for th in thetas]
 
-    def hessian(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.hess is not None:
-            H = np.atleast_2d(np.asarray(self.hess(theta), dtype=float))
-        else:
-            H = _grad_hess(self.phi, theta, self.fd_step)[1]
-        if np.abs(H - H.T).max() > 1e-8:
+    def _grads(self, thetas) -> np.ndarray:
+        G = self._fd(thetas, 0) if self.grad is None else self.grad(thetas)
+        return np.asarray(G, dtype=float).reshape(thetas.shape)
+
+    def _hessians(self, thetas) -> np.ndarray:
+        H = self._fd(thetas, 1) if self.hess is None else self.hess(thetas)
+        H = np.asarray(H, dtype=float).reshape(thetas.shape + thetas.shape[1:])
+        if np.abs(H - H.swapaxes(1, 2)).max(initial=0.0) > 1e-8:
             raise ValueError("Hessian not symmetric at this chart point")
         return H
+
+    def embed(self, theta) -> np.ndarray:
+        return self._points(_stack(theta))[0]
+
+    def gradient(self, theta) -> np.ndarray:
+        return self._grads(_stack(theta))[0]
+
+    def hessian(self, theta) -> np.ndarray:
+        return self._hessians(_stack(theta))[0]
+
+
+def _stack(theta) -> np.ndarray:
+    """One chart point as a stack of one."""
+    return np.atleast_1d(np.asarray(theta, dtype=float))[None]
 
 
 @dataclass(frozen=True)
 class BoundaryFrame:
+    """One validated frame, or a stack of them along leading axes."""
+
     T: np.ndarray                 # (n-1, n) tangent rows
     N: np.ndarray                 # unit normal
     g: np.ndarray                 # first fundamental form
@@ -111,54 +123,59 @@ class BoundaryFrame:
     W: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.N) - 1.0) > 1e-10:
+        if np.abs(np.sqrt(np.vecdot(self.N, self.N)) - 1.0).max() > 1e-10:
             raise ValueError("normal is not unit length")
-        if np.abs(self.T @ self.N).max() > 1e-10:
+        if np.abs(self.T @ self.N[..., None]).max() > 1e-10:
             raise ValueError("tangent vectors are not orthogonal to the normal")
-        if np.abs(self.g - self.g.T).max() > 1e-12 or np.linalg.eigvalsh(self.g).min() <= 0:
+        g = self.g
+        if (np.abs(g - g.swapaxes(-1, -2)).max() > 1e-12
+                or np.linalg.eigvalsh(g).min() <= 0):
             raise ValueError("metric must be symmetric positive definite")
         if self.Omega is not None and self.W is not None:
-            if np.abs(np.linalg.solve(self.g, self.Omega) - self.W).max() > 1e-10:
+            if np.abs(np.linalg.solve(g, self.Omega) - self.W).max() > 1e-10:
                 raise ValueError("W != g^{-1} Omega")
 
 
-def _frame_parts(surface: MongeSurface, theta):
-    """Gradient, tangent rows, unit normal and metric from one gradient call.
+def _frame_parts(surface: MongeSurface, thetas):
+    """Gradients, tangent rows, unit normals, metrics g = I + grad grad' and
+    sqrt(det g) = sqrt(1 + |grad|^2) of a stack of chart points, from one
+    gradient call."""
+    outside = ~surface._inside(thetas)
+    if outside.any():
+        raise ValueError(f"theta {thetas[outside.argmax()]} outside chart domain")
+    G = surface._grads(thetas)
+    (m, d), others = G.shape, surface._other_axes()
+    T = np.zeros((m, d, surface.n))
+    T[:, :, others] = np.eye(d)
+    T[:, :, surface.graph_axis] = G
+    N = np.zeros((m, surface.n))
+    N[:, others] = G
+    N[:, surface.graph_axis] = -1.0
+    s = np.sqrt(1.0 + np.vecdot(G, G))
+    N = surface.epsilon * N / s[:, None]
+    return G, T, N, np.eye(d) + G[:, :, None] * G[:, None, :], s
 
-    Metric is the rank-one update I + grad grad'; its determinant equals
-    1 + |grad|^2 exactly.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not surface.in_chart(theta):
-        raise ValueError(f"theta {theta} outside chart domain")
-    grad = surface.gradient(theta)
-    d, others = surface.chart_dim, surface._other_axes()
-    T = np.zeros((d, surface.n))
-    T[:, others] = np.eye(d)
-    T[:, surface.graph_axis] = grad
-    N = np.zeros(surface.n)
-    N[others] = grad
-    N[surface.graph_axis] = -1.0
-    N = surface.epsilon * N / math.sqrt(1.0 + float(grad @ grad))
-    return grad, T, N, np.eye(d) + np.outer(grad, grad)
+
+def _forms(surface: MongeSurface, thetas):
+    """Stacked T, N, g, second fundamental forms Omega and shape matrices W."""
+    _, T, N, g, s = _frame_parts(surface, thetas)
+    Omega = -surface.epsilon * surface._hessians(thetas) / s[:, None, None]
+    return T, N, g, Omega, np.linalg.solve(g, Omega)
 
 
 def frame(surface: MongeSurface, theta) -> BoundaryFrame:
     """Tangent rows, unit normal and metric at a chart point."""
-    return BoundaryFrame(*_frame_parts(surface, theta)[1:])
+    return BoundaryFrame(*(a[0] for a in _frame_parts(surface, _stack(theta))[1:4]))
 
 
 def fundamental_forms(surface: MongeSurface, theta) -> BoundaryFrame:
     """Frame with the second fundamental form and shape matrix filled in."""
-    grad, T, N, g = _frame_parts(surface, theta)
-    H = surface.hessian(theta)
-    Omega = -surface.epsilon * H / math.sqrt(1.0 + float(grad @ grad))
-    return BoundaryFrame(T, N, g, Omega, np.linalg.solve(g, Omega))
+    return BoundaryFrame(*(a[0] for a in _forms(surface, _stack(theta))))
 
 
 def gram_det_two_ways(surface: MongeSurface, theta):
     """det g by the Gram product and by the rank-one formula 1 + |grad|^2."""
-    grad, T, _, _ = _frame_parts(surface, theta)
+    grad, T = (a[0] for a in _frame_parts(surface, _stack(theta))[:2])
     return float(np.linalg.det(T @ T.T)), 1.0 + float(grad @ grad)
 
 
@@ -166,15 +183,12 @@ def weingarten_identity_check(surface: MongeSurface, theta,
                               fd_step: float = 1e-5) -> float:
     """Residual of dN/dtheta_i = -sum_k W_{k,i} dpsi/dtheta_k (central diffs)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ff = fundamental_forms(surface, theta)
-    resid = 0.0
-    for i in range(surface.chart_dim):
-        e = np.zeros(surface.chart_dim)
-        e[i] = fd_step
-        dN = (frame(surface, theta + e).N - frame(surface, theta - e).N) / (2 * fd_step)
-        recon = -sum(ff.W[k, i] * ff.T[k] for k in range(surface.chart_dim))
-        resid = max(resid, float(np.linalg.norm(dN - recon)))
-    return resid
+    ff, d = fundamental_forms(surface, theta), surface.chart_dim
+    e = fd_step * np.eye(d)
+    N = _frame_parts(surface, np.concatenate([theta + e, theta - e]))[2]
+    dN = (N[:d] - N[d:]) / (2 * fd_step)
+    recon = -sum(np.outer(ff.W[k], ff.T[k]) for k in range(d))
+    return float(np.sqrt(np.vecdot(dN - recon, dN - recon)).max())
 
 
 def _focal_crossing(W: np.ndarray, u: float):
@@ -183,15 +197,10 @@ def _focal_crossing(W: np.ndarray, u: float):
     W is one shape matrix or a stack of them; the stack crosses where any
     of its members does.
     """
-    eigs = np.linalg.eigvals(W).ravel()
-    crossings = []
-    for lam in eigs:
-        if abs(lam.imag) > 1e-12 or lam.real == 0:
-            continue
-        u_star = 1.0 / lam.real
-        if u != 0 and u_star * u > 0 and abs(u_star) <= abs(u):
-            crossings.append(abs(u_star))
-    return min(crossings) if crossings else None
+    lam = np.linalg.eigvals(W).ravel()
+    u_star = 1.0 / lam.real[(np.abs(lam.imag) <= 1e-12) & (lam.real != 0)]
+    hits = np.abs(u_star[(u != 0) & (u_star * u > 0) & (np.abs(u_star) <= abs(u))])
+    return float(hits.min()) if hits.size else None
 
 
 def _offset_dets(W: np.ndarray, u: float):
@@ -204,10 +213,8 @@ def offset_jacobian(surface: MongeSurface, theta, u: float) -> float:
     ff = fundamental_forms(surface, theta)
     cross = _focal_crossing(ff.W, u)
     if cross is not None:
-        raise ValueError(
-            f"offset depth |u| = {abs(u):g} crosses the focal distance "
-            f"{cross:g} at this chart point"
-        )
+        raise ValueError(f"offset depth |u| = {abs(u):g} crosses the focal "
+                         f"distance {cross:g} at this chart point")
     return float(_offset_dets(ff.W, u))
 
 
@@ -218,68 +225,80 @@ class SignedDistanceResult:
     roundtrip_error: float
 
 
+_LINE_SEARCH = 0.5 ** np.arange(27)  # t = 1, 1/2, ... as halving visits while t > 1e-8
+
+
+def _project(surface: MongeSurface, x, starts, max_iter: int):
+    """Damped Newton on |x - psi(theta)|^2 from all starts at once: the final
+    chart points, embeddings and objective values, one row per start.
+
+    A round evaluates the whole backtracking line search of the live starts
+    in one stacked embedding, and each takes its first step length that
+    raises the objective by at most 1e-12.  A start stops when none does or
+    when its step is below 1e-14.
+    """
+    d, ax, others = surface.chart_dim, surface.graph_axis, surface._other_axes()
+    lo_b, hi_b = np.array(surface.chart_domain, dtype=float).T
+    theta, pts, eye = starts.copy(), surface._points(starts), np.eye(d)
+    f = np.vecdot(x - pts, x - pts)
+    live = np.arange(len(starts))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        th, delta = theta[live], x - pts[live]
+        G = surface._grads(th)
+        grad_f = -2.0 * (delta[:, others] + G * delta[:, ax, None])
+        # d2/dtheta2 |x - psi|^2 = 2(g - (x - psi)_graph * hess phi)
+        H = 2.0 * (eye + G[:, :, None] * G[:, None, :]
+                   - delta[:, ax, None, None] * surface._hessians(th))
+        lo_eig = np.linalg.eigvalsh(0.5 * (H + H.swapaxes(1, 2))).min(axis=1)
+        low = lo_eig < 1e-10
+        if low.any():
+            H[low] += (1e-10 - lo_eig[low])[:, None, None] * eye
+        step = np.linalg.solve(H, -grad_f[:, :, None])[:, None, :, 0]
+        # backtracking keeps the iteration on a descent path even near
+        # focal points where the raw Hessian is indefinite
+        new = th[:, None] + _LINE_SEARCH[:, None] * step
+        new = np.minimum(np.maximum(new, lo_b), hi_b).reshape(-1, d)  # np.clip
+        p_new = surface._points(new)
+        r = x - p_new
+        f_new = np.vecdot(r, r).reshape(len(live), -1)
+        accept = f_new <= (f[live] + 1e-12)[:, None]
+        pick = accept.argmax(axis=1) + len(_LINE_SEARCH) * np.arange(len(live))
+        moved = accept.ravel()[pick]
+        live, pick = live[moved], pick[moved]
+        dx = new[pick] - th[moved]
+        stalled = np.sqrt(np.vecdot(dx, dx)) < 1e-14
+        theta[live], pts[live], f[live] = new[pick], p_new[pick], f_new.ravel()[pick]
+        live = live[~stalled]
+    return theta, pts, f
+
+
 def signed_distance(surface: MongeSurface, x, tube_alpha: float,
                     n_starts: int = 9, max_iter: int = 60,
                     boundary_margin: float = 1e-6) -> SignedDistanceResult:
     """Signed normal distance and foot point by multi-start Newton.
 
     Minimizes |x - psi(theta)|^2 from a coarse lattice of chart starts,
-    keeps the best interior minimizer, and signs the distance by the
-    projection on the oriented normal.  Rejects when the minimizer sits on
-    the chart edge, when |d| exceeds the tube radius, or when the Fermi
-    round trip psi(foot) + d N(foot) fails to reproduce x.
+    keeps the first start that reaches the least value, and signs the
+    distance by the projection on the oriented normal.  Rejects when the
+    minimizer sits on the chart edge, when |d| exceeds the tube radius, or
+    when the Fermi round trip psi(foot) + d N(foot) fails to reproduce x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d, ax, others = surface.chart_dim, surface.graph_axis, surface._other_axes()
-    axes = [np.linspace(lo, hi, max(2, round(n_starts ** (1 / d))))
+    axes = [np.linspace(lo, hi, max(2, round(n_starts ** (1 / surface.chart_dim))))
             for lo, hi in surface.chart_domain]
-    starts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    lo_b, hi_b = np.array(surface.chart_domain, dtype=float).T
-
-    def newton(theta):
-        # iterates stay in the chart box by clipping, so the chart
-        # derivatives are read directly, without a validated frame
-        delta = x - surface.embed(theta)
-        f_cur = float(delta @ delta)
-        for _ in range(max_iter):
-            grad_phi = surface.gradient(theta)
-            grad_f = -2.0 * (delta[others] + grad_phi * delta[ax])
-            # d2/dtheta2 |x - psi|^2 = 2(g - (x - psi)_graph * hess phi)
-            H = 2.0 * (np.eye(d) + np.outer(grad_phi, grad_phi)
-                       - delta[ax] * surface.hessian(theta))
-            lo_eig = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
-            if lo_eig < 1e-10:
-                H = H + (1e-10 - lo_eig) * np.eye(d)
-            step = np.linalg.solve(H, -grad_f)
-            # backtracking keeps the iteration on a descent path even near
-            # focal points where the raw Hessian is indefinite
-            t_ls = 1.0
-            while t_ls > 1e-8:
-                new = np.clip(theta + t_ls * step, lo_b, hi_b)
-                delta_new = x - surface.embed(new)
-                f_new = float(delta_new @ delta_new)
-                if f_new <= f_cur + 1e-12:
-                    break
-                t_ls *= 0.5
-            else:
-                break
-            stalled = np.linalg.norm(new - theta) < 1e-14
-            theta, delta, f_cur = new, delta_new, f_new
-            if stalled:
-                break
-        return theta, f_cur
-
-    # min keeps the first start among equal objective values
-    foot, _ = min((newton(s) for s in starts), key=lambda r: r[1])
+    starts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    theta, pts, f = _project(surface, x, starts, max_iter)
+    best = int(np.argmin(f))
+    foot = theta[best]
     if not surface.in_chart(foot, margin=boundary_margin):
         raise ValueError("projection foot lies on the chart boundary")
     fr = frame(surface, foot)
-    dist = float((x - surface.embed(foot)) @ fr.N)
+    dist = float((x - pts[best]) @ fr.N)
     if abs(dist) > tube_alpha:
-        raise ValueError(
-            f"point at |d| = {abs(dist):g} outside the {tube_alpha:g}-tube"
-        )
-    rt = float(np.linalg.norm(surface.embed(foot) + dist * fr.N - x))
+        raise ValueError(f"point at |d| = {abs(dist):g} outside the {tube_alpha:g}-tube")
+    rt = float(np.linalg.norm(pts[best] + dist * fr.N - x))
     if rt > 1e-8:
         raise ValueError(f"Fermi round trip error {rt:.3e} exceeds 1e-8")
     return SignedDistanceResult(dist, foot, rt)
@@ -295,22 +314,19 @@ class CoareaReport:
 
 
 def _chart_forms(surface: MongeSurface, n_theta: int):
-    """Midpoint nodes of the chart, n_theta per axis, each evaluated once.
+    """Midpoint nodes of the chart, n_theta per axis, in one stacked evaluation.
 
-    Returns the embedded points and unit normals (one row per node), the
-    stacked shape matrices W and the area weights sqrt(det g) * cell volume.
+    Every node passes the checks of a BoundaryFrame.  Returns the embedded
+    points and unit normals (one row per node), the stacked shape matrices W
+    and the area weights sqrt(det g) * cell volume.
     """
     steps = [(hi - lo) / n_theta for lo, hi in surface.chart_domain]
     axes = [lo + (np.arange(n_theta) + 0.5) * h
             for (lo, _), h in zip(surface.chart_domain, steps)]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    nodes = nodes.reshape(-1, surface.chart_dim)
-    forms = [fundamental_forms(surface, th) for th in nodes]
-    points = np.array([surface.embed(th) for th in nodes])
-    N = np.array([ff.N for ff in forms])
-    W = np.array([ff.W for ff in forms])
-    area = np.sqrt(np.linalg.det(np.array([ff.g for ff in forms]))) * math.prod(steps)
-    return points, N, W, area
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    ff = BoundaryFrame(*_forms(surface, nodes))
+    area = np.sqrt(np.linalg.det(ff.g)) * math.prod(steps)
+    return surface._points(nodes), ff.N, ff.W, area
 
 
 def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
@@ -342,15 +358,11 @@ def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
     hs = s_max / n_r
     route1 = sum(radial_integrand((k + 0.5) * hs) * hs for k in range(n_r))
     # route 2: two-point Gauss per cell on a staggered, finer mesh
-    m = 2 * n_r
+    m, xi = 2 * n_r, 0.5 / math.sqrt(3.0)
     hg = s_max / m
-    xi = 0.5 / math.sqrt(3.0)
-    route2 = 0.0
-    for k in range(m):
-        mid = (k + 0.5) * hg
-        route2 += 0.5 * hg * (
-            radial_integrand(mid - xi * hg) + radial_integrand(mid + xi * hg)
-        )
+    route2 = sum(0.5 * hg * (radial_integrand((k + 0.5) * hg - xi * hg)
+                             + radial_integrand((k + 0.5) * hg + xi * hg))
+                 for k in range(m))
     gap = abs(route1 - route2) / max(abs(route2), 1e-300)
     return CoareaReport(route1, route2, gap, a, bool(gap <= rel_tol))
 
@@ -378,9 +390,7 @@ def level_set_density(kernel: dict, surface: MongeSurface, x, r: float,
     if r > alpha:
         raise ValueError("offset depth r exceeds the tube radius alpha")
     mx = np.atleast_1d(np.asarray(m_t(x), dtype=float))
-
-    prev = None
-    n_cur = n_theta
+    prev, n_cur = None, n_theta
     for _ in range(6):
         points, N, W, area = _chart_forms(surface, n_cur)
         dy = points + r * N - mx
@@ -388,19 +398,16 @@ def level_set_density(kernel: dict, surface: MongeSurface, x, r: float,
         total = float((q * _offset_dets(W, r)) @ area)
         if prev is not None and abs(total - prev) <= 1e-5 * max(abs(total), 1e-6):
             break
-        prev = total
-        n_cur *= 2
+        prev, n_cur = total, 2 * n_cur
     else:
         raise ArithmeticError("level-set quadrature did not converge")
     depths = (0.0, 0.5 * alpha, alpha)
     kappa = max(float(_offset_dets(W, rr).max()) for rr in depths)
     kappa_minus = max(float(_offset_dets(W, -rr).max()) for rr in depths)
-    eps = 0.5
-    n_amb = surface.n
+    eps, n_amb = 0.5, surface.n
     varpi = c_t * (2 * math.pi * sigma_t**2) ** (n_amb / 2)
-    iota = (1 - eps) ** (-n_amb / 2) * math.exp(
-        (1 / eps - 1) * alpha**2 / (2 * sigma_t**2)
-    )
+    iota = (1 - eps) ** (-n_amb / 2) * math.exp((1 / eps - 1) * alpha**2
+                                                 / (2 * sigma_t**2))
     bound = varpi * iota * kappa_minus * kappa / alpha
     return LevelSetDensity(total, bound, bool(total <= bound + 1e-9))
 
@@ -448,58 +455,51 @@ def boundary_lyapunov(profile: BoundaryProfile, domain, x) -> float:
 def make_polynomial_surface(coeffs: Sequence[float], domain=(-2.0, 2.0),
                             epsilon: int = 1, name: str = "custom") -> MongeSurface:
     """1D Monge graph from polynomial coefficients (lowest degree first)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    dcoef = np.polynomial.polynomial.polyder(coeffs)
-    d2coef = np.polynomial.polynomial.polyder(coeffs, 2)
+    c0 = np.asarray(coeffs, dtype=float)
+    c1, c2 = (np.polynomial.polynomial.polyder(c0, k) for k in (1, 2))
+
+    def horner(x, c):  # numpy's polyval, without its per-call argument checks
+        out = c[-1] + 0.0 * x
+        for a in c[-2::-1]:
+            out = a + out * x
+        return out
+
     return MongeSurface(
-        phi=lambda th: float(np.polynomial.polynomial.polyval(th[0], coeffs)),
-        grad=lambda th: np.array([np.polynomial.polynomial.polyval(th[0], dcoef)]),
-        hess=lambda th: np.array([[np.polynomial.polynomial.polyval(th[0], d2coef)]]),
-        chart_domain=(tuple(domain),),
-        n=2,
-        epsilon=epsilon,
-        name=name,
-    )
+        phi=lambda th: horner(th[:, 0], c0),
+        grad=lambda th: horner(th, c1),
+        hess=lambda th: horner(th[:, :, None], c2),
+        chart_domain=(tuple(domain),), epsilon=epsilon, name=name)
 
 
 def make_surface(name: str, epsilon: int = 1) -> object:
-    """Named boundary fixtures; the atlas fixture returns a dict of charts."""
+    """Named boundary fixtures; the atlas fixture returns a dict of charts.
+
+    In the atlas, psi0 takes the given epsilon, while psi_plus and psi_minus
+    keep the orientations +1 and -1 of Example 8.4.
+    """
     if name == "flat":
-        return MongeSurface(
-            phi=lambda th: 0.0,
-            grad=lambda th: np.zeros(1),
-            hess=lambda th: np.zeros((1, 1)),
-            chart_domain=((-8.0, 8.0),),
-            n=2,
-            epsilon=epsilon,
-            name="flat",
-        )
+        return MongeSurface(phi=lambda th: np.zeros(len(th)),
+                            grad=lambda th: np.zeros(th.shape),
+                            hess=lambda th: np.zeros((len(th), 1, 1)),
+                            chart_domain=((-8.0, 8.0),), epsilon=epsilon, name="flat")
     if name == "parabola":
         return make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),
                                        epsilon, "parabola")
     if name == "paraboloid":
-        return MongeSurface(
-            phi=lambda th: float(th[0] ** 2 + th[1] ** 2),
-            grad=lambda th: 2.0 * np.asarray(th, dtype=float),
-            hess=lambda th: 2.0 * np.eye(2),
-            chart_domain=((-2.0, 2.0), (-2.0, 2.0)),
-            n=3,
-            epsilon=epsilon,
-            name="paraboloid",
-        )
+        return MongeSurface(phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2,
+                            grad=lambda th: 2.0 * th,
+                            hess=lambda th: np.tile(2.0 * np.eye(2), (len(th), 1, 1)),
+                            chart_domain=((-2.0, 2.0), (-2.0, 2.0)), n=3,
+                            epsilon=epsilon, name="paraboloid")
     if name == "graph_example_8_4":
         charts = {"psi0": make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),
-                                                  1, "psi0")}
+                                                  epsilon, "psi0")}
         for eps in (1, -1):
             charts[f"psi_{'plus' if eps == 1 else 'minus'}"] = MongeSurface(
-                phi=lambda th, e=eps: float(-e * math.sqrt(th[0])),
-                grad=lambda th, e=eps: np.array([-e / (2 * math.sqrt(th[0]))]),
-                hess=lambda th, e=eps: np.array([[e / (4 * th[0] ** 1.5)]]),
-                chart_domain=((1.0, 16.0),),
-                n=2,
-                epsilon=eps,
-                graph_axis=0,
-                name=f"psi_eps({eps})",
-            )
+                phi=lambda th, e=eps: -e * np.sqrt(th[:, 0]),
+                grad=lambda th, e=eps: -e / (2 * np.sqrt(th)),
+                hess=lambda th, e=eps: e / (4 * th[:, :, None] ** 1.5),
+                chart_domain=((1.0, 16.0),), epsilon=eps, graph_axis=0,
+                name=f"psi_eps({eps})")
         return charts
     raise ValueError(f"unknown surface fixture {name!r}")

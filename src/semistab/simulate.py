@@ -362,8 +362,18 @@ def _particles(full, budget, case):
     return n
 
 
+def _fk_particles(full, budget, case):
+    """_particles for a Feynman-Kac case, whose z-score needs a nonzero
+    stderr, which one particle never has."""
+    n = _particles(full, budget, case)
+    if n == 1:
+        raise ValueError(f"n_particles = 1 has no standard error; budget = {budget} "
+                         f"of case {case!r} must be at least {2 / full:g}")
+    return n
+
+
 def _case_harmonic_mass(budget, seed, threads):
-    n = _particles(100_000, budget, "harmonic_mass_t1")
+    n = _fk_particles(100_000, budget, "harmonic_mass_t1")
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
@@ -377,7 +387,7 @@ def _case_harmonic_mass(budget, seed, threads):
 
 
 def _case_dirichlet_survival(budget, seed, threads):
-    n = _particles(100_000, budget, "dirichlet_survival_t03")
+    n = _fk_particles(100_000, budget, "dirichlet_survival_t03")
     res = feynman_kac_estimate(
         _brownian(),
         AbsorptionSpec(hard_interval=(0.0, 1.0)),
@@ -391,7 +401,7 @@ def _case_dirichlet_survival(budget, seed, threads):
 
 
 def _case_ou_stationary_var(budget, seed, threads):
-    n = _particles(100_000, budget, "ou_stationary_var")
+    n = _fk_particles(100_000, budget, "ou_stationary_var")
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.0], t=5.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2},
@@ -436,7 +446,7 @@ def _case_qsd_dirichlet(budget, seed, threads):
 
 def _case_qsd_ou_var(budget, seed, threads):
     # h-transformed harmonic dynamics: plain OU, stationary variance 1/2
-    n = _particles(50_000, budget, "ou_qsd_variance")
+    n = _fk_particles(50_000, budget, "ou_qsd_variance")
     res = feynman_kac_estimate(
         _ou(), AbsorptionSpec(), [0.3], t=6.0, n_particles=n, dt=1e-3,
         seed=seed, observables={"x2": lambda x: x[:, 0] ** 2,

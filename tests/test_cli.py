@@ -55,6 +55,23 @@ def test_geometry_shape_parabola(tmp_path):
     assert float(W[0][0]) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("op, key", [("shape", "W"), ("shape", "Omega"), ("frame", "N")])
+def test_graph_example_8_4_takes_the_given_orientation(tmp_path, op, key):
+    values = {}
+    for eps in (1, -1):
+        out = tmp_path / f"atlas_{eps}.json"
+        cfg = {"command": "geometry",
+               "extra": {"op": op, "surface": "graph_example_8_4", "theta": 0.7,
+                         "epsilon": eps},
+               "output": {"path": str(out)}}
+        assert run_experiment(cfg) == 0
+        payload = json.loads(out.read_text())
+        assert payload["inputs"]["extra"]["epsilon"] == eps
+        values[eps] = np.array(payload["results"][key])
+    assert np.abs(values[1]).min() > 0
+    np.testing.assert_array_equal(values[-1], -values[1])
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     cfg = {
         "command": "eigen",
@@ -446,6 +463,19 @@ _HARMONIC = {"model": {"name": "harmonic"},
     ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 0}},
      1, "config error: n_particles = 0 must be at least 1; budget = 0.0 of case "
         "'ou_qsd_variance' must be at least 2e-05\n"),
+    # one particle gives a Feynman-Kac case a zero standard error
+    ({"command": "validate", "extra": {"budget": 1e-5}}, 1,
+     "config error: n_particles = 1 has no standard error; budget = 1e-05 of case "
+     "'dirichlet_survival_t03' must be at least 2e-05\n"),
+    ({"command": "simulate", "extra": {"case": "ou_stationary_var", "budget": 1e-5}},
+     1, "config error: n_particles = 1 has no standard error; budget = 1e-05 of "
+        "case 'ou_stationary_var' must be at least 2e-05\n"),
+    ({"command": "simulate", "extra": {"case": "harmonic_mass_t1", "budget": 1e-5}},
+     1, "config error: n_particles = 1 has no standard error; budget = 1e-05 of "
+        "case 'harmonic_mass_t1' must be at least 2e-05\n"),
+    ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 2e-5}},
+     1, "config error: n_particles = 1 has no standard error; budget = 2e-05 of "
+        "case 'ou_qsd_variance' must be at least 4e-05\n"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

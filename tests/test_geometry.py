@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semistab.geometry import (
+    BoundaryFrame,
     BoundaryProfile,
     MongeSurface,
     boundary_lyapunov,
@@ -248,18 +249,25 @@ def test_chart_domain_enforced():
         frame(PARABOLA, [2.5])
 
 
-def test_coarea_evaluates_the_forms_once_per_chart_node(monkeypatch):
-    import semistab.geometry as geometry
+def _counted(surface):
+    """The surface with every chart callback recording the stacks it gets."""
+    calls = {"phi": [], "grad": [], "hess": []}
 
-    calls = []
+    def wrap(name):
+        def f(th):
+            calls[name].append(th.shape)
+            return getattr(surface, name)(th)
+        return f
 
-    def counted(surface, theta):
-        calls.append(1)
-        return fundamental_forms(surface, theta)
+    counted = MongeSurface(**{**surface.__dict__, **{k: wrap(k) for k in calls}})
+    return counted, calls
 
-    monkeypatch.setattr(geometry, "fundamental_forms", counted)
-    coarea_check(PARABOLA_IN, lambda r: r ** -0.5, alpha=0.2, n_r=16, n_theta=24)
-    assert len(calls) == 24
+
+def test_coarea_evaluates_the_forms_once_per_chart_node():
+    surf, calls = _counted(PARABOLA_IN)
+    coarea_check(surf, lambda r: r ** -0.5, alpha=0.2, n_r=16, n_theta=24)
+    # one stack of the 24 midpoint nodes per callback
+    assert calls == {"phi": [(24, 1)], "grad": [(24, 1)], "hess": [(24, 1)]}
 
 
 def _reference_nodes(surface, n_theta):
@@ -374,9 +382,9 @@ def test_finite_difference_fallback_keeps_its_stencils():
 
     rng = np.random.default_rng(11)
     for phi, domain in (
-        (lambda th: float(np.sin(th[0]) + th[0] ** 3), ((-2.0, 2.0),)),
-        (lambda th: float(np.sin(th[0]) * np.cos(2 * th[1]) + th[0] * th[1] ** 2),
-         ((-2.0, 2.0), (-2.0, 2.0))),
+        (lambda th: np.sin(th[..., 0]) + th[..., 0] ** 3, ((-2.0, 2.0),)),
+        (lambda th: np.sin(th[..., 0]) * np.cos(2 * th[..., 1])
+         + th[..., 0] * th[..., 1] ** 2, ((-2.0, 2.0), (-2.0, 2.0))),
     ):
         surf = MongeSurface(phi=phi, chart_domain=domain, n=len(domain) + 1)
         for _ in range(20):
@@ -393,8 +401,8 @@ def test_fundamental_forms_reads_the_gradient_once():
         calls.append(th)
         return 2.0 * np.asarray(th, dtype=float)
 
-    surf = MongeSurface(phi=lambda th: float(th[0] ** 2 + th[1] ** 2),
-                        grad=grad, hess=lambda th: 2.0 * np.eye(2),
+    surf = MongeSurface(phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2, grad=grad,
+                        hess=lambda th: np.broadcast_to(2.0 * np.eye(2), (len(th), 2, 2)),
                         chart_domain=((-2.0, 2.0), (-2.0, 2.0)), n=3)
     for th in ([0.0, 0.0], [0.5, -1.2], [1.9, 0.3]):
         calls.clear()
@@ -433,3 +441,195 @@ def test_signed_distance_roundtrip_paraboloid(epsilon):
         assert res.d == pytest.approx(u, abs=1e-8)
         np.testing.assert_allclose(res.foot_theta, th, atol=1e-6)
         assert res.roundtrip_error <= 1e-8
+
+
+def _reference_newton(surface, x, theta, max_iter=60):
+    """The per-start damped Newton that the stacked one replaced: one start,
+    one chart point and one line-search step at a time."""
+    d, ax, others = surface.chart_dim, surface.graph_axis, surface._other_axes()
+    lo_b, hi_b = np.array(surface.chart_domain, dtype=float).T
+    delta = x - surface.embed(theta)
+    f_cur = float(delta @ delta)
+    for _ in range(max_iter):
+        grad_phi = surface.gradient(theta)
+        grad_f = -2.0 * (delta[others] + grad_phi * delta[ax])
+        H = 2.0 * (np.eye(d) + np.outer(grad_phi, grad_phi)
+                   - delta[ax] * surface.hessian(theta))
+        lo_eig = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
+        if lo_eig < 1e-10:
+            H = H + (1e-10 - lo_eig) * np.eye(d)
+        step = np.linalg.solve(H, -grad_f)
+        t_ls = 1.0
+        while t_ls > 1e-8:
+            new = np.clip(theta + t_ls * step, lo_b, hi_b)
+            delta_new = x - surface.embed(new)
+            f_new = float(delta_new @ delta_new)
+            if f_new <= f_cur + 1e-12:
+                break
+            t_ls *= 0.5
+        else:
+            break
+        stalled = np.linalg.norm(new - theta) < 1e-14
+        theta, delta, f_cur = new, delta_new, f_new
+        if stalled:
+            break
+    return theta, f_cur
+
+
+def _starts(surface, n_starts=9):
+    d = surface.chart_dim
+    axes = [np.linspace(lo, hi, max(2, round(n_starts ** (1 / d))))
+            for lo, hi in surface.chart_domain]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _reference_signed_distance(surface, x, tube_alpha):
+    """Per-start Newton from the same lattice: every start's end point and
+    value, the winner's index and (d, foot, round-trip error)."""
+    runs = [_reference_newton(surface, x, s) for s in _starts(surface)]
+    best = min(range(len(runs)), key=lambda i: runs[i][1])
+    foot = runs[best][0]
+    if not surface.in_chart(foot, margin=1e-6):
+        raise ValueError("projection foot lies on the chart boundary")
+    fr = frame(surface, foot)
+    dist = float((x - surface.embed(foot)) @ fr.N)
+    if abs(dist) > tube_alpha:
+        raise ValueError("outside the tube")
+    rt = float(np.linalg.norm(surface.embed(foot) + dist * fr.N - x))
+    if rt > 1e-8:
+        raise ValueError("round trip")
+    return runs, best, (dist, foot, rt)
+
+
+_ATLAS = make_surface("graph_example_8_4")
+
+
+@pytest.mark.parametrize("surface, n_points", [
+    (PARABOLA, 100), (PARABOLA_IN, 100), (PARABOLOID, 100),
+    (make_surface("paraboloid", epsilon=-1), 100),
+    (_ATLAS["psi_plus"], 25), (_ATLAS["psi_minus"], 25),
+], ids=["parabola", "parabola_in", "paraboloid", "paraboloid_in", "psi_plus",
+        "psi_minus"])
+def test_stacked_newton_matches_the_per_start_newton(surface, n_points):
+    import semistab.geometry as geo
+
+    rng = np.random.default_rng(17)
+    lo, hi = np.array(surface.chart_domain).T
+    accepted = 0
+    for _ in range(n_points):
+        x = surface.embed(rng.uniform(lo, hi)) + rng.uniform(-0.6, 0.6, size=surface.n)
+        theta, _, f = geo._project(surface, x, _starts(surface), 60)
+        try:
+            runs, best, (d, foot, rt) = _reference_signed_distance(surface, x, 0.5)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                signed_distance(surface, x, tube_alpha=0.5)
+            continue
+        accepted += 1
+        # every start ends where the per-start loop ends, and the same one wins
+        np.testing.assert_allclose(theta, [r[0] for r in runs], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f, [r[1] for r in runs], rtol=0, atol=1e-12)
+        assert int(np.argmin(f)) == best
+        res = signed_distance(surface, x, tube_alpha=0.5)
+        assert abs(res.d - d) <= 1e-12
+        np.testing.assert_allclose(res.foot_theta, foot, rtol=0, atol=1e-12)
+        assert abs(res.roundtrip_error - rt) <= 1e-12
+    assert accepted >= n_points // 2
+
+
+def test_signed_distance_reads_phi_once_per_newton_round():
+    for base, th in ((PARABOLA_IN, [0.7]), (PARABOLOID, [0.4, -0.9]),
+                     (_ATLAS["psi_minus"], [3.0])):
+        surf, calls = _counted(base)
+        x = base.embed(th) + 0.1 * frame(base, th).N
+        res = signed_distance(surf, x, tube_alpha=0.5)
+        assert res.d == pytest.approx(0.1, abs=1e-8)
+        # Hessians are read once per round; phi once per round and at the starts
+        rounds = len(calls["hess"])
+        assert 1 <= rounds <= 60
+        assert len(calls["phi"]) <= rounds + 1
+
+
+def _per_node_chart_forms(surface, n_theta):
+    """The chart-form table built one fundamental_forms call per node."""
+    import semistab.geometry as geo
+
+    steps = [(hi - lo) / n_theta for lo, hi in surface.chart_domain]
+    axes = [lo + (np.arange(n_theta) + 0.5) * h
+            for (lo, _), h in zip(surface.chart_domain, steps)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    nodes = nodes.reshape(-1, surface.chart_dim)
+    forms = [geo.fundamental_forms(surface, th) for th in nodes]
+    points = np.array([surface.embed(th) for th in nodes])
+    N = np.array([ff.N for ff in forms])
+    W = np.array([ff.W for ff in forms])
+    area = np.sqrt(np.linalg.det(np.array([ff.g for ff in forms]))) * math.prod(steps)
+    return points, N, W, area
+
+
+@pytest.mark.parametrize("surface, alpha, n_r, n_theta", [
+    (PARABOLA_IN, 0.2, 16, 24), (PARABOLA, 0.3, 8, 16),
+    (PARABOLA_IN, 0.8, 8, 16),                                  # focal shrink
+    (make_surface("paraboloid", epsilon=-1), 0.2, 6, 12),
+    (make_surface("paraboloid", epsilon=-1), 0.9, 4, 8),        # focal shrink
+    (_ATLAS["psi_plus"], 0.2, 8, 16),
+])
+def test_stacked_chart_forms_match_the_per_node_table(monkeypatch, surface, alpha,
+                                                      n_r, n_theta):
+    import semistab.geometry as geo
+
+    f = lambda u: u ** -0.5  # noqa: E731
+    rep = coarea_check(surface, f, alpha=alpha, n_r=n_r, n_theta=n_theta)
+    monkeypatch.setattr(geo, "_chart_forms", _per_node_chart_forms)
+    ref = coarea_check(surface, f, alpha=alpha, n_r=n_r, n_theta=n_theta)
+    assert (rep.alpha_used, rep.ok) == (ref.alpha_used, ref.ok)
+    for a, b in ((rep.tube_integral, ref.tube_integral),
+                 (rep.iterated_integral, ref.iterated_integral)):
+        assert a == pytest.approx(b, rel=1e-15, abs=0)
+
+
+def test_stacked_level_set_density_matches_the_per_node_table(monkeypatch):
+    import semistab.geometry as geo
+
+    kernel = {"c_t": 1.0 / (2 * math.pi), "sigma_t": 1.0, "m_t": lambda x: x}
+    rng = np.random.default_rng(8)
+    args = [([rng.uniform(-2, 2), rng.uniform(0.3, 3.0)], rng.uniform(0.0, 0.2))
+            for _ in range(6)]
+    new = [level_set_density(kernel, PARABOLA_IN, x=x, r=r, alpha=0.25, n_theta=32)
+           for x, r in args]
+    monkeypatch.setattr(geo, "_chart_forms", _per_node_chart_forms)
+    for res, (x, r) in zip(new, args):
+        ref = level_set_density(kernel, PARABOLA_IN, x=x, r=r, alpha=0.25, n_theta=32)
+        assert res.ok == ref.ok
+        assert res.value == pytest.approx(ref.value, rel=1e-15, abs=0)
+        assert res.bound == pytest.approx(ref.bound, rel=1e-15, abs=0)
+
+
+def test_an_asymmetric_hessian_at_one_node_is_rejected():
+    def hess(th):
+        H = np.tile(2.0 * np.eye(2), (len(th), 1, 1))
+        H[(th[:, 0] > 1.7) & (th[:, 1] > 1.7), 0, 1] += 1e-3  # node (1.75, 1.75)
+        return H
+
+    surf = MongeSurface(**{**PARABOLOID.__dict__, "hess": hess})
+    with pytest.raises(ValueError, match="Hessian not symmetric"):
+        coarea_check(surf, lambda u: 1.0, alpha=0.2, n_r=4, n_theta=8)
+    with pytest.raises(ValueError, match="Hessian not symmetric"):
+        fundamental_forms(surf, [1.75, 1.75])
+    assert fundamental_forms(surf, [1.25, 1.75]).W.shape == (2, 2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("N", 0.5, "unit length"), ("T", 0.3, "orthogonal"),
+    ("g", -7.0, "positive definite"), ("W", 0.5, "W != g"),
+])
+def test_a_stack_of_frames_checks_every_node(field, value, message):
+    import semistab.geometry as geo
+
+    nodes = np.array([[-1.0, 0.5], [0.3, 0.2], [1.5, -1.2]])
+    parts = dict(zip(("T", "N", "g", "Omega", "W"), geo._forms(PARABOLOID, nodes)))
+    BoundaryFrame(**parts)
+    bad = parts[field].copy()
+    bad[1].flat[0] += value  # the middle node only
+    with pytest.raises(ValueError, match=message):
+        BoundaryFrame(**{**parts, field: bad})
