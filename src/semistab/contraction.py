@@ -67,6 +67,42 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
     return float(d[k]), (i, int(k - ends[i] + n))
 
 
+def _minorization(K: np.ndarray, mask: np.ndarray, what: str) -> float:
+    """1 - max total-variation distance between the rows of K in mask;
+    raises ValueError(what) when mask selects no row."""
+    if not mask.any():
+        raise ValueError(what)
+    return 1.0 - 0.5 * _pair_scan(K[mask])[0]
+
+
+def _drift_constant(K: np.ndarray, vals: np.ndarray, phi: Callable) -> float:
+    """Smallest c >= 0 with K V <= V - phi(V) + c at every state."""
+    return max(float(np.max(K @ vals - vals + phi(vals))), 0.0)
+
+
+def _norm_path(nu: np.ndarray, K: np.ndarray, w: np.ndarray, T: int) -> np.ndarray:
+    """|nu K^t|(w) for t = 0..T, one row per t; nu is one measure or a stack
+    of them (one per row).  Non-finite weights are a numerical failure."""
+    if not np.all(np.isfinite(w)):
+        raise ArithmeticError("norm weights are not finite")
+    out = np.empty((T + 1,) + nu.shape[:-1])
+    for t in range(T + 1):
+        if t:
+            nu = nu @ K
+        out[t] = np.abs(nu) @ w
+    return out
+
+
+def _tail_rate(times: np.ndarray, values: np.ndarray, floor: float) -> Optional[float]:
+    """Decay rate from a log-linear fit over the tail half of the curve,
+    skipping values <= floor; None when fewer than two points remain."""
+    n = len(values)
+    sel = (values > floor) & (np.arange(n) >= n // 2)
+    if sel.sum() < 2:
+        return None
+    return -float(np.polyfit(times[sel], np.log(values[sel]), 1)[0])
+
+
 def v_dobrushin(P: DiscreteOperator, V: LyapunovSpec) -> ContractionReport:
     """Exhaustive sup over grid pairs of |delta_x P - delta_y P|_V / (V(x)+V(y))."""
     K = P.matrix
@@ -86,13 +122,9 @@ def v_dobrushin(P: DiscreteOperator, V: LyapunovSpec) -> ContractionReport:
 def local_minorization(P: DiscreteOperator, V: LyapunovSpec, r: float) -> float:
     """alpha(r) = 1 - max total-variation distance of rows started in {V <= r}."""
     vals = V(P.grid.points)
-    sel = np.nonzero(vals <= r)[0]
-    if sel.size == 0:
-        raise ValueError(
-            f"sub-level set {{V <= {r:g}}} is empty; smallest V value "
-            f"is {vals.min():.17g}"
-        )
-    return 1.0 - 0.5 * _pair_scan(P.matrix[sel])[0]
+    return _minorization(P.matrix, vals <= r,
+                         f"sub-level set {{V <= {r:g}}} is empty; smallest V "
+                         f"value is {vals.min():.17g}")
 
 
 def rescaled_lyapunov(eps: float, c: float, alpha_r: float, r: float,
@@ -224,22 +256,9 @@ def geometric_decay_curve(P: DiscreteOperator, V: LyapunovSpec,
     {eps, alpha_r, r} (c = 1/2 convention), the curve is compared against
     the geometric envelope const * (1 - alpha_eps(r))^t.
     """
-    vals = V(P.grid.points)
-    nu = mu.masses - eta.masses
-    norms = np.empty(T + 1)
-    for t in range(T + 1):
-        norms[t] = np.abs(nu) @ vals
-        if t < T:
-            nu = nu @ P.matrix
+    norms = _norm_path(mu.masses - eta.masses, P.matrix, V(P.grid.points), T)
     times = np.arange(T + 1) * P.time_step
-    pos = norms > 1e-300
-    tail = np.arange(T + 1) >= (T + 1) // 2
-    fit_mask = pos & tail
-    if fit_mask.sum() >= 2:
-        slope = np.polyfit(times[fit_mask], np.log(norms[fit_mask]), 1)[0]
-        fitted = -float(slope)
-    else:
-        fitted = None
+    fitted = _tail_rate(times, norms, 1e-300)
     envelope_ok = None
     envelope = None
     if certificate is not None:
@@ -274,23 +293,18 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
     never increases for random zero-mass measures.
     """
     vals = V(P.grid.points)
-    pv = P.matrix @ vals
     phiv = phi(vals)
     if np.any(np.diff(phi(np.linspace(vals.min(), vals.max(), 64))) < -1e-12):
         raise ValueError("phi must be increasing")
-    c = float(np.max(pv - vals + phiv))
-    if c < 0:
-        c = 0.0
+    c = _drift_constant(P.matrix, vals, phi)
     # surrogate decay of phi(V)/V where V is largest
     ratio = phiv / vals
     order = np.argsort(vals)
     k = max(1, P.grid.size // 20)
     if ratio[order[-k:]].max() > np.median(ratio) + 1e-12:
         raise ValueError("phi(V)/V does not decay where V is large")
-    sel = phiv <= r
-    if not sel.any():
-        raise ValueError("sub-level set {phi(V) <= r} is empty")
-    alpha1 = 1.0 - 0.5 * _pair_scan(P.matrix[sel])[0]
+    alpha1 = _minorization(P.matrix, phiv <= r,
+                           "sub-level set {phi(V) <= r} is empty")
     violated = ""
     if rho * c > alpha1:
         violated = f"rho*c = {rho * c:.6g} > alpha1(r) = {alpha1:.6g}"
@@ -304,15 +318,9 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
     # one trial per row, drawn in the order of the per-trial stream
     mu = np.array([rng.dirichlet(ones) - rng.dirichlet(ones)
                    for _ in range(trials)]).reshape(trials, ones.size)
-    worst_inc = 0.0
-    prev = np.abs(mu) @ weights
-    for _ in range(T):
-        mu = mu @ P.matrix
-        cur = np.abs(mu) @ weights
-        inc = cur - prev
-        bad = inc > 1e-12 * np.maximum(prev, 1.0)
-        worst_inc = max(worst_inc, float(inc[bad].max(initial=0.0)))
-        prev = cur
+    path = _norm_path(mu, P.matrix, weights, T)
+    inc = np.diff(path, axis=0)
+    worst_inc = float(inc[inc > 1e-12 * np.maximum(path[:-1], 1.0)].max(initial=0.0))
     monotone = worst_inc == 0.0
     return NonExpansiveReport(window_ok and monotone, c, alpha1, window_ok,
                               violated, monotone, worst_inc)
@@ -336,13 +344,14 @@ def build_pvc_chain(rng: np.random.Generator, n: int, eps: float,
     v[0] = 0.5
     V = LyapunovSpec.table(v, grid)
     rows = 0.8 * rng.dirichlet(np.ones(n), size=n) + 0.2 / n
-    for i in range(n):
-        pv = rows[i] @ v
-        target = eps * v[i] + 0.5
-        if pv > target:
-            lam = (target - 0.5) / (pv - 0.5)
-            rows[i] = lam * rows[i]
-            rows[i, 0] += 1.0 - lam
+    # vecdot forms each row's dot as the one-row product rows[i] @ v does;
+    # a single rows @ v (gemv) would change their last bits
+    pv = np.vecdot(rows, v)
+    target = eps * v + 0.5
+    pull = pv > target
+    lam = (target[pull] - 0.5) / (pv[pull] - 0.5)
+    rows[pull] *= lam[:, None]
+    rows[pull, 0] += 1.0 - lam
     P = DiscreteOperator(rows, grid, 1.0, is_markov=True, quad_tol=1e-9)
     r = max(float(np.quantile(v, 0.8)), 1.05 * r_eps)
     alpha_r = local_minorization(P, V, r)

@@ -2,14 +2,13 @@
 
 State spaces are discretized as weighted quadrature grids.  Measures are
 carried as atom masses sitting on the grid points (not densities), so total
-variation and V-norms are exact finite sums.  Densities can be ingested with
-:meth:`MeasureVec.from_density`, which multiplies by the cell weights once.
+variation and V-norms are exact finite sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,19 +38,17 @@ class DegenerateNormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Quadrature grid over a 1D interval or a 2D box.
+    """Quadrature grid over a 1D interval.
 
-    points : (n,) array for 1D grids, (n, 2) for 2D grids (lexicographic).
+    points : strictly increasing (n,) array.
     cell_weights : positive quadrature weight per point, summing to the
-        domain volume.
-    bounds : ((a, b),) in 1D, ((a1, b1), (a2, b2)) in 2D.
-    boundary_points : optional coordinates of the topological boundary.
+        interval length.
+    bounds : ((a, b),).
     """
 
     points: np.ndarray
     cell_weights: np.ndarray
     bounds: tuple
-    boundary_points: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -62,15 +59,10 @@ class GridDomain:
             raise GridError("cell_weights length must match points")
         if not np.all(w > 0):
             raise GridError("all cell_weights must be positive")
-        if pts.ndim == 1:
-            if not np.all(np.diff(pts) > 0):
-                raise GridError("1D points must be strictly increasing")
-        elif pts.ndim == 2 and pts.shape[1] == 2:
-            keys = list(map(tuple, pts))
-            if keys != sorted(keys):
-                raise GridError("2D points must be lexicographically ordered")
-        else:
-            raise GridError("points must be (n,) or (n, 2)")
+        if pts.ndim != 1:
+            raise GridError("points must be an (n,) array")
+        if not np.all(np.diff(pts) > 0):
+            raise GridError("1D points must be strictly increasing")
         vol = float(np.prod([b - a for a, b in self.bounds]))
         if abs(w.sum() - vol) > _VOL_RTOL * max(abs(vol), 1.0):
             raise GridError(
@@ -81,10 +73,6 @@ class GridDomain:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.points.ndim == 1 else self.points.shape[1]
-
     @classmethod
     def uniform_closed(cls, a: float, b: float, n: int) -> "GridDomain":
         """Uniform grid on [a, b] with trapezoid weights (endpoints included)."""
@@ -94,7 +82,7 @@ class GridDomain:
         h = (b - a) / (n - 1)
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
-        return cls(pts, w, ((a, b),), boundary_points=np.array([a, b]))
+        return cls(pts, w, ((a, b),))
 
     @classmethod
     def uniform_open(cls, a: float, b: float, n: int) -> "GridDomain":
@@ -103,30 +91,7 @@ class GridDomain:
             raise GridError(f"an open grid needs n >= 1 points, got {n}")
         h = (b - a) / n
         pts = a + (np.arange(n) + 0.5) * h
-        return cls(pts, np.full(n, h), ((a, b),),
-                   boundary_points=np.array([a, b]))
-
-    @classmethod
-    def box_closed(cls, bounds: Sequence, shape: Sequence[int]) -> "GridDomain":
-        """Tensor trapezoid grid on a closed 2D box."""
-        (a1, b1), (a2, b2) = bounds
-        n1, n2 = shape
-        g1 = cls.uniform_closed(a1, b1, n1)
-        g2 = cls.uniform_closed(a2, b2, n2)
-        pts = np.array([(x, y) for x in g1.points for y in g2.points])
-        w = np.outer(g1.cell_weights, g2.cell_weights).ravel()
-        return cls(pts, w, ((a1, b1), (a2, b2)))
-
-    def interior_median_mask(self, frac: float = 0.05):
-        """Masks (edge, interior) used by the open-edge divergence check."""
-        if self.dim != 1:
-            raise GridError("edge masks only defined for 1D grids")
-        n = self.size
-        k = max(1, int(np.ceil(frac * n)))
-        edge = np.zeros(n, dtype=bool)
-        edge[:k] = True
-        edge[-k:] = True
-        return edge, ~edge
+        return cls(pts, np.full(n, h), ((a, b),))
 
 
 @dataclass(frozen=True)
@@ -145,11 +110,6 @@ class MeasureVec:
             raise GridError("measure masses must be finite")
 
     @classmethod
-    def from_density(cls, values, grid: GridDomain) -> "MeasureVec":
-        """Ingest a density by multiplying with the cell weights."""
-        return cls(np.asarray(values, dtype=float) * grid.cell_weights, grid)
-
-    @classmethod
     def dirac(cls, grid: GridDomain, index: int) -> "MeasureVec":
         m = np.zeros(grid.size)
         m[index] = 1.0
@@ -157,11 +117,6 @@ class MeasureVec:
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def pair(self, f: "FunctionVec") -> float:
-        """Integral mu(f) as a finite sum of atom masses times values."""
-        _require_same_grid(self.grid, f.grid)
-        return float(self.masses @ f.values)
 
 
 @dataclass(frozen=True)
@@ -357,9 +312,6 @@ class LyapunovSpec:
             return float(self(x[None, :])[0])
         return float(self(x.reshape(())))
 
-    def on_grid(self, grid: GridDomain) -> FunctionVec:
-        return FunctionVec(self(grid.points), grid)
-
 
 def open_edge_divergence_ok(V: LyapunovSpec, grid: GridDomain, frac: float = 0.05) -> bool:
     """Surrogate check that V blows up toward the open ends of the grid.
@@ -370,10 +322,11 @@ def open_edge_divergence_ok(V: LyapunovSpec, grid: GridDomain, frac: float = 0.0
     at infinity; no topology on the continuum is attempted.
     """
     vals = V(grid.points)
-    edge, interior = grid.interior_median_mask(frac)
-    med = np.median(vals[interior])
-    n_half = edge.sum() // 2
-    lo, hi = vals[:n_half], vals[-n_half:]
+    n = grid.size
+    k = max(1, int(np.ceil(frac * n)))  # edge points per side
+    med = np.median(vals[k:n - k])
+    k = min(k, n // 2)
+    lo, hi = vals[:k], vals[-k:]
     return bool(lo.max() > med and hi.max() > med)
 
 

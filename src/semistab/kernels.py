@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, _grad_hess
+from .core import FunctionVec, GridDomain, LyapunovSpec, _grad_hess
 
 __all__ = [
     "DiscreteOperator",
@@ -84,12 +84,6 @@ class DiscreteOperator:
                 f"sub-Markov rows must sum to <= 1; worst {rows.max():.17g}"
             )
 
-    def apply_function(self, f: FunctionVec) -> FunctionVec:
-        return FunctionVec(self.matrix @ f.values, self.grid)
-
-    def apply_measure(self, mu: MeasureVec) -> MeasureVec:
-        return MeasureVec(mu.masses @ self.matrix, self.grid)
-
     def compose(self, other: "DiscreteOperator") -> "DiscreteOperator":
         if other.grid is not self.grid and not np.array_equal(
             other.grid.points, self.grid.points
@@ -102,12 +96,6 @@ class DiscreteOperator:
             is_markov=self.is_markov and other.is_markov,
             quad_tol=max(self.quad_tol, other.quad_tol) * 2,
         )
-
-    def power(self, n: int) -> "DiscreteOperator":
-        out = np.linalg.matrix_power(self.matrix, n)
-        return DiscreteOperator(out, self.grid, n * self.time_step,
-                                is_markov=self.is_markov,
-                                quad_tol=self.quad_tol * n)
 
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .contraction import _tail_rate
 from .core import (
     FunctionVec,
     LyapunovSpec,
@@ -123,6 +124,7 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12,
         raise ValueError("operator support graph is not strongly connected")
     eta = np.full(n, 1.0 / n)
     h = np.ones(n)
+    Kh = K @ h
     lam = 1.0
     res_r = res_l = math.inf
     it = 0
@@ -132,10 +134,10 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12,
         if lam <= 0:
             raise FlowExtinctionError(it)
         eta_new = eta_raw / lam
-        h_raw = K @ h
-        h_new = h_raw / h_raw.max()
+        h_new = Kh / Kh.max()
+        Kh = K @ h_new  # the residual's product is the next iteration's K @ h
         res_l = 0.5 * np.abs(eta_new - eta).sum()
-        res_r = float(np.abs(K @ h_new - lam * h_new).max() / np.abs(h_new).max())
+        res_r = float(np.abs(Kh - lam * h_new).max() / np.abs(h_new).max())
         eta, h = eta_new, h_new
         if res_l <= tol and res_r <= tol:
             break
@@ -207,13 +209,7 @@ def finite_rank_gap(Q: DiscreteOperator, mu: MeasureVec, H: FunctionVec,
         G = Mt / z - np.outer((Mt @ H.values) / z, mu_t)
         out[t - 1] = np.max((np.abs(G) @ vals) / vals)
     times = np.arange(1, T + 1) * Q.time_step
-    pos = out > 1e-250
-    tail = np.arange(T) >= T // 2
-    sel = pos & tail
-    rate = None
-    if sel.sum() >= 2:
-        rate = -float(np.polyfit(times[sel], np.log(out[sel]), 1)[0])
-    return GapCurve(times, out, rate)
+    return GapCurve(times, out, _tail_rate(times, out, 1e-250))
 
 
 @dataclass(frozen=True)

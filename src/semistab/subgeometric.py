@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .contraction import _pair_scan
+from .contraction import _drift_constant, _minorization, _norm_path
 from .core import GridDomain, LyapunovSpec, MeasureVec
 from .kernels import DiscreteOperator
 
@@ -204,12 +204,6 @@ class RateReport:
     note: str = ""
 
 
-def _alpha_over(P: DiscreteOperator, mask: np.ndarray) -> float:
-    if not mask.any():
-        raise ValueError("empty sub-level set")
-    return 1.0 - 0.5 * _pair_scan(P.matrix[mask])[0]
-
-
 def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
                           drift: SubGeoDrift, rho: float, mu: MeasureVec,
                           T: int) -> RateReport:
@@ -228,18 +222,14 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     vals = V(P.grid.points)
     if abs(float(mu.masses.sum())) > 1e-12:
         raise ValueError("mu must have zero total mass")
-    c = float(np.max(P.matrix @ vals - vals + drift.phi(vals)))
-    c = max(c, 0.0)
+    c = _drift_constant(P.matrix, vals, drift.phi)
     jr = jensen_drift_check(P, V, drift, c)
     chi = drift.chi
-    w1 = 1.0 + rho * drift.phi1(vals)
-    w0 = 1.0 + rho * vals
-    norm0 = float(np.abs(mu.masses) @ w0)
-    nu = mu.masses.copy()
-    values = np.empty(T)
-    for t in range(1, T + 1):
-        nu = nu @ P.matrix
-        values[t - 1] = np.abs(nu) @ w1
+    with np.errstate(over="ignore"):  # an overflowed weight fails in _norm_path
+        w1 = 1.0 + rho * drift.phi1(vals)
+        w0 = 1.0 + rho * vals
+    values = _norm_path(mu.masses, P.matrix, w1, T)[1:]
+    norm0 = float(_norm_path(mu.masses, P.matrix, w0, 0)[0])
     times = np.arange(1, T + 1) * P.time_step
 
     if not jr.ok:
@@ -250,8 +240,8 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     for q in (1.0, 0.9, 0.75, 0.5):
         r = float(np.quantile(phi2v, q))
         try:
-            a1 = _alpha_over(P, drift.phi(vals) <= r)
-            a2 = _alpha_over(P, phi2v <= r)
+            a1 = _minorization(P.matrix, drift.phi(vals) <= r, "empty sub-level set")
+            a2 = _minorization(P.matrix, phi2v <= r, "empty sub-level set")
         except ValueError:
             continue
         if a1 <= 0 or a2 <= 0:
@@ -303,7 +293,7 @@ def build_subgeo_chain(n: int = 200, delta: float = 0.5, L: int = 7,
     V = LyapunovSpec.table(xs, grid)
     op = DiscreteOperator(P, grid, 1.0, is_markov=True, quad_tol=1e-9)
     drift = prototype_drift(delta, 0.5, kappa0, 1.0)
-    c = float(np.max(P @ xs - xs + drift.phi(xs)))
+    c = _drift_constant(P, xs, drift.phi)
     return op, V, drift, c
 
 
@@ -330,5 +320,5 @@ def build_certified_chain(n: int = 500, kappa0: float = 0.4,
     V = LyapunovSpec.table(xs, grid)
     op = DiscreteOperator(P, grid, 1.0, is_markov=True, quad_tol=1e-9)
     drift = prototype_drift(0.5, 0.5, kappa0, 1.0)
-    c = float(np.max(P @ xs - xs + drift.phi(xs)))
+    c = _drift_constant(P, xs, drift.phi)
     return op, V, drift, c

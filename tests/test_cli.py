@@ -476,6 +476,9 @@ _HARMONIC = {"model": {"name": "harmonic"},
     ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 2e-5}},
      1, "config error: n_particles = 1 has no standard error; budget = 2e-05 of "
         "case 'ou_qsd_variance' must be at least 4e-05\n"),
+    # the norm weights 1 + rho phi1(V) overflow
+    ({"command": "rate", "extra": {"rho": 1e308}}, 2,
+     "numerical failure: norm weights are not finite"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

@@ -38,6 +38,9 @@ def test_grid_invariants():
         GridDomain(np.array([0.0, 0.5, 0.25]), np.full(3, 1 / 3), ((0.0, 1.0),))
     with pytest.raises(ValueError):
         GridDomain(np.array([0.0, 0.5, 1.0]), np.array([0.5, -0.1, 0.6]), ((0.0, 1.0),))
+    with pytest.raises(ValueError):  # grids are 1D intervals
+        GridDomain(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full(3, 1 / 3),
+                   ((0.0, 1.0),))
 
 
 def test_tv_norm_atoms(grid):
