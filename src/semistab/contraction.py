@@ -312,7 +312,8 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
         violated = (violated + "; " if violated else "") + \
             f"rho = {rho:.6g} < 2 alpha1(r)/r = {2 * alpha1 / r:.6g}"
     window_ok = violated == ""
-    weights = 1.0 + rho * vals
+    with np.errstate(over="ignore"):  # an overflowed weight fails in _norm_path
+        weights = 1.0 + rho * vals
     rng = np.random.default_rng(seed)
     ones = np.ones(P.grid.size)
     # one trial per row, drawn in the order of the per-trial stream

@@ -324,8 +324,10 @@ def open_edge_divergence_ok(V: LyapunovSpec, grid: GridDomain, frac: float = 0.0
     vals = V(grid.points)
     n = grid.size
     k = max(1, int(np.ceil(frac * n)))  # edge points per side
+    if n - 2 * k < 1:
+        raise ValueError(f"the divergence check needs at least {2 * k + 1} grid points "
+                         f"({k} per edge and one inside), got {n}")
     med = np.median(vals[k:n - k])
-    k = min(k, n // 2)
     lo, hi = vals[:k], vals[-k:]
     return bool(lo.max() > med and hi.max() > med)
 

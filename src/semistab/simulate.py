@@ -3,8 +3,9 @@
 Soft absorption accumulates exponential weights (trapezoid rule in time)
 instead of Bernoulli killing.  Hard killing on intervals multiplies in the
 exact Brownian-bridge crossing survival for each barrier, which removes the
-sqrt(dt) discrete-monitoring bias; general indicator domains fall back to
-exit checks at grid times only.
+sqrt(dt) discrete-monitoring bias; it is evaluated only on live rows near a
+finite barrier, and log-weight increments below 7.83e-22 a step are dropped.
+General indicator domains fall back to exit checks at grid times only.
 
 Reproducibility: Feynman-Kac particles are processed in fixed partitions of
 10^4, each with its own seeded substream, and reduced in partition order;
@@ -65,8 +66,10 @@ class AbsorptionSpec:
 
     hard_interval is an (a, b) pair (either side may be infinite); the
     Brownian-bridge crossing correction applies to finite barriers of 1D
-    models.  hard_indicator is a vectorized inside-test used when the
-    domain is not an interval (grid-time checks only, O(sqrt(dt)) bias).
+    models, on the live particles near one (increments below 7.83e-22 a
+    step are dropped).  hard_indicator is a vectorized inside-test used
+    when the domain is not an interval (grid-time checks only,
+    O(sqrt(dt)) bias).
     """
 
     soft_potential: Optional[Callable] = None
@@ -114,34 +117,26 @@ def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
     return _euler(model, ens, dt, rng.standard_normal(ens.positions.shape))
 
 
-def _log_no_crossing(arg):
-    """log1p(-clip(exp(arg), 0, 1 - 1e-16)) with the same bits, avoiding
-    numpy's slow exp path below about -708, where most rows fall at small dt.
-
-    exp runs on arg clamped to [-700, 0]: the clip maps every arg >= 0 to
-    1 - 1e-16 anyway, exp is exactly 0 below -745.2, and only the rows in
-    [-745.2, -700) are recomputed.
-    """
-    p = np.exp(np.minimum(np.maximum(arg, -700.0), 0.0))
-    low = arg < -700.0
-    if low.any():
-        p[low] = 0.0
-        window = low & (arg >= -745.2)
-        p[window] = np.exp(arg[window])
-    return np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16))
-
-
-def _bridge_log_survival(x_old, x_new, interval, sigma, dt):
+def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
     """Log of the within-step non-crossing probability for interval barriers,
-    on every row (those of dead particles included)."""
-    total = np.zeros(len(x_old))
-    a, b = interval
+    as (rows, term): the live rows where some finite barrier c has
+    arg = -2 (x_old - c)(x_new - c) / (sigma^2 dt) >= -48.6, and the exact
+    term on them.  Every other row's term is below exp(-48.6) = 7.83e-22 in
+    absolute value and is dropped."""
     denom = sigma * sigma * dt
-    if np.isfinite(a):
-        total += _log_no_crossing(-2.0 * (x_old[:, 0] - a) * (x_new[:, 0] - a) / denom)
-    if np.isfinite(b):
-        total += _log_no_crossing(-2.0 * (b - x_old[:, 0]) * (b - x_new[:, 0]) / denom)
-    return total
+    barriers = [c for c in interval if np.isfinite(c)]
+    xo, xn = x_old[:, 0], x_new[:, 0]
+    near = np.zeros(len(xo), dtype=bool)
+    for c in barriers:
+        near |= (xo - c) * (xn - c) <= 24.3 * denom
+    rows = np.flatnonzero(near & alive)
+    xo, xn = xo[rows], xn[rows]
+    term = np.zeros(len(rows))
+    # (x - c)(x' - c) is bitwise (c - x)(c - x'), so one form serves both barriers
+    for c in barriers:
+        term += np.log1p(-np.minimum(np.exp(-2.0 * (xo - c) * (xn - c) / denom),
+                                     1.0 - 1e-16))
+    return rows, term
 
 
 def _step(model, absorb, ens, noise, dt, u_old):
@@ -163,10 +158,9 @@ def _step(model, absorb, ens, noise, dt, u_old):
     if absorb.hard_interval is not None:
         a, b = absorb.hard_interval
         ens.alive &= (x_new[:, 0] > a) & (x_new[:, 0] < b)
-        np.add(ens.log_weights,
-               _bridge_log_survival(x_old, x_new, absorb.hard_interval,
-                                    model.diffusion, dt),
-               out=ens.log_weights, where=ens.alive)
+        rows, term = _bridge_log_survival(x_old, x_new, ens.alive, absorb.hard_interval,
+                                          model.diffusion, dt)
+        ens.log_weights[rows] += term
     elif absorb.hard_indicator is not None:
         ens.alive &= np.asarray(absorb.hard_indicator(x_new), dtype=bool)
     return u_new

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ def test_nonexpansive_on_certified_polynomial_chain():
     assert rep.window_ok, rep.violated
     assert rep.monotone_ok
     assert rep.ok
+
+
+def test_nonexpansive_overflowed_weights_are_a_numerical_failure():
+    from semistab.subgeometric import build_certified_chain
+
+    P, V, drift, c = build_certified_chain()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="norm weights are not finite"):
+            nonexpansive_check(P, V, drift.phi, rho=1e308, r=1.0)
 
 
 def test_nonexpansive_reports_empty_window():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,15 @@ def test_lyapunov_divergence_surrogate():
     assert not open_edge_divergence_ok(LyapunovSpec.const(1.0), g)
     gh = GridDomain.uniform_open(0.0, 8.0, 200)
     assert open_edge_divergence_ok(LyapunovSpec.inv_plus_poly(2), gh)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_divergence_surrogate_needs_an_interior_point(n):
+    g = GridDomain.uniform_open(0.0, 1.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"at least 3 grid points .*, got {n}$"):
+            open_edge_divergence_ok(LyapunovSpec.boundary(0.5), g)
 
 
 def test_mismatched_grid_rejected(grid):

@@ -203,18 +203,38 @@ def _bridge_reference(x_old, x_new, interval, sigma, dt):
 
 
 def test_bridge_term_matches_the_direct_formula():
+    # the exact term on the rows it keeps, and at most exp(-48.6) on the
+    # live rows it drops
     rng = np.random.default_rng(0)
-    x_old = rng.uniform(0.0, 1.0, (20000, 1))
-    x_new = x_old + 0.05 * rng.standard_normal((20000, 1))
+    x_old = rng.uniform(0.0, 1.0, 20000)
+    x_new = x_old + 0.05 * rng.standard_normal(20000)
     dt = 1e-3
-    arg = -2.0 * x_old[:, 0] * x_new[:, 0] / dt
-    # exponents above 0 (crossings), in [-700, 0], in the recomputed window
-    # [-745.2, -700) and below it, where exp underflows to 0
-    assert (arg > 0).any() and ((arg <= 0) & (arg >= -700)).any()
-    assert ((arg < -700) & (arg >= -745.2)).sum() > 10 and (arg < -745.2).any()
+    edges = np.array([-745.3, -745.2, -708.0, -48.6, 0.0, 3.0])
+    # each edge argument at one barrier, nudged a few ulps across it, from
+    # starting distances near sqrt(|arg| dt / 2), so that no row lands far
+    # past the other barrier of a unit interval
+    g = np.repeat(edges, 15) * (1 + 1e-15 * np.tile(np.arange(-2, 3), 18))
+    d_old = np.tile(np.repeat([0.8, 1.0, 1.25], 5), 6) * np.sqrt(
+        np.maximum(np.abs(g), 0.1) * dt / 2)
+    d_new = -g * dt / (2 * d_old)
     for interval in ((0.0, 1.0), (0.0, np.inf), (-np.inf, 1.0), (-0.3, 0.7)):
-        got = simulate._bridge_log_survival(x_old, x_new, interval, 1.0, dt)
-        assert np.array_equal(got, _bridge_reference(x_old, x_new, interval, 1.0, dt))
+        xo, xn = [x_old], [x_new]
+        for c, side in zip(interval, (1.0, -1.0)):
+            if np.isfinite(c):
+                xo.append(c + side * d_old)
+                xn.append(c + side * d_new)
+                arg = -2.0 * (xo[-1] - c) * (xn[-1] - c) / dt
+                assert all(np.isclose(arg, e, rtol=1e-15, atol=0).any() for e in edges)
+        xo, xn = np.concatenate(xo)[:, None], np.concatenate(xn)[:, None]
+        alive = rng.random(len(xo)) < 0.7
+        ref = _bridge_reference(xo, xn, interval, 1.0, dt)
+        rows, term = simulate._bridge_log_survival(xo, xn, alive, interval, 1.0, dt)
+        assert np.array_equal(term, ref[rows])
+        assert alive[rows].all()
+        dropped = alive.copy()
+        dropped[rows] = False
+        assert (np.abs(ref[dropped]) <= 7.9e-22).all()
+        assert (ref[dropped] != 0).any()  # the cut drops nonzero terms
 
 
 def _reference_steps(model, absorb, x, logw, alive, rng, steps, dt):
@@ -274,6 +294,45 @@ def test_qsd_reproduces_the_one_call_per_step_loop():
         x = x[rng.choice(n, size=n, p=w / w.sum())]
     res = qsd_particle_estimate(
         OU, _MIXED, lambda rng, m: rng.uniform(-0.5, 0.5, size=(m, 1)),
+        t=5 * period, n_particles=n, resample_period=period, dt=dt, seed=seed)
+    assert np.array_equal(res.positions, x)
+    assert np.array_equal(res.log_decrements, decrements)
+
+
+_HARD = AbsorptionSpec(hard_interval=(0.0, 1.0))
+
+
+def test_fk_hard_only_reproduces_the_one_call_per_step_loop():
+    # log weights start at 0 and only the crossing term moves them, so the
+    # dropped terms are the only difference from the reference loop
+    n, t, dt, seed = 14000, 0.05, 1e-3, 5
+    sums = np.zeros(2)
+    for part, m in enumerate((10000, 4000)):
+        x, logw, alive = _reference_steps(
+            BM, _HARD, np.full((m, 1), 0.1), np.zeros(m), np.ones(m, dtype=bool),
+            np.random.default_rng([seed, part]), round(t / dt), dt)
+        w = np.where(alive, np.exp(logw), 0.0)
+        sums += [float(w.sum()), float((w * w).sum())]
+    q1 = sums[0] / n
+    res = feynman_kac_estimate(BM, _HARD, [0.1], t=t, n_particles=n, dt=dt, seed=seed)
+    assert 0.2 < q1 < 0.9  # the barrier kills and weights a good share
+    assert res.q1_hat == q1
+    assert res.stderr == math.sqrt((sums[1] / n - q1 * q1) / n)
+
+
+def test_qsd_hard_only_reproduces_the_one_call_per_step_loop():
+    n, period, dt, seed = 3000, 0.03, 1e-3, 6
+    rng = np.random.default_rng([seed, 0xA5])
+    x = rng.uniform(0.0, 1.0, size=(n, 1))
+    decrements = []
+    for _ in range(5):
+        x, logw, alive = _reference_steps(BM, _HARD, x, np.zeros(n),
+                                          np.ones(n, dtype=bool), rng, 30, dt)
+        w = np.where(alive, np.exp(logw), 0.0)
+        decrements.append(math.log(w.mean()))
+        x = x[rng.choice(n, size=n, p=w / w.sum())]
+    res = qsd_particle_estimate(
+        BM, _HARD, lambda rng, m: rng.uniform(0.0, 1.0, size=(m, 1)),
         t=5 * period, n_particles=n, resample_period=period, dt=dt, seed=seed)
     assert np.array_equal(res.positions, x)
     assert np.array_equal(res.log_decrements, decrements)
