@@ -44,24 +44,44 @@ class ContractionReport:
             raise ValueError("beta must be nonnegative")
 
 
+# Pairs per block of the weighted scan's divisions: bounds its temporaries
+# to a few hundred kB whatever n is (one block up to n = 362).
+_PAIR_BLOCK = 1 << 16
+
+
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
     """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
     when weights are given (K square), with its first argmax witness (i, j).
 
-    The one extra array is pdist's condensed n(n-1)/2 distances.
+    The one large array is pdist's condensed n(n-1)/2 distances.  The
+    weighted divisions run over whole rows in blocks of at most
+    _PAIR_BLOCK pairs (or one row), so their index and denominator
+    temporaries stay a few hundred kB and do not grow with n(n-1)/2.
     """
     from scipy.spatial.distance import pdist
 
     n = K.shape[0]
     if n < 2:
         return 0.0, (0, 0)
-    ends = np.cumsum(np.arange(n - 1, 0, -1))  # condensed row i ends at ends[i]
+    counts = np.arange(n - 1, 0, -1)  # pairs (i, j > i) of row i
+    ends = np.cumsum(counts)  # condensed row i ends at ends[i]
     if weights is None:
         d = pdist(K, "cityblock")
     else:
         d = pdist(K, "minkowski", p=1, w=weights)
-        for i, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
-            d[lo:hi] /= weights[i] + weights[i + 1:]
+        starts = ends - counts
+        r0 = 0
+        while r0 < n - 1:
+            lo = starts[r0]
+            r1 = max(r0 + 1, int(np.searchsorted(ends, lo + _PAIR_BLOCK, side="right")))
+            hi = ends[r1 - 1]
+            # the condensed entry k of row i pairs it with j = k + 1 - (starts[i] - i)
+            j = np.arange(lo + 1, hi + 1)
+            j -= np.repeat(starts[r0:r1] - np.arange(r0, r1), counts[r0:r1])
+            den = np.repeat(weights[r0:r1], counts[r0:r1])
+            den += weights[j]
+            d[lo:hi] /= den
+            r0 = r1
     k = int(np.argmax(d))  # lexicographic first maximum: smallest-index tie-break
     i = int(np.searchsorted(ends, k, side="right"))
     return float(d[k]), (i, int(k - ends[i] + n))

@@ -7,6 +7,7 @@ variation and V-norms are exact finite sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,13 +58,13 @@ class GridDomain:
         object.__setattr__(self, "cell_weights", w)
         if w.shape != (len(pts),):
             raise GridError("cell_weights length must match points")
-        if not np.all(w > 0):
+        if not (w > 0).all():
             raise GridError("all cell_weights must be positive")
         if pts.ndim != 1:
             raise GridError("points must be an (n,) array")
-        if not np.all(np.diff(pts) > 0):
+        if not (pts[1:] > pts[:-1]).all():
             raise GridError("1D points must be strictly increasing")
-        vol = float(np.prod([b - a for a, b in self.bounds]))
+        vol = float(math.prod([b - a for a, b in self.bounds]))
         if abs(w.sum() - vol) > _VOL_RTOL * max(abs(vol), 1.0):
             raise GridError(
                 f"cell_weights sum {w.sum():.17g} != domain volume {vol:.17g}"
@@ -203,7 +204,7 @@ class LyapunovSpec:
         on abstract state spaces use this family.
         """
         values = np.asarray(values, dtype=float)
-        if np.any(values <= 0):
+        if (values <= 0).any():
             raise ValueError("table family needs positive values")
         return cls("table", {"values": values, "grid": grid})
 
@@ -265,8 +266,9 @@ class LyapunovSpec:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         pts = np.atleast_1d(x)
-        r = np.linalg.norm(pts, axis=1) if pts.ndim == 2 else np.abs(pts)
         fam = self.family
+        if fam in ("const", "poly", "exp", "product"):
+            r = np.linalg.norm(pts, axis=1) if pts.ndim == 2 else np.abs(pts)
         if fam == "const":
             out = np.full(r.shape, self.params["c"])
         elif fam == "poly":
@@ -274,21 +276,22 @@ class LyapunovSpec:
         elif fam == "exp":
             out = np.exp(self.params["v"] * r)
         elif fam == "inv_plus_poly":
-            if np.any(pts <= 0):
+            if (pts <= 0).any():
                 raise ValueError("inv_plus_poly is only defined for x > 0")
             out = pts ** self.params["n"] + 1.0 / pts
         elif fam == "boundary":
             a, b = self.params["bounds"]
             d = np.minimum(pts - a, b - pts)
-            if np.any(d <= 0):
+            if (d <= 0).any():
                 raise ValueError("boundary family evaluated outside the open interval")
             out = d ** (-(1.0 - self.params["eps"]))
         elif fam == "table":
             tab_grid = self.params["grid"]
             tab = self.params["values"]
             idx = np.searchsorted(tab_grid.points, pts)
-            idx = np.clip(idx, 0, tab_grid.size - 1)
-            if not np.allclose(tab_grid.points[idx], pts, rtol=0, atol=1e-12):
+            np.minimum(idx, tab_grid.size - 1, out=idx)
+            # |grid point - x| <= 1e-12, as allclose(rtol=0, atol=1e-12); NaN fails
+            if not (np.abs(tab_grid.points[idx] - pts) <= 1e-12).all():
                 raise ValueError("table family evaluated off its carrier grid")
             out = tab[idx]
         elif fam == "affine_rescale":
@@ -299,7 +302,7 @@ class LyapunovSpec:
                 out = out * f(pts)
         else:
             raise ValueError(f"unknown family {fam!r}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"Lyapunov family {fam!r} produced non-finite values")
         return float(out[0]) if scalar else out
 

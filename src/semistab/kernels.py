@@ -70,16 +70,16 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square of the grid size")
         if self.time_step <= 0:
             raise ValueError("time_step must be positive")
-        if np.any(K < 0):
+        if (K < 0).any():
             raise ValueError("operator entries must be nonnegative")
         rows = K.sum(axis=1)
         if self.is_markov:
-            if np.any(np.abs(rows - 1.0) > self.quad_tol):
+            if (np.abs(rows - 1.0) > self.quad_tol).any():
                 raise ValueError(
                     f"Markov rows must sum to 1 within {self.quad_tol:g}; "
                     f"worst deviation {np.abs(rows - 1).max():.3e}"
                 )
-        elif np.any(rows > 1.0 + _SUB_MARKOV_SLACK):
+        elif (rows > 1.0 + _SUB_MARKOV_SLACK).any():
             raise ValueError(
                 f"sub-Markov rows must sum to <= 1; worst {rows.max():.17g}"
             )

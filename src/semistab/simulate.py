@@ -134,8 +134,10 @@ def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
     term = np.zeros(len(rows))
     # (x - c)(x' - c) is bitwise (c - x)(c - x'), so one form serves both barriers
     for c in barriers:
-        term += np.log1p(-np.minimum(np.exp(-2.0 * (xo - c) * (xn - c) / denom),
-                                     1.0 - 1e-16))
+        # at -708 exp is 3.3e-308, far below half an ulp of the kept barrier's
+        # term (>= 7.8e-22), and the clamp keeps exp off its slow path
+        arg = np.maximum(-2.0 * (xo - c) * (xn - c) / denom, -708.0)
+        term += np.log1p(-np.minimum(np.exp(arg), 1.0 - 1e-16))
     return rows, term
 
 
@@ -309,11 +311,15 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
                 f"population or shorten the resampling period"
             )
         decrements[k] = math.log(mass)
-        # what Generator.choice(n, n, p=w / w.sum()) does
+        # what Generator.choice(n, n, p=w / w.sum()) does; the uniforms are
+        # searched in sorted order, which is faster, and scattered back
         cdf = np.cumsum(w / w.sum())
         cdf /= cdf[-1]
-        ens.positions = ens.positions[cdf.searchsorted(rng.random(n_particles),
-                                                       side="right")]
+        uniforms = rng.random(n_particles)
+        order = uniforms.argsort()
+        picks = np.empty(n_particles, dtype=np.intp)
+        picks[order] = cdf.searchsorted(uniforms[order], side="right")
+        ens.positions = ens.positions[picks]
         ens.log_weights = np.zeros(n_particles)
         ens.alive = np.ones(n_particles, dtype=bool)
     tail = decrements[start:]

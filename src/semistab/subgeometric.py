@@ -120,50 +120,69 @@ def jensen_drift_check(P: DiscreteOperator, V: LyapunovSpec,
 
 
 def _invert_log_integral(rate: Callable, top: float, t: float) -> float:
-    """u in (0, top] with int_u^top dv / rate(v) = t.
+    """u in (0, top] with int_u^top dv / rate(v) = t, or the floor top * 2^-47
+    when the integral stays below t down to it.
 
-    The integral runs in w = log v, which stays robust across the many
-    decades between u and top.  Halving brackets the root, geometric
-    bisection refines it; below top * 1e-14 the floor is returned.
+    Newton's method runs in w = log u, where the integral is robust across
+    many decades and dI/dw = -e^w / rate(e^w), starting from w = log top
+    (where I = 0).  Every evaluated point narrows a bracket on the root, and
+    a step that leaves the bracket is replaced by its midpoint in w.
     """
     from scipy.integrate import quad
 
-    def integral(u):
-        val, _ = quad(lambda w: math.exp(w) / float(rate(math.exp(w))),
-                      math.log(u), math.log(top), limit=200)
-        return val
+    w_top = math.log(top)
 
-    lo = top / 2
-    while integral(lo) < t and lo > top * 1e-14:
-        lo /= 2
-    if integral(lo) < t:
-        return lo
-    hi = min(2 * lo, top)
+    def excess(w):  # I(e^w) - t, decreasing in w
+        val, _ = quad(lambda s: math.exp(s) / float(rate(math.exp(s))),
+                      w, w_top, limit=200)
+        return val - t
+
+    floor = top * 2.0 ** -47
+    lo, hi = math.log(floor), w_top  # excess(hi) = -t < 0; excess(lo) unchecked
+    lo_checked = False
+    w, g = w_top, -t
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if integral(mid) >= t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
+        u = math.exp(w)
+        step = g * float(rate(u)) / u
+        if abs(step) <= 1e-12:
+            return math.exp(w + step)
+        w += step
+        if not lo < w < hi:
+            if not lo_checked:
+                if excess(lo) < 0:
+                    return floor
+                lo_checked = True
+            w = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12:
             break
-    return math.sqrt(lo * hi)
+        g = excess(w)
+        if g >= 0:
+            lo, lo_checked = w, True
+        else:
+            hi = w
+    return math.exp(w)
 
 
 def ode_majorant(u0: float, varsigma: Callable, T: int) -> np.ndarray:
     """Bounds u_t <= I^{-1}(t) for decreasing sequences with steps <= -varsigma(u).
 
-    I(u) is the integral of 1/varsigma from u to u0, inverted by monotone
-    bisection; the integrand must be positive and increasing on (0, u0].
+    I(u) is the integral of 1/varsigma from u to u0.  Each bound continues
+    from the previous one: u_t solves int_{u_t}^{u_{t-1}} dv / varsigma = 1.
+    Below u0 * 2^-47 the bound stays at that floor.  The integrand must be
+    positive and increasing on (0, u0].
     """
     if u0 <= 0:
         raise ValueError("u0 must be positive")
     probe = varsigma(np.linspace(u0 * 1e-6, u0, 32))
     if np.any(probe <= 0) or np.any(np.diff(probe) < -1e-12):
         raise ValueError("varsigma must be positive increasing on (0, u0]")
+    floor = u0 * 2.0 ** -47
     out = np.empty(T)
-    for t in range(1, T + 1):
-        out[t - 1] = _invert_log_integral(varsigma, u0, t)
+    u = u0
+    for t in range(T):
+        if u > floor:
+            u = max(_invert_log_integral(varsigma, u, 1.0), floor)
+        out[t] = u
     return out
 
 

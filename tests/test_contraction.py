@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
 from semistab.contraction import (
@@ -297,6 +299,48 @@ def test_pair_scan_exact_ties_take_the_smallest_index_pair():
     # rows 1 and 3 equal: (1, 2) and (2, 3) tie at the maximum
     K = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert _pair_scan(K) == (2.0, (1, 2))
+
+
+def _row_loop_weighted_scan(K, w):
+    # the weighted scan as one division per row of the condensed distances
+    n = K.shape[0]
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    d = pdist(K, "minkowski", p=1, w=w)
+    for i, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        d[lo:hi] /= w[i] + w[i + 1:]
+    k = int(np.argmax(d))
+    i = int(np.searchsorted(ends, k, side="right"))
+    return float(d[k]), (i, int(k - ends[i] + n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 39, 700])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_weighted_pair_scan_keeps_the_row_loop_bits(n, dyadic):
+    # n = 700 divides in several row blocks; dyadic entries and weights make
+    # exact ties, which must keep the smallest-index witness
+    rng = np.random.default_rng(n)
+    if dyadic:
+        K = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n))
+        w = rng.choice([0.5, 1.0, 2.0], size=n)
+    else:
+        K = rng.dirichlet(np.ones(n), size=n)
+        w = rng.uniform(0.5, 40.0, size=n)
+    assert _pair_scan(K, w) == _row_loop_weighted_scan(K, w)
+
+
+def test_weighted_pair_scan_memory_is_the_condensed_array():
+    # the divisions' temporaries are bounded by the row blocks, not n(n-1)/2
+    n = 2000
+    rng = np.random.default_rng(0)
+    K = rng.random((n, n))
+    w = rng.uniform(0.5, 3.0, size=n)
+    tracemalloc.start()
+    try:
+        _pair_scan(K, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (n - 1) // 2 + 2 * 2**20
 
 
 def test_one_state_scans():

@@ -36,13 +36,6 @@ def test_grid_invariants():
     go = GridDomain.uniform_open(0.0, 1.0, 200)
     assert abs(go.cell_weights.sum() - 1.0) < 1e-12
     assert go.points.min() > 0 and go.points.max() < 1
-    with pytest.raises(ValueError):
-        GridDomain(np.array([0.0, 0.5, 0.25]), np.full(3, 1 / 3), ((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        GridDomain(np.array([0.0, 0.5, 1.0]), np.array([0.5, -0.1, 0.6]), ((0.0, 1.0),))
-    with pytest.raises(ValueError):  # grids are 1D intervals
-        GridDomain(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full(3, 1 / 3),
-                   ((0.0, 1.0),))
 
 
 def test_tv_norm_atoms(grid):
@@ -205,6 +198,36 @@ def test_lyapunov_families_and_spellings():
         LyapunovSpec.parse("nope:1")
     with pytest.raises(ValueError):
         LyapunovSpec.parse("boundary:1.5")
+
+
+def test_table_family_accepts_points_within_1e_12_of_its_grid():
+    # the same points as allclose(rtol=0, atol=1e-12) against the grid point
+    # found by searchsorted: -1e-12 is exactly 1e-12 below the point 0.0
+    g = GridDomain.uniform_closed(0.0, 1.0, 5)
+    V = LyapunovSpec.table(np.arange(1.0, 6.0), g)
+    assert V(np.array([-1e-12, 0.5, 1.0])).tolist() == [1.0, 3.0, 5.0]
+    assert np.allclose(0.0, -1e-12, rtol=0, atol=1e-12)
+    for x in (-2e-12, np.nan):
+        assert not np.allclose(0.0, x, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="off its carrier grid"):
+            V(np.array([0.5, x]))
+
+
+@pytest.mark.parametrize("points, weights, message", [
+    ([0.0, 0.5, 0.25], [1 / 3] * 3, "1D points must be strictly increasing"),
+    ([0.0, 0.5, 0.5], [1 / 3] * 3, "1D points must be strictly increasing"),
+    ([0.0, np.nan, 1.0], [1 / 3] * 3, "1D points must be strictly increasing"),
+    ([0.0, 0.5, 1.0], [0.5, -0.1, 0.6], "all cell_weights must be positive"),
+    ([0.0, 0.5, 1.0], [0.5, np.nan, 0.5], "all cell_weights must be positive"),
+    ([0.0, 0.5, 1.0], [0.5, 0.5], "cell_weights length must match points"),
+    # grids are 1D intervals
+    ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [1 / 3] * 3, "points must be an \\(n,\\) array"),
+    ([0.0, 0.5, 1.0], [0.25, 0.25, 0.25],
+     "cell_weights sum 0.75 != domain volume 1$"),
+])
+def test_grid_rejections_keep_their_messages(points, weights, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        GridDomain(np.array(points), np.array(weights), ((0.0, 1.0),))
 
 
 def test_lyapunov_divergence_surrogate():

@@ -85,6 +85,24 @@ def test_ode_majorant_closed_form():
         ode_majorant(1.0, lambda v: -np.asarray(v), 3)
 
 
+@pytest.mark.parametrize("chi", [1.5, 2.0, 2.5])
+def test_ode_majorant_newton_chain_is_accurate(chi):
+    # each bound continues from the previous one by safeguarded Newton
+    bounds = ode_majorant(1.0, lambda v: np.asarray(v) ** (1 + chi), 30)
+    exact = (1.0 + chi * np.arange(1, 31)) ** (-1.0 / chi)
+    assert np.max(np.abs(bounds / exact - 1.0)) <= 1e-12
+
+
+def test_ode_majorant_floor():
+    # varsigma(v) = v: the bound is e^-t down to the floor u0 2^-47, then stays there
+    u0 = 3.0
+    bounds = ode_majorant(u0, lambda v: np.asarray(v), 40)
+    t = np.arange(1, 41)
+    above = u0 * np.exp(-t) > u0 * 2.0 ** -47
+    np.testing.assert_allclose(bounds[above], u0 * np.exp(-t[above]), rtol=1e-12)
+    assert (bounds[~above] == u0 * 2.0 ** -47).all() and (~above).sum() == 8
+
+
 def test_ode_majorant_dominates_admissible_sequences():
     rng = np.random.default_rng(2)
     chi = 2.0
