@@ -248,19 +248,6 @@ class LyapunovSpec:
             return cls.boundary(float(arg))
         raise ValueError(f"unknown Lyapunov family {name!r}")
 
-    def spelling(self) -> str:
-        if self.family == "product":
-            inner = ",".join(f.spelling() for f in self.params["factors"])
-            return f"product:[{inner}]"
-        if self.family == "affine_rescale":
-            base = self.params["base"].spelling()
-            return f"affine({self.params['a']:g}+{self.params['b']:g}*{base})"
-        if self.family == "table":
-            return f"table[{len(self.params['values'])}]"
-        key = {"const": "c", "poly": "k", "exp": "v",
-               "inv_plus_poly": "n", "boundary": "eps"}[self.family]
-        return f"{self.family}:{self.params[key]:g}"
-
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -288,9 +275,10 @@ class LyapunovSpec:
         elif fam == "table":
             tab_grid = self.params["grid"]
             tab = self.params["values"]
-            idx = np.searchsorted(tab_grid.points, pts)
+            # the first grid point >= x - 2e-12 is the one within 1e-12 of x, if any
+            # (spacing > 3e-12); checked as allclose(rtol=0, atol=1e-12), NaN fails
+            idx = np.searchsorted(tab_grid.points, pts - 2e-12)
             np.minimum(idx, tab_grid.size - 1, out=idx)
-            # |grid point - x| <= 1e-12, as allclose(rtol=0, atol=1e-12); NaN fails
             if not (np.abs(tab_grid.points[idx] - pts) <= 1e-12).all():
                 raise ValueError("table family evaluated off its carrier grid")
             out = tab[idx]

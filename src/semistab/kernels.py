@@ -178,14 +178,7 @@ def hermite_series_kernel(t: float, x, y, N: int) -> np.ndarray:
 # Half-line oscillator: absorption at the origin.
 # ---------------------------------------------------------------------------
 
-def _gauss_cdf_0_to(z):
-    # P(0 <= Z <= z) for standard normal Z
-    from scipy.special import erf
-
-    return 0.5 * erf(np.asarray(z) / math.sqrt(2.0))
-
-
-def half_harmonic(t: float, x: float):
+def half_harmonic(t: float, x):
     """Mass and normalized density of the absorbed oscillator on (0, inf).
 
     The density is the mean-reflected difference of Gaussians (equivalently
@@ -259,6 +252,9 @@ def _scalar_flow(a0: float, a1: float, b: float, z0: float, t: float):
 
 
 class MatrixFlow(NamedTuple):
+    """The Riccati flow from p0 over a horizon, and so the flow map
+    q -> p + F q (I + G q)^{-1} F' of the start p0 + q."""
+
     p: np.ndarray    # Riccati solution Y X^{-1}
     F: np.ndarray    # X^{-T}, fundamental matrix of the drift A - p S
     G: np.ndarray    # int F' S F = X^{-1} U, U the top-right block of exp(tH)
@@ -270,31 +266,44 @@ class MatrixFlow(NamedTuple):
         return cls(p0, np.eye(n), np.zeros((n, n)), 0.0)
 
 
+def _compose(f: MatrixFlow, g: MatrixFlow) -> MatrixFlow:
+    """The flow map f followed by g (Lainiotis' doubling formulas)."""
+    M = np.eye(len(f.p)) + g.G @ f.p
+    Minv = np.linalg.inv(M)
+    p = g.p + g.F @ f.p @ Minv @ g.F.T
+    G = f.G + f.F.T @ Minv @ g.G @ f.F
+    return MatrixFlow(0.5 * (p + p.T), g.F @ Minv.T @ f.F, 0.5 * (G + G.T),
+                      f.logdet + g.logdet + float(np.linalg.slogdet(M)[1]))
+
+
 def _matrix_flow(A: np.ndarray, R: np.ndarray, S: np.ndarray, t: float,
                  start: MatrixFlow) -> MatrixFlow:
     """Exact flow of pdot = A p + p A' + R - p S p continued from `start`.
 
-    p = Y X^{-1} with [X; Y]' = H [X; Y], H = [[-A', S], [R, A]], in
-    ceil(t ||H||_1) steps of one expm(hH), each renormalised to [I; p]:
-    ||hH||_1 <= 1 keeps every step free of overflow at any t.
+    p = Y X^{-1} with [X; Y]' = H [X; Y], H = [[-A', S], [R, A]].  The unit
+    map is one expm(hH) with h = t / ceil(t ||H||_1), so ||hH||_1 <= 1 keeps
+    it free of overflow; binary powering applies it ceil(t ||H||_1) times in
+    O(log t) compositions.
     """
     from scipy.linalg import expm
 
+    if not math.isfinite(t):
+        raise ValueError(f"the horizon t must be finite, not {t!r}")
     n = A.shape[0]
     H = np.block([[-A.T, S], [R, A]])
     steps = max(1, math.ceil(t * np.linalg.norm(H, 1)))
     E = expm((t / steps) * H)
-    E11, E12, E21, E22 = E[:n, :n], E[:n, n:], E[n:, :n], E[n:, n:]
-    p, F, G, logdet = start
-    for _ in range(steps):
-        X = E11 + E12 @ p
-        Xinv = np.linalg.inv(X)
-        p = (E21 + E22 @ p) @ Xinv
-        p = 0.5 * (p + p.T)
-        G = G + F.T @ (Xinv @ E12) @ F
-        F = Xinv.T @ F
-        logdet += float(np.linalg.slogdet(X)[1])
-    return MatrixFlow(p, F, 0.5 * (G + G.T), logdet)
+    E11inv = np.linalg.inv(E[:n, :n])
+    unit = MatrixFlow(E[n:, :n] @ E11inv, E11inv.T, E11inv @ E[:n, n:],
+                      float(np.linalg.slogdet(E[:n, :n])[1]))
+    flow = start
+    while True:
+        if steps & 1:
+            flow = _compose(flow, unit)
+        steps >>= 1
+        if not steps:
+            return flow
+        unit = _compose(unit, unit)
 
 
 def controllable(A: np.ndarray, B: np.ndarray) -> bool:
@@ -342,7 +351,7 @@ def gauss_ou_kernel(t: float, A, Sigma, x):
     return mean, cov
 
 
-def half_harmonic_linear(t: float, x: float, a: float, varsigma: float):
+def half_harmonic_linear(t: float, x, a: float, varsigma: float):
     """Mass and density of the half-line linear diffusion, killed at 0,
     in the quadratic potential varsigma x^2 / 2.
 
@@ -350,15 +359,20 @@ def half_harmonic_linear(t: float, x: float, a: float, varsigma: float):
     mass factor is exp(-(varsigma/2)(pbar_t + chi_t x^2)); absorption at the
     origin contributes the reflected Gaussian bracket.  With p_t = Y_t / X_t
     the scalar flow from 0, chi_t = p_t and varsigma pbar_t = log X_t + a t.
+    The start x may be an array: the mass has its shape, and the density of
+    y broadcasts x against y.
     """
+    from scipy.special import erf
+
     if t <= 0 or varsigma <= 0:
         raise ValueError("t and varsigma must be positive")
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if (x <= 0).any():
         raise ValueError("x must be positive")
     p, log_x = _scalar_flow(1.0, 2.0 * a, varsigma, 0.0, t)
     m = x * math.exp(-log_x)
-    z = _gauss_cdf_0_to(m / math.sqrt(p))
-    mass = 2.0 * math.exp(-0.5 * (log_x + a * t + varsigma * p * x * x)) * z
+    z = 0.5 * erf(m / math.sqrt(p) / math.sqrt(2.0))  # P(0 <= Z <= m / sqrt(p))
+    mass = 2.0 * np.exp(-0.5 * (log_x + a * t + varsigma * p * x * x)) * z
 
     def density(y):
         y = np.asarray(y, dtype=float)
@@ -367,12 +381,15 @@ def half_harmonic_linear(t: float, x: float, a: float, varsigma: float):
         out = (plus - minus) / (2.0 * math.sqrt(2 * math.pi * p) * z)
         return np.where(y > 0, out, 0.0)
 
-    return float(mass), density
+    return mass, density
 
 
 def half_linear_fixed_point(a: float, varsigma: float) -> float:
     """Positive root of 2ap + 1 - varsigma p^2 = 0."""
-    return (a + math.sqrt(a * a + varsigma)) / varsigma
+    root = math.sqrt(a * a + varsigma)
+    if a < 0:  # the sum a + root would cancel
+        return 1.0 / (root - a)
+    return (a + root) / varsigma
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +500,7 @@ class HalfHarmonicLinear:
 
     @property
     def beta(self):
-        return self.a + math.sqrt(self.a ** 2 + self.varsigma)
+        return self.varsigma * half_linear_fixed_point(self.a, self.varsigma)
 
     @property
     def exact_rho(self):
@@ -492,16 +509,11 @@ class HalfHarmonicLinear:
         return self.a - 1.5 * self.beta
 
     def density(self, t, x, y):
-        mass, dens = half_harmonic_linear(t, float(x), self.a, self.varsigma)
+        mass, dens = half_harmonic_linear(t, x, self.a, self.varsigma)
         return mass * dens(y)
 
     def mass(self, t, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([
-            half_harmonic_linear(t, float(xi), self.a, self.varsigma)[0]
-            for xi in xs
-        ])
-        return out[0] if out.size == 1 else out
+        return half_harmonic_linear(t, x, self.a, self.varsigma)[0]
 
     def default_grid(self, n=400, xmax=8.0):
         return GridDomain.uniform_open(0.0, xmax, n)
@@ -547,9 +559,10 @@ def discretize(model, grid: GridDomain, t: float,
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
     (truncated eigenseries may dip microscopically negative).  The density
-    is evaluated on blocks of rows in broadcast calls, x a column, and row
-    by row only when that fails (densities of a scalar x), so that a failing
-    row is still named.
+    is evaluated on blocks of rows in broadcast calls, x a column, so it
+    must accept an array of x.  When a block fails, its rows are evaluated
+    one at a time only to name the first failing row in the raised
+    ArithmeticError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -557,17 +570,19 @@ def discretize(model, grid: GridDomain, t: float,
     n = grid.size
     K = np.empty((n, n))
     step = max(1, _DENSITY_BLOCK // n)
-    try:
-        for lo in range(0, n, step):
-            K[lo:lo + step] = model.density(t, pts[lo:lo + step, None], pts) * w
-    except Exception:
-        for i in range(n):
-            try:
-                K[i] = model.density(t, pts[i], pts) * w
-            except Exception as exc:  # keep the offending row identifiable
-                raise ArithmeticError(
-                    f"density evaluation failed at grid row {i} (x={float(pts[i])!r})"
-                ) from exc
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        try:
+            K[lo:hi] = model.density(t, pts[lo:hi, None], pts) * w
+        except Exception as exc:
+            where = f"on grid rows {lo} to {hi - 1} broadcast together"
+            for i in range(lo, hi):  # name the first row that fails alone
+                try:
+                    model.density(t, pts[i], pts)
+                except Exception as row_exc:
+                    exc, where = row_exc, f"at grid row {i} (x={float(pts[i])!r})"
+                    break
+            raise ArithmeticError(f"density evaluation failed {where}") from exc
     np.clip(K, 0.0, None, out=K)
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,

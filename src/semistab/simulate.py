@@ -87,10 +87,6 @@ class ParticleEnsemble:
     log_weights: np.ndarray   # (n,)
     alive: np.ndarray         # (n,) bool
 
-    @property
-    def n(self):
-        return len(self.positions)
-
     def weights(self):
         w = np.where(self.alive, np.exp(self.log_weights), 0.0)
         return w

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,16 @@ def test_importing_the_cli_loads_no_scipy_spatial_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_riccati_matrix_tanh_at_a_huge_horizon_returns_at_once(tmp_path):
+    out = tmp_path / "r.json"
+    cfg = {"command": "riccati", "extra": {"kind": "matrix_tanh", "t": 1e300},
+           "output": {"path": str(out), "format": "json"}}
+    t0 = time.perf_counter()
+    assert run_experiment(cfg) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert float(json.loads(out.read_text())["results"]["p_final"]) == pytest.approx(1.0)
 
 
 def test_threads_do_not_change_artifact_bytes(tmp_path):

@@ -201,11 +201,13 @@ def test_lyapunov_families_and_spellings():
 
 
 def test_table_family_accepts_points_within_1e_12_of_its_grid():
-    # the same points as allclose(rtol=0, atol=1e-12) against the grid point
-    # found by searchsorted: -1e-12 is exactly 1e-12 below the point 0.0
+    # the same points as allclose(rtol=0, atol=1e-12) against the nearest
+    # grid point, on either side of it: -1e-12 is exactly 1e-12 below 0.0
     g = GridDomain.uniform_closed(0.0, 1.0, 5)
     V = LyapunovSpec.table(np.arange(1.0, 6.0), g)
     assert V(np.array([-1e-12, 0.5, 1.0])).tolist() == [1.0, 3.0, 5.0]
+    assert V(np.array([1e-13, 0.5 + 1e-13, 0.5 - 1e-13, -1e-13])).tolist() == \
+        [1.0, 3.0, 3.0, 1.0]
     assert np.allclose(0.0, -1e-12, rtol=0, atol=1e-12)
     for x in (-2e-12, np.nan):
         assert not np.allclose(0.0, x, rtol=0, atol=1e-12)

@@ -11,6 +11,8 @@ from semistab.kernels import (
     HalfHarmonicLinear,
     HalfHarmonicOscillator,
     HarmonicOscillator,
+    MatrixFlow,
+    _matrix_flow,
     controllable,
     dirichlet_heat,
     dirichlet_mass,
@@ -28,6 +30,7 @@ from semistab.kernels import (
     mehler_mass,
     undo_h_transform,
 )
+from semistab.riccati import MatrixRiccati, coupled_oscillator_semigroup, matrix_riccati
 
 # Frozen from 30-digit evaluation of the closed forms (mpmath).
 MASS_T1_X0 = 0.80501818219459205          # 1/sqrt(cosh 1)
@@ -181,6 +184,9 @@ def test_half_harmonic_linear_reduction_and_fixed_point():
     m1, _ = half_harmonic_linear(0.8, 1.3, 0.0, 1.0)
     assert m1 == pytest.approx(m0, rel=1e-9)
     assert half_linear_fixed_point(1.0, 3.0) == pytest.approx(1.0)
+    # a << -sqrt(varsigma): the root 1 / (sqrt(a^2 + varsigma) - a), no cancellation
+    assert half_linear_fixed_point(-1e8, 1.0) == pytest.approx(5e-9, rel=1e-15)
+    assert HalfHarmonicLinear(-1e8, 1.0).beta == pytest.approx(5e-9, rel=1e-15)
     # m_t decreasing in t once a < p_t varsigma
     model = HalfHarmonicLinear(a=0.2, varsigma=2.0)
     masses = [half_harmonic_linear(t, 1.0, 0.2, 2.0)[0] for t in (0.5, 1.0, 2.0)]
@@ -192,6 +198,14 @@ def test_half_harmonic_linear_reduction_and_fixed_point():
         / half_harmonic_linear(7.0, 1.0, 0.2, 2.0)[0]
     )
     assert est == pytest.approx(rho, abs=2e-3)
+
+
+def test_half_line_mass_broadcasts_bit_for_bit():
+    model = HalfHarmonicLinear(0.3, 2.0)
+    xs = np.linspace(0.05, 6.0, 36)
+    scalar = [half_harmonic_linear(0.7, x, 0.3, 2.0)[0] for x in xs]
+    assert np.array_equal(model.mass(0.7, xs), scalar)
+    assert np.array_equal(model.mass(0.7, xs.reshape(6, 6)), np.reshape(scalar, (6, 6)))
 
 
 def test_half_harmonic_linear_density_normalized():
@@ -419,3 +433,64 @@ def test_discretize_names_the_failing_row():
     grid = GridDomain.uniform_open(-1.0, 1.0, 20)
     with pytest.raises(ArithmeticError, match=r"grid row 0 \(x=-0\.95\)"):
         discretize(DirichletHeat(), grid, 0.5)
+
+
+class _ScalarStartOscillator(HarmonicOscillator):
+    def density(self, t, x, y):
+        return mehler_kernel(t, float(x), y)
+
+
+def test_discretize_rejects_a_density_of_a_scalar_start():
+    with pytest.raises(ArithmeticError, match="grid rows 0 to 29 broadcast together"):
+        discretize(_ScalarStartOscillator(), GridDomain.uniform_closed(-4.0, 4.0, 30), 0.5)
+
+
+def _step_loop_flow(A, R, S, t, start):
+    """The step-by-step reference: ceil(t ||H||_1) steps of one expm(hH),
+    each renormalised to [I; p]."""
+    from scipy.linalg import expm
+
+    n = A.shape[0]
+    H = np.block([[-A.T, S], [R, A]])
+    steps = max(1, math.ceil(t * np.linalg.norm(H, 1)))
+    E = expm((t / steps) * H)
+    E11, E12, E21, E22 = E[:n, :n], E[:n, n:], E[n:, :n], E[n:, n:]
+    p, F, G, logdet = start
+    for _ in range(steps):
+        X = E11 + E12 @ p
+        Xinv = np.linalg.inv(X)
+        p = (E21 + E22 @ p) @ Xinv
+        p = 0.5 * (p + p.T)
+        G = G + F.T @ (Xinv @ E12) @ F
+        F = Xinv.T @ F
+        logdet += float(np.linalg.slogdet(X)[1])
+    return MatrixFlow(p, F, 0.5 * (G + G.T), logdet)
+
+
+def test_matrix_flow_doubling_matches_the_step_loop():
+    rng = np.random.default_rng(7)
+    for k in range(60):
+        n = int(rng.integers(1, 4))
+        A, B, C, D = rng.normal(size=(4, n, n))
+        R, S = B @ B.T, C @ C.T
+        start = MatrixFlow.start(D @ D.T if k % 2 else np.zeros((n, n)))
+        t = rng.uniform(0.0, 10.0)
+        head_ref = _step_loop_flow(A, R, S, 0.8 * t, start)
+        head = _matrix_flow(A, R, S, 0.8 * t, start)
+        pairs = [(head, head_ref),  # a start, and its continuation to t
+                 (_matrix_flow(A, R, S, 0.2 * t, head),
+                  _step_loop_flow(A, R, S, 0.2 * t, head_ref))]
+        for flow, ref in pairs:
+            for got, want in zip(flow, ref):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_horizon_is_a_value_error(t):
+    one = np.ones((1, 1))
+    with pytest.raises(ValueError, match="horizon t must be finite"):
+        matrix_riccati(MatrixRiccati(0 * one, one, one), t)
+    with pytest.raises(ValueError, match="horizon t must be finite"):
+        coupled_oscillator_semigroup(0.0, 1.0, 1.0, np.array([1.0]), t)
+    with pytest.raises(ValueError, match="horizon t must be finite"):
+        gauss_ou_kernel(t, -1.0, 1.0, 0.5)
