@@ -465,8 +465,7 @@ def main(argv=None) -> int:
     sub.add_parser("list-cases", help="list Monte Carlo validation cases")
     args = parser.parse_args(argv)
     if args.cmd == "list-models":
-        for name in ("harmonic", "half_harmonic", "dirichlet_heat",
-                     "gauss_ou", "half_harmonic_linear"):
+        for name in kernels.MODELS:
             print(name)
         for name in ("flat", "parabola", "paraboloid", "graph_example_8_4"):
             print(f"surface:{name}")

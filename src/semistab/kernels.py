@@ -43,6 +43,7 @@ __all__ = [
     "discretize",
     "generator_apply",
     "domination_transfer",
+    "MODELS",
     "make_model",
 ]
 
@@ -233,8 +234,11 @@ def _scalar_flow(a0: float, a1: float, b: float, z0: float, t: float):
 
     z = Y / X with [X; Y]' = [[-a1/2, b], [a0, a1/2]] [X; Y] from [1; z0];
     the matrix squares to beta^2 I.  Returns (z(t), log X(t)).  No term of
-    the denominator is negative, so nothing cancels or overflows at any t.
+    the denominator is negative, so nothing cancels or overflows at any
+    finite t.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"the horizon t must be finite, not {t!r}")
     al = 0.5 * a1
     beta = math.sqrt(al * al + a0 * b)
     if beta == 0.0:
@@ -249,6 +253,16 @@ def _scalar_flow(a0: float, a1: float, b: float, z0: float, t: float):
         return 0.0, -al * t
     num = z0 * (1.0 + e) + (a0 + al * z0) * s
     return num / den, beta * t - math.log(2.0) + math.log(den)
+
+
+def _scalar_fixed_point(a0: float, a1: float, b: float) -> float:
+    """Positive root of a0 + a1 z - b z^2 = 0 (a0 >= 0, b > 0), the limit
+    of `_scalar_flow`."""
+    al = 0.5 * a1
+    root = math.sqrt(al * al + a0 * b)
+    if al < 0:  # the sum al + root would cancel
+        return a0 / (root - al)
+    return (al + root) / b
 
 
 class MatrixFlow(NamedTuple):
@@ -367,7 +381,7 @@ def half_harmonic_linear(t: float, x, a: float, varsigma: float):
     if t <= 0 or varsigma <= 0:
         raise ValueError("t and varsigma must be positive")
     x = np.asarray(x, dtype=float)
-    if (x <= 0).any():
+    if not (x > 0).all():
         raise ValueError("x must be positive")
     p, log_x = _scalar_flow(1.0, 2.0 * a, varsigma, 0.0, t)
     m = x * math.exp(-log_x)
@@ -386,10 +400,7 @@ def half_harmonic_linear(t: float, x, a: float, varsigma: float):
 
 def half_linear_fixed_point(a: float, varsigma: float) -> float:
     """Positive root of 2ap + 1 - varsigma p^2 = 0."""
-    root = math.sqrt(a * a + varsigma)
-    if a < 0:  # the sum a + root would cancel
-        return 1.0 / (root - a)
-    return (a + root) / varsigma
+    return _scalar_fixed_point(1.0, 2.0 * a, varsigma)
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +547,19 @@ class HalfHarmonicOscillator(HalfHarmonicLinear):
         return -((2 * n - 1) + 0.5)
 
 
+MODELS = {
+    "harmonic": HarmonicOscillator,
+    "half_harmonic": HalfHarmonicOscillator,
+    "dirichlet_heat": DirichletHeat,
+    "gauss_ou": GaussOU,
+    "half_harmonic_linear": HalfHarmonicLinear,
+}
+
+
 def make_model(name: str, **params):
-    registry = {
-        "harmonic": HarmonicOscillator,
-        "half_harmonic": HalfHarmonicOscillator,
-        "dirichlet_heat": DirichletHeat,
-        "gauss_ou": GaussOU,
-        "half_harmonic_linear": HalfHarmonicLinear,
-    }
-    if name not in registry:
-        raise ValueError(f"unknown model {name!r}; known: {sorted(registry)}")
-    return registry[name](**params)
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}; known: {sorted(MODELS)}")
+    return MODELS[name](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ All deterministic flows are exact (Radon's lemma; `kernels._scalar_flow`,
 `kernels._matrix_flow`) and their `dt` arguments do not affect results.
 Birth-death moments are estimated by exact event-clock simulation, never
 tau-leaping, so the drift inequalities are tested without discretization
-bias.
+bias.  Every chain, the logistic one included, runs through one event loop:
+Gillespie's direct method on the birth and death rates of (paths, d) states.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import MatrixFlow, _matrix_flow, _psd_sqrt, _scalar_flow, controllable
+from .kernels import (MatrixFlow, _matrix_flow, _psd_sqrt, _scalar_fixed_point,
+                      _scalar_flow, controllable)
 
 __all__ = [
     "ScalarRiccati",
@@ -48,16 +50,13 @@ class ScalarRiccati:
             raise ValueError("a0 must be nonnegative")
         if self.b <= 0:
             raise ValueError("b must be positive")
-        # 4 beta^2 of `kernels._scalar_flow`; z_inf takes its square root
+        # 4 beta^2 of `kernels._scalar_flow`
         if not math.isfinite(self.a1 * self.a1 + 4 * self.a0 * self.b):
             raise ValueError("the discriminant a1^2 + 4 a0 b overflows")
 
     @property
     def z_inf(self) -> float:
-        root = math.sqrt(self.a1 ** 2 + 4 * self.a0 * self.b)
-        if self.a1 < 0:  # the sum a1 + root would cancel
-            return 2 * self.a0 / (root - self.a1)
-        return (self.a1 + root) / (2 * self.b)
+        return _scalar_fixed_point(self.a0, self.a1, self.b)
 
     def rhs(self, z):
         return self.a0 + self.a1 * z - self.b * z * z
@@ -175,11 +174,11 @@ class LogisticBD:
         if self.lam_l <= 0:
             raise ValueError("lam_l must be positive")
 
-    def birth_rate(self, x):
+    def birth_rates(self, x):
+        # x: (paths, 1)
         return self.lam_b * x + self.ups_b
 
-    def death_rate(self, x):
-        x = np.asarray(x)
+    def death_rates(self, x):
         raw = self.lam_d * x + self.lam_l * x * (x - 1) + self.ups_d
         return np.where(x >= 2, raw, 0.0)
 
@@ -238,16 +237,12 @@ class MultivariateBD:
 def bd_generator_drift(spec, x) -> float:
     """Exact generator drift of the natural Lyapunov coordinate at state x.
 
-    Logistic: V(x) = x; multivariate: V(x) = |x| (coordinate sum).  Blocked
-    boundary moves contribute nothing, exactly as in the jump dynamics.
+    V(x) = |x|, the coordinate sum (x itself for the logistic chain).
+    Blocked boundary moves contribute nothing, exactly as in the jump
+    dynamics.
     """
-    if isinstance(spec, LogisticBD):
-        x = int(x)
-        if x < 1:
-            raise ValueError("state must be a positive integer")
-        return float(spec.birth_rate(x) - spec.death_rate(x))
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(x < 0) or x.sum() < 1:
+    if np.any(x < 0) or np.any(x % 1) or x.sum() < 1:
         raise ValueError("state must lie in N^n minus the origin")
     up = spec.birth_rates(x)
     dn = spec.death_rates(x)
@@ -307,29 +302,18 @@ def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
     """
     rng = np.random.default_rng([seed, 0x5D])
     checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
-    logistic = isinstance(spec, LogisticBD)
-    if logistic:
-        x = np.full(n_paths, int(x0), dtype=np.int64)
-        V0 = float(x0)
-    else:
-        x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))
-        V0 = float(np.sum(x0))
+    x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))  # (paths, d)
+    d = x.shape[1]
+    V0 = float(np.sum(x0))
     t = np.zeros(n_paths)
     records = np.full((n_checkpoints, n_paths), np.nan)
     counts = np.zeros(n_checkpoints, dtype=int)
     truncated = False
     active = np.ones(n_paths, dtype=bool)
     while active.any():
-        if logistic:
-            up = spec.birth_rate(x.astype(float))
-            dn = spec.death_rate(x.astype(float))
-            total = up + dn
-            stateV = x.astype(float)
-        else:
-            up = spec.birth_rates(x.astype(float))
-            dn = spec.death_rates(x.astype(float))
-            total = up.sum(axis=1) + dn.sum(axis=1)
-            stateV = x.sum(axis=1).astype(float)
+        xf = x.astype(float)
+        up, dn = spec.birth_rates(xf), spec.death_rates(xf)
+        total = up.sum(axis=1) + dn.sum(axis=1)
         parked = active & (total <= 0)
         t_new = t.copy()
         if parked.any():
@@ -337,32 +321,24 @@ def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
         moving = active & (total > 0)
         if moving.any():
             t_new[moving] = t[moving] + rng.exponential(1.0, size=int(moving.sum())) / total[moving]
-        _record_checkpoints(records, counts, stateV, t, t_new, checkpoints)
+        _record_checkpoints(records, counts, xf.sum(axis=1), t, t_new, checkpoints)
         if moving.any():
             apply = moving & (t_new <= T)
             if apply.any():
                 u = rng.uniform(size=n_paths)
-                if logistic:
-                    go_up = u[apply] < up[apply] / total[apply]
-                    xa = x[apply]
-                    xa = np.where(go_up, xa + 1, xa - 1)
-                    if np.any(xa >= state_cap):
-                        truncated = True
-                        xa = np.minimum(xa, state_cap)
-                    x[apply] = xa
-                else:
-                    rates = np.concatenate([up, dn], axis=1)
-                    csum = np.cumsum(rates, axis=1)
-                    pick = (u[:, None] * total[:, None] > csum).sum(axis=1)
-                    d = spec.dim
-                    rows = np.nonzero(apply)[0]
-                    j = pick[rows]
-                    ups_sel = j < d
-                    np.add.at(x, (rows[ups_sel], j[ups_sel]), 1)
-                    np.add.at(x, (rows[~ups_sel], j[~ups_sel] - d), -1)
-                    if np.any(x >= state_cap):
-                        truncated = True
-                        np.minimum(x, state_cap, out=x)
+                rows = np.flatnonzero(apply)
+                # Gillespie's direct method: the move is the first rate column
+                # whose running sum, added in column order, reaches u * total
+                target = u[rows] * total[rows]
+                running = np.zeros(len(rows))
+                pick = np.zeros(len(rows), dtype=np.intp)
+                for rate in np.concatenate([up[rows], dn[rows]], axis=1).T:
+                    running += rate
+                    pick += target > running
+                x[rows, pick % d] += np.where(pick < d, 1, -1)
+                if np.any(x >= state_cap):
+                    truncated = True
+                    np.minimum(x, state_cap, out=x)
         done = t_new > T
         t = np.where(done, np.inf, t_new)
         active = active & ~done

@@ -14,6 +14,9 @@ thread pool that is joined before the estimator returns or raises.  The
 quasi-stationary estimate is one seeded stream that cannot be split, so it
 runs on the calling thread alone.  Results depend on the seed alone, never
 on `threads`.
+
+The seeded validation cases are data: one table row per case, each with a
+closed-form oracle, run by one function per estimator.
 """
 
 from __future__ import annotations
@@ -51,11 +54,8 @@ class ExtinctionError(RuntimeError):
 class SDEModel:
     drift: Callable
     diffusion: float
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if np.ndim(self.diffusion) != 0:
             raise ValueError("only constant scalar diffusion is supported")
 
@@ -83,7 +83,7 @@ class AbsorptionSpec:
 
 @dataclass
 class ParticleEnsemble:
-    positions: np.ndarray     # (n, dim)
+    positions: np.ndarray     # (n, d)
     log_weights: np.ndarray   # (n,)
     alive: np.ndarray         # (n,) bool
 
@@ -92,25 +92,13 @@ class ParticleEnsemble:
         return w
 
 
-def _euler(model: SDEModel, ens: ParticleEnsemble, dt: float, noise) -> ParticleEnsemble:
-    """x + b(x) dt + sigma sqrt(dt) noise into a new positions array."""
-    x = ens.positions
-    drift = np.asarray(model.drift(x), dtype=float)
-    new = x + drift * dt + model.diffusion * math.sqrt(dt) * noise
-    bad = ~np.isfinite(new).all(axis=1)
-    if bad.any():
-        ens.alive = ens.alive & ~bad
-        new[bad] = x[bad]
-    ens.positions = new
-    return ens
-
-
 def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
              rng: np.random.Generator) -> ParticleEnsemble:
     """One Euler step x + b(x) dt + sigma sqrt(dt) xi on the live particles."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _euler(model, ens, dt, rng.standard_normal(ens.positions.shape))
+    _step(model, AbsorptionSpec(), ens, rng.standard_normal(ens.positions.shape), dt, None)
+    return ens
 
 
 def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
@@ -138,15 +126,21 @@ def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
 
 
 def _step(model, absorb, ens, noise, dt, u_old):
-    """One Euler step of `ens`, then the weighting and killing of `absorb`.
+    """One Euler step x + b(x) dt + sigma sqrt(dt) noise of `ens` into a new
+    positions array, then the weighting and killing of `absorb`.
 
     `u_old` is the soft potential at the current positions, or None to
     evaluate it; the potential at the new positions is returned to serve
     as the next step's `u_old`.
     """
-    x_old = ens.positions  # _euler writes a new array, so this one stays put
-    _euler(model, ens, dt, noise)
-    x_new = ens.positions
+    x_old = ens.positions
+    drift = np.asarray(model.drift(x_old), dtype=float)
+    x_new = x_old + drift * dt + model.diffusion * math.sqrt(dt) * noise
+    bad = ~np.isfinite(x_new).all(axis=1)
+    if bad.any():  # a particle that leaves the floats dies where it stood
+        ens.alive &= ~bad
+        x_new[bad] = x_old[bad]
+    ens.positions = x_new
     u_new = None
     if absorb.soft_potential is not None:
         if u_old is None:
@@ -177,23 +171,18 @@ class FKResult:
     stderr: float
     qf_hat: dict
     qf_stderr: dict
-    n_particles: int
-    all_dead: bool
 
 
 def _fk_partition(model, absorb, x0, m, n_steps, dt, rng, observables):
-    """[(sum w, sum w^2)] followed by (sum f w, sum (f w)^2) per observable,
+    """Rows (sum w, sum w^2), then (sum f w, sum (f w)^2) per observable,
     over one partition of m particles."""
     ens = ParticleEnsemble(np.tile(x0, (m, 1)), np.zeros(m), np.ones(m, dtype=bool))
     u = None
     for _ in range(n_steps):
         u = _step(model, absorb, ens, rng.standard_normal(ens.positions.shape), dt, u)
     w = ens.weights()
-    sums = [(float(w.sum()), float((w * w).sum()))]
-    for f in observables.values():
-        fw = np.asarray(f(ens.positions), dtype=float) * w
-        sums.append((float(fw.sum()), float((fw * fw).sum())))
-    return sums
+    fws = [w] + [np.asarray(f(ens.positions), dtype=float) * w for f in observables.values()]
+    return np.array([(fw.sum(), (fw * fw).sum()) for fw in fws])
 
 
 def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
@@ -229,24 +218,13 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
 
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(partition, range(len(sizes))))
-    totals = [[0.0, 0.0] for _ in range(1 + len(observables))]
-    for part in parts:
-        for tot, (s, s2) in zip(totals, part):
-            tot[0] += s
-            tot[1] += s2
+    sums, sumsq = sum(parts).T
     n = float(n_particles)
-    (sums, sumsq), *obs_totals = totals
-    q1 = sums / n
-    var = max(sumsq / n - q1 * q1, 0.0)
-    stderr = math.sqrt(var / n)
-    qf = {}
-    qf_se = {}
-    for name, (s, s2) in zip(observables, obs_totals):
-        mean = s / n
-        v = max(s2 / n - mean * mean, 0.0)
-        qf[name] = mean
-        qf_se[name] = math.sqrt(v / n)
-    return FKResult(q1, stderr, qf, qf_se, n_particles, all_dead=(sums == 0.0))
+    means = sums / n
+    stderrs = np.sqrt(np.maximum(sumsq / n - means * means, 0.0) / n)
+    return FKResult(float(means[0]), float(stderrs[0]),
+                    dict(zip(observables, means[1:].tolist())),
+                    dict(zip(observables, stderrs[1:].tolist())))
 
 
 @dataclass(frozen=True)
@@ -338,135 +316,80 @@ class ValidationReport:
     band: Optional[float] = None
 
 
-def _brownian():
-    return SDEModel(drift=lambda x: np.zeros_like(x), diffusion=1.0)
+_BROWNIAN = SDEModel(drift=lambda x: np.zeros_like(x), diffusion=1.0)
+_OU = SDEModel(drift=lambda x: -x, diffusion=1.0)
+_HARMONIC = AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2)
+_DIRICHLET = AbsorptionSpec(hard_interval=(0.0, 1.0))
+# an observable draws no random numbers, so every Feynman-Kac case takes both
+_MOMENTS = {"x2": lambda x: x[:, 0] ** 2, "x": lambda x: x[:, 0]}
 
 
-def _ou():
-    return SDEModel(drift=lambda x: -x, diffusion=1.0)
+def _mass(r):
+    return r.q1_hat, r.stderr
 
 
-_DIRICHLET_SURV_T03 = 0.28970892125637967  # frozen sine-series value
+def _second_moment(r):
+    return r.qf_hat["x2"], r.qf_stderr["x2"]
 
 
-def _particles(full, budget, case):
-    """The particle count of `case` at a fraction `budget` of `full`."""
+def _variance(r):
+    return r.qf_hat["x2"] - r.qf_hat["x"] ** 2, r.qf_stderr["x2"]
+
+
+# name: (model, absorption, x0, t, full particle count, statistic, oracle),
+# a statistic mapping an FKResult to (estimate, stderr); dt = 1e-3, |z| <= 3
+_FK_CASES = {
+    "harmonic_mass_t1": (_BROWNIAN, _HARMONIC, 0.0, 1.0, 100_000, _mass,
+                         1.0 / math.sqrt(math.cosh(1.0))),
+    "dirichlet_survival_t03": (_BROWNIAN, _DIRICHLET, 0.5, 0.3, 100_000, _mass,
+                               0.28970892125637967),  # frozen sine-series value
+    "ou_stationary_var": (_OU, AbsorptionSpec(), 0.0, 5.0, 100_000, _second_moment, 0.5),
+    # h-transformed harmonic dynamics: plain OU, stationary variance 1/2
+    "ou_qsd_variance": (_OU, AbsorptionSpec(), 0.3, 6.0, 50_000, _variance, 0.5),
+}
+# name: (absorption, initial sampler, t, resample period, full particle
+# count, oracle decay rate, band); Brownian particles, dt = 1e-3
+_QSD_CASES = {
+    "qsd_harmonic_rho": (_HARMONIC, lambda rng, m: rng.normal(0.0, 1.0, size=(m, 1)),
+                         14.0, 0.05, 20_000, -0.5, 0.02),
+    "qsd_dirichlet_rho": (_DIRICHLET, lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
+                          3.0, 0.02, 20_000, -math.pi ** 2 / 2, 0.1),
+}
+
+
+def _particles(full, budget, case, least):
+    """The particle count of `case` at a fraction `budget` of `full`; a
+    Feynman-Kac case needs `least` = 2, for one particle has no stderr."""
     n = int(full * budget)
     if n < 1:
         raise ValueError(f"n_particles = {n} must be at least 1; budget = {budget} "
                          f"of case {case!r} must be at least {1 / full:g}")
+    if n < least:
+        raise ValueError(f"n_particles = {n} has no standard error; budget = {budget} "
+                         f"of case {case!r} must be at least {least / full:g}")
     return n
 
 
-def _fk_particles(full, budget, case):
-    """_particles for a Feynman-Kac case, whose z-score needs a nonzero
-    stderr, which one particle never has."""
-    n = _particles(full, budget, case)
-    if n == 1:
-        raise ValueError(f"n_particles = 1 has no standard error; budget = {budget} "
-                         f"of case {case!r} must be at least {2 / full:g}")
-    return n
+def _fk_case(name, budget, seed, threads):
+    model, absorb, x0, t, full, statistic, oracle = _FK_CASES[name]
+    res = feynman_kac_estimate(model, absorb, x0, t, _particles(full, budget, name, 2),
+                               1e-3, seed, observables=_MOMENTS, threads=threads)
+    est, se = statistic(res)
+    z = (est - oracle) / se
+    return ValidationReport(name, est, oracle, se, z, abs(z) <= 3.0)
 
 
-def _case_harmonic_mass(budget, seed, threads):
-    n = _fk_particles(100_000, budget, "harmonic_mass_t1")
-    res = feynman_kac_estimate(
-        _brownian(),
-        AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
-        [0.0], t=1.0, n_particles=n, dt=1e-3, seed=seed,
-        threads=threads,
-    )
-    oracle = 1.0 / math.sqrt(math.cosh(1.0))
-    z = (res.q1_hat - oracle) / res.stderr
-    return ValidationReport("harmonic_mass_t1", res.q1_hat, oracle,
-                            res.stderr, z, abs(z) <= 3.0)
-
-
-def _case_dirichlet_survival(budget, seed, threads):
-    n = _fk_particles(100_000, budget, "dirichlet_survival_t03")
-    res = feynman_kac_estimate(
-        _brownian(),
-        AbsorptionSpec(hard_interval=(0.0, 1.0)),
-        [0.5], t=0.3, n_particles=n, dt=1e-3, seed=seed,
-        threads=threads,
-    )
-    oracle = _DIRICHLET_SURV_T03
-    z = (res.q1_hat - oracle) / res.stderr
-    return ValidationReport("dirichlet_survival_t03", res.q1_hat, oracle,
-                            res.stderr, z, abs(z) <= 3.0)
-
-
-def _case_ou_stationary_var(budget, seed, threads):
-    n = _fk_particles(100_000, budget, "ou_stationary_var")
-    res = feynman_kac_estimate(
-        _ou(), AbsorptionSpec(), [0.0], t=5.0, n_particles=n, dt=1e-3,
-        seed=seed, observables={"x2": lambda x: x[:, 0] ** 2},
-        threads=threads,
-    )
-    est = res.qf_hat["x2"]
-    se = res.qf_stderr["x2"]
-    z = (est - 0.5) / se
-    return ValidationReport("ou_stationary_var", est, 0.5, se, z, abs(z) <= 3.0)
-
-
-def _case_qsd_harmonic(budget, seed, threads):
-    n = _particles(20_000, budget, "qsd_harmonic_rho")
-    res = qsd_particle_estimate(
-        _brownian(),
-        AbsorptionSpec(soft_potential=lambda x: 0.5 * x[:, 0] ** 2),
-        lambda rng, m: rng.normal(0.0, 1.0, size=(m, 1)),
-        t=14.0, n_particles=n, resample_period=0.05, dt=1e-3, seed=seed,
-    )
-    band = 0.02
-    z = (res.rho_hat + 0.5) / max(res.rho_stderr, 1e-12)
-    return ValidationReport("qsd_harmonic_rho", res.rho_hat, -0.5,
-                            res.rho_stderr, z,
-                            abs(res.rho_hat + 0.5) <= band, band=band)
-
-
-def _case_qsd_dirichlet(budget, seed, threads):
-    n = _particles(20_000, budget, "qsd_dirichlet_rho")
-    res = qsd_particle_estimate(
-        _brownian(),
-        AbsorptionSpec(hard_interval=(0.0, 1.0)),
-        lambda rng, m: rng.uniform(0.2, 0.8, size=(m, 1)),
-        t=3.0, n_particles=n, resample_period=0.02, dt=1e-3, seed=seed,
-    )
-    oracle = -math.pi ** 2 / 2
-    band = 0.1
+def _qsd_case(name, budget, seed):
+    absorb, sampler, t, period, full, oracle, band = _QSD_CASES[name]
+    res = qsd_particle_estimate(_BROWNIAN, absorb, sampler, t,
+                                _particles(full, budget, name, 1), period, 1e-3, seed)
     z = (res.rho_hat - oracle) / max(res.rho_stderr, 1e-12)
-    return ValidationReport("qsd_dirichlet_rho", res.rho_hat, oracle,
-                            res.rho_stderr, z,
+    return ValidationReport(name, res.rho_hat, oracle, res.rho_stderr, z,
                             abs(res.rho_hat - oracle) <= band, band=band)
 
 
-def _case_qsd_ou_var(budget, seed, threads):
-    # h-transformed harmonic dynamics: plain OU, stationary variance 1/2
-    n = _fk_particles(50_000, budget, "ou_qsd_variance")
-    res = feynman_kac_estimate(
-        _ou(), AbsorptionSpec(), [0.3], t=6.0, n_particles=n, dt=1e-3,
-        seed=seed, observables={"x2": lambda x: x[:, 0] ** 2,
-                                "x": lambda x: x[:, 0]},
-        threads=threads,
-    )
-    var = res.qf_hat["x2"] - res.qf_hat["x"] ** 2
-    se = res.qf_stderr["x2"]
-    z = (var - 0.5) / se
-    return ValidationReport("ou_qsd_variance", var, 0.5, se, z, abs(z) <= 3.0)
-
-
-_CASES = {
-    "harmonic_mass_t1": _case_harmonic_mass,
-    "dirichlet_survival_t03": _case_dirichlet_survival,
-    "ou_stationary_var": _case_ou_stationary_var,
-    "qsd_harmonic_rho": _case_qsd_harmonic,
-    "qsd_dirichlet_rho": _case_qsd_dirichlet,
-    "ou_qsd_variance": _case_qsd_ou_var,
-}
-
-
 def list_cases():
-    return sorted(_CASES)
+    return sorted([*_FK_CASES, *_QSD_CASES])
 
 
 def mc_validate(case_name: str, budget: float = 1.0,
@@ -477,10 +400,12 @@ def mc_validate(case_name: str, budget: float = 1.0,
     on that many threads; the quasi-stationary cases run on the calling
     thread.  The report does not depend on `threads`.
     """
-    if case_name not in _CASES:
+    if case_name not in list_cases():
         raise ValueError(
             f"unknown case {case_name!r}; available: {', '.join(list_cases())}"
         )
     if threads < 1:
         raise ValueError(f"threads = {threads} must be at least 1")
-    return _CASES[case_name](budget, seed, threads)
+    if case_name in _FK_CASES:
+        return _fk_case(case_name, budget, seed, threads)
+    return _qsd_case(case_name, budget, seed)

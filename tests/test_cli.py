@@ -200,6 +200,8 @@ def test_main_subcommands(tmp_path, capsys):
     assert main(["list-models"]) == 0
     out = capsys.readouterr().out
     assert "dirichlet_heat" in out and "surface:parabola" in out
+    # the model names come from the registry that make_model reads
+    assert out.split()[:len(cli.kernels.MODELS)] == list(cli.kernels.MODELS)
     assert main(["list-cases"]) == 0
     assert "harmonic_mass_t1" in capsys.readouterr().out
     cfg = write_config(tmp_path, {

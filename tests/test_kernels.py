@@ -30,7 +30,13 @@ from semistab.kernels import (
     mehler_mass,
     undo_h_transform,
 )
-from semistab.riccati import MatrixRiccati, coupled_oscillator_semigroup, matrix_riccati
+from semistab.riccati import (
+    MatrixRiccati,
+    ScalarRiccati,
+    coupled_oscillator_semigroup,
+    matrix_riccati,
+    scalar_riccati,
+)
 
 # Frozen from 30-digit evaluation of the closed forms (mpmath).
 MASS_T1_X0 = 0.80501818219459205          # 1/sqrt(cosh 1)
@@ -494,3 +500,31 @@ def test_non_finite_horizon_is_a_value_error(t):
         coupled_oscillator_semigroup(0.0, 1.0, 1.0, np.array([1.0]), t)
     with pytest.raises(ValueError, match="horizon t must be finite"):
         gauss_ou_kernel(t, -1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="horizon t must be finite"):
+        scalar_riccati(ScalarRiccati(1.0, 0.0, 1.0), 0.5, t)
+    with pytest.raises(ValueError, match="horizon t must be finite"):
+        half_harmonic_linear(t, 1.0, 0.0, 1.0)
+
+
+def test_half_line_start_nan_is_rejected():
+    with pytest.raises(ValueError, match="x must be positive"):
+        half_harmonic_linear(1.0, math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="x must be positive"):
+        half_harmonic_linear(1.0, np.array([0.5, math.nan]), 0.3, 2.0)
+
+
+def test_half_line_fixed_point_is_the_riccati_fixed_point():
+    # one root serves both: 1 + 2a p - varsigma p^2 is ScalarRiccati(1, 2a, varsigma)
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 50
+    rng = np.random.default_rng(8)
+    cases = [(1e8, 1.0), (-1e8, 1.0), (-1e8, 1e-3), (1e8, 7.0), (0.0, 2.0)]
+    cases += [(float(a), float(v)) for a, v in zip(rng.normal(0, 10, 200),
+                                                   10 ** rng.uniform(-4, 4, 200))]
+    for a, varsigma in cases:
+        p = half_linear_fixed_point(a, varsigma)
+        assert p == ScalarRiccati(1.0, 2.0 * a, varsigma).z_inf
+        da, dv = Decimal(a), Decimal(varsigma)
+        exact = 1 / ((da * da + dv).sqrt() - da)  # the same root, exactly rounded
+        assert p == pytest.approx(float(exact), rel=4e-16)

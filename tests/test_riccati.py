@@ -173,11 +173,12 @@ def test_coupled_oscillator_controllability_rejection():
 def test_bd_generator_drift_logistic():
     spec = LogisticBD(lam_b=1.0, ups_b=0.5, lam_d=0.2, lam_l=0.1, ups_d=0.3)
     # at x = 1 only the birth move exists
-    assert bd_generator_drift(spec, 1) == pytest.approx(spec.birth_rate(1))
+    assert bd_generator_drift(spec, 1) == pytest.approx(spec.birth_rates(1))
     spec2 = LogisticBD(lam_b=1.0, ups_b=0.0, lam_d=0.0, lam_l=0.1, ups_d=0.0)
     assert bd_generator_drift(spec2, 10) == pytest.approx(1.0)  # 1.1*10 - 0.1*100
-    with pytest.raises(ValueError):
-        bd_generator_drift(spec, 0)
+    for x in (0, 2.5):
+        with pytest.raises(ValueError):
+            bd_generator_drift(spec, x)
 
 
 def test_bd_generator_drift_multivariate():
@@ -237,6 +238,65 @@ def test_bd_moment_bound_multivariate():
     rep = bd_moment_bound(spec, np.array([20, 15]), T=2.0, n_paths=1000, seed=13)
     assert rep.ok
     assert not rep.truncated
+
+
+def _logistic_reference(spec, x0, T, n_paths, seed, n_checkpoints=10,
+                        state_cap=10 ** 6):
+    # the one-dimensional event loop the logistic chain once had to itself
+    rng = np.random.default_rng([seed, 0x5D])
+    checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
+    x = np.full(n_paths, int(x0), dtype=np.int64)
+    t = np.zeros(n_paths)
+    records = np.full((n_checkpoints, n_paths), np.nan)
+    counts = np.zeros(n_checkpoints, dtype=int)
+    truncated = False
+    active = np.ones(n_paths, dtype=bool)
+    while active.any():
+        xf = x.astype(float)
+        up = spec.lam_b * xf + spec.ups_b
+        dn = np.where(xf >= 2, spec.lam_d * xf + spec.lam_l * xf * (xf - 1) + spec.ups_d, 0.0)
+        total = up + dn
+        t_new = t.copy()
+        t_new[active & (total <= 0)] = np.inf
+        moving = active & (total > 0)
+        if moving.any():
+            t_new[moving] = t[moving] + rng.exponential(1.0, size=int(moving.sum())) / total[moving]
+        for k, cp in enumerate(checkpoints):
+            newly = (t <= cp) & (t_new > cp)
+            records[k, newly] = xf[newly]
+            counts[k] += int(newly.sum())
+        apply = moving & (t_new <= T)
+        if moving.any() and apply.any():
+            u = rng.uniform(size=n_paths)
+            go_up = u[apply] < up[apply] / total[apply]
+            xa = np.where(go_up, x[apply] + 1, x[apply] - 1)
+            if np.any(xa >= state_cap):
+                truncated = True
+                xa = np.minimum(xa, state_cap)
+            x[apply] = xa
+        done = t_new > T
+        t = np.where(done, np.inf, t_new)
+        active = active & ~done
+    stderrs = np.nanstd(records, axis=1, ddof=1) / np.sqrt(np.maximum(counts, 1))
+    return np.nanmean(records, axis=1), stderrs, truncated
+
+
+@pytest.mark.parametrize("spec, x0, cap", [
+    (LogisticBD(lam_b=2.0, lam_l=0.5), 50, 10 ** 6),
+    (LogisticBD(lam_b=0.0, lam_d=1.0, lam_l=0.2), 30, 10 ** 6),
+    (LogisticBD(lam_b=3.0, ups_b=0.5, lam_d=0.1, lam_l=0.05, ups_d=0.2), 3, 40),
+])
+def test_bd_event_loop_matches_the_logistic_loop_bit_for_bit(spec, x0, cap):
+    truncations = set()
+    for seed in (1, 2, 3):
+        rep = bd_moment_bound(spec, x0, T=2.0, n_paths=500, seed=seed, state_cap=cap)
+        means, stderrs, truncated = _logistic_reference(spec, x0, 2.0, 500, seed,
+                                                        state_cap=cap)
+        assert np.array_equal(rep.means, means)
+        assert np.array_equal(rep.stderrs, stderrs)
+        assert rep.truncated == truncated
+        truncations.add(truncated)
+    assert truncations == {cap < 10 ** 6}
 
 
 def test_bd_determinism():
