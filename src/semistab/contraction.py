@@ -216,13 +216,13 @@ class DriftCertificate:
             raise AssertionError("alpha_r outside (0, 1]")
 
 
-def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec,
-                           r_quantile: float = 0.8) -> DriftCertificate:
+def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec) -> DriftCertificate:
     """Extract (eps, c) drift pairs from the ratio P(V)/V on the grid.
 
     Builds a ladder of (eps_n, c_n) pairs from quantiles of the ratio; for
     each one the inequality P(V) <= eps V + c holds at every grid point
     with c the maximum of V * theta over the super-level set of theta.
+    The minorization level alpha(r) is read at r, the 0.8 quantile of V.
     Returns a failure report rather than raising when the ratio never
     drops below 1.
     """
@@ -249,7 +249,7 @@ def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec,
         mask = theta >= eps
         ladder = [(eps, float((vals[mask] * theta[mask]).max()), int(mask.sum()))]
     eps, c, _ = ladder[0]
-    r = float(np.quantile(vals, r_quantile))
+    r = float(np.quantile(vals, 0.8))
     r = max(r, float(vals.min()))
     alpha_r = local_minorization(P, V, r)
     cert = DriftCertificate(True, eps, c, r, alpha_r, theta_f,
@@ -347,8 +347,7 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
                               violated, monotone, worst_inc)
 
 
-def build_pvc_chain(rng: np.random.Generator, n: int, eps: float,
-                    v_max_factor: float = 4.0):
+def build_pvc_chain(rng: np.random.Generator, n: int, eps: float):
     """Random finite chain engineered to satisfy the normalized drift.
 
     Produces (P, V, eps, r, alpha_r): rows are Dirichlet draws mixed with a
@@ -361,7 +360,7 @@ def build_pvc_chain(rng: np.random.Generator, n: int, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     grid = GridDomain.uniform_closed(0.0, 1.0, n)
     r_eps = 1.0 / (1.0 - eps)
-    v = np.sort(rng.uniform(0.5, v_max_factor * r_eps, size=n))
+    v = np.sort(rng.uniform(0.5, 4.0 * r_eps, size=n))
     v[0] = 0.5
     V = LyapunovSpec.table(v, grid)
     rows = 0.8 * rng.dirichlet(np.ones(n), size=n) + 0.2 / n

@@ -178,12 +178,11 @@ class LyapunovSpec:
         return cls("inv_plus_poly", {"n": float(n)})
 
     @classmethod
-    def boundary(cls, eps: float, bounds=(0.0, 1.0)) -> "LyapunovSpec":
-        """V(x) = d(x, boundary)^-(1-eps) on an interval."""
+    def boundary(cls, eps: float) -> "LyapunovSpec":
+        """V(x) = d(x, {0, 1})^-(1-eps) on the unit interval."""
         if not 0 < eps < 1:
             raise ValueError("boundary family needs eps in (0,1)")
-        return cls("boundary", {"eps": float(eps),
-                                "bounds": (float(bounds[0]), float(bounds[1]))})
+        return cls("boundary", {"eps": float(eps)})
 
     @classmethod
     def affine_rescale(cls, base: "LyapunovSpec", a: float, b: float) -> "LyapunovSpec":
@@ -267,8 +266,7 @@ class LyapunovSpec:
                 raise ValueError("inv_plus_poly is only defined for x > 0")
             out = pts ** self.params["n"] + 1.0 / pts
         elif fam == "boundary":
-            a, b = self.params["bounds"]
-            d = np.minimum(pts - a, b - pts)
+            d = np.minimum(pts, 1.0 - pts)
             if (d <= 0).any():
                 raise ValueError("boundary family evaluated outside the open interval")
             out = d ** (-(1.0 - self.params["eps"]))
@@ -304,17 +302,17 @@ class LyapunovSpec:
         return float(self(x.reshape(())))
 
 
-def open_edge_divergence_ok(V: LyapunovSpec, grid: GridDomain, frac: float = 0.05) -> bool:
+def open_edge_divergence_ok(V: LyapunovSpec, grid: GridDomain) -> bool:
     """Surrogate check that V blows up toward the open ends of the grid.
 
-    True iff the minimum of V over the outermost `frac` of points on each
-    side exceeds the median over the interior.  This is the finite-grid
+    True iff the maximum of V over the outermost 5% of points on each side
+    exceeds the median over the interior.  This is the finite-grid
     stand-in for membership of 1/V in the algebra of functions vanishing
     at infinity; no topology on the continuum is attempted.
     """
     vals = V(grid.points)
     n = grid.size
-    k = max(1, int(np.ceil(frac * n)))  # edge points per side
+    k = max(1, int(np.ceil(0.05 * n)))  # edge points per side
     if n - 2 * k < 1:
         raise ValueError(f"the divergence check needs at least {2 * k + 1} grid points "
                          f"({k} per edge and one inside), got {n}")

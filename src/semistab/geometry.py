@@ -179,14 +179,14 @@ def gram_det_two_ways(surface: MongeSurface, theta):
     return float(np.linalg.det(T @ T.T)), 1.0 + float(grad @ grad)
 
 
-def weingarten_identity_check(surface: MongeSurface, theta,
-                              fd_step: float = 1e-5) -> float:
-    """Residual of dN/dtheta_i = -sum_k W_{k,i} dpsi/dtheta_k (central diffs)."""
+def weingarten_identity_check(surface: MongeSurface, theta) -> float:
+    """Residual of dN/dtheta_i = -sum_k W_{k,i} dpsi/dtheta_k (central
+    differences at step 1e-5)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     ff, d = fundamental_forms(surface, theta), surface.chart_dim
-    e = fd_step * np.eye(d)
+    e = 1e-5 * np.eye(d)
     N = _frame_parts(surface, np.concatenate([theta + e, theta - e]))[2]
-    dN = (N[:d] - N[d:]) / (2 * fd_step)
+    dN = (N[:d] - N[d:]) / 2e-5
     recon = -sum(np.outer(ff.W[k], ff.T[k]) for k in range(d))
     return float(np.sqrt(np.vecdot(dN - recon, dN - recon)).max())
 
@@ -274,25 +274,24 @@ def _project(surface: MongeSurface, x, starts, max_iter: int):
     return theta, pts, f
 
 
-def signed_distance(surface: MongeSurface, x, tube_alpha: float,
-                    n_starts: int = 9, max_iter: int = 60,
-                    boundary_margin: float = 1e-6) -> SignedDistanceResult:
+def signed_distance(surface: MongeSurface, x, tube_alpha: float) -> SignedDistanceResult:
     """Signed normal distance and foot point by multi-start Newton.
 
-    Minimizes |x - psi(theta)|^2 from a coarse lattice of chart starts,
-    keeps the first start that reaches the least value, and signs the
-    distance by the projection on the oriented normal.  Rejects when the
-    minimizer sits on the chart edge, when |d| exceeds the tube radius, or
-    when the Fermi round trip psi(foot) + d N(foot) fails to reproduce x.
+    Minimizes |x - psi(theta)|^2 in at most 60 rounds from a lattice of
+    about 9 chart starts, keeps the first start that reaches the least
+    value, and signs the distance by the projection on the oriented normal.
+    Rejects when the minimizer sits within 1e-6 of the chart edge, when |d|
+    exceeds the tube radius, or when the Fermi round trip
+    psi(foot) + d N(foot) fails to reproduce x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    axes = [np.linspace(lo, hi, max(2, round(n_starts ** (1 / surface.chart_dim))))
+    axes = [np.linspace(lo, hi, max(2, round(9 ** (1 / surface.chart_dim))))
             for lo, hi in surface.chart_domain]
     starts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    theta, pts, f = _project(surface, x, starts, max_iter)
+    theta, pts, f = _project(surface, x, starts, 60)
     best = int(np.argmin(f))
     foot = theta[best]
-    if not surface.in_chart(foot, margin=boundary_margin):
+    if not surface.in_chart(foot, margin=1e-6):
         raise ValueError("projection foot lies on the chart boundary")
     fr = frame(surface, foot)
     dist = float((x - pts[best]) @ fr.N)
@@ -330,8 +329,7 @@ def _chart_forms(surface: MongeSurface, n_theta: int):
 
 
 def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
-                 n_r: int = 32, n_theta: int = 48,
-                 rel_tol: float = 1e-3) -> CoareaReport:
+                 n_r: int = 32, n_theta: int = 48) -> CoareaReport:
     """Two quadratures of the tube integral of f(distance-to-boundary).
 
     Route one: tensor midpoint rule over the Fermi chart (theta, u) with
@@ -339,7 +337,8 @@ def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
     areas integrated in the radial variable by per-cell two-point Gauss on
     a finer mesh.  Both radial rules run in s = sqrt(u), which absorbs the
     integrable blowup of profiles like u^(-1/2) at the boundary.  Shrinks
-    alpha when a focal crossing is detected inside the tube.
+    alpha when a focal crossing is detected inside the tube.  The routes
+    agree when their relative gap is at most 1e-3.
     """
     _, _, W, area = _chart_forms(surface, n_theta)
     # focal guard on the coarse nodes
@@ -364,7 +363,7 @@ def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
                              + radial_integrand((k + 0.5) * hg + xi * hg))
                  for k in range(m))
     gap = abs(route1 - route2) / max(abs(route2), 1e-300)
-    return CoareaReport(route1, route2, gap, a, bool(gap <= rel_tol))
+    return CoareaReport(route1, route2, gap, a, bool(gap <= 1e-3))
 
 
 @dataclass(frozen=True)
@@ -431,9 +430,8 @@ class BoundaryProfile:
             raise ValueError("chi is only defined for positive distances")
         return u ** (-(1.0 - self.epsilon_exp))
 
-    def chi_bar(self, alpha: Optional[float] = None) -> float:
-        a = self.alpha if alpha is None else alpha
-        return a ** self.epsilon_exp / self.epsilon_exp
+    def chi_bar(self) -> float:
+        return self.alpha ** self.epsilon_exp / self.epsilon_exp
 
 
 def boundary_lyapunov(profile: BoundaryProfile, domain, x) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "hermite_polynomial",
     "hermite_functions",
     "hermite_series_kernel",
-    "half_harmonic",
     "dirichlet_heat",
     "dirichlet_mass",
     "gauss_ou_kernel",
@@ -173,19 +172,6 @@ def hermite_series_kernel(t: float, x, y, N: int) -> np.ndarray:
     lam = np.exp(-(np.arange(N) + 0.5) * t)
     out = np.einsum("k,ki,kj->ij", lam, fx, fy)
     return out[0, 0] if out.size == 1 else np.squeeze(out)
-
-
-# ---------------------------------------------------------------------------
-# Half-line oscillator: absorption at the origin.
-# ---------------------------------------------------------------------------
-
-def half_harmonic(t: float, x):
-    """Mass and normalized density of the absorbed oscillator on (0, inf).
-
-    The density is the mean-reflected difference of Gaussians (equivalently
-    the sinh(y m_t(x)/p_t) form), normalized to integrate to one.
-    """
-    return half_harmonic_linear(t, x, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +355,8 @@ def half_harmonic_linear(t: float, x, a: float, varsigma: float):
     """Mass and density of the half-line linear diffusion, killed at 0,
     in the quadratic potential varsigma x^2 / 2.
 
-    Reduces to `half_harmonic` at (a, varsigma) = (0, 1).  The unabsorbed
+    At (a, varsigma) = (0, 1) this is the absorbed oscillator, whose density
+    is the mean-reflected difference of Gaussians.  The unabsorbed
     mass factor is exp(-(varsigma/2)(pbar_t + chi_t x^2)); absorption at the
     origin contributes the reflected Gaussian bracket.  With p_t = Y_t / X_t
     the scalar flow from 0, chi_t = p_t and varsigma pbar_t = log X_t + a t.
@@ -409,10 +396,10 @@ def half_linear_fixed_point(a: float, varsigma: float) -> float:
 
 @dataclass(frozen=True)
 class HarmonicOscillator:
-    name: str = "harmonic"
-    is_markov: bool = False
-    self_adjoint: bool = True
-    exact_rho: float = -0.5
+    name: ClassVar[str] = "harmonic"
+    is_markov: ClassVar[bool] = False
+    self_adjoint: ClassVar[bool] = True
+    exact_rho: ClassVar[float] = -0.5
 
     def density(self, t, x, y):
         return mehler_kernel(t, x, y)
@@ -426,17 +413,14 @@ class HarmonicOscillator:
     def eigenvalue(self, n):
         return -(n - 0.5)
 
-    def default_grid(self, n=400, halfwidth=8.0):
-        return GridDomain.uniform_closed(-halfwidth, halfwidth, n)
-
 
 @dataclass(frozen=True)
 class DirichletHeat:
     n_terms: int = 50
-    name: str = "dirichlet_heat"
-    is_markov: bool = False
-    self_adjoint: bool = True
-    exact_rho: float = -math.pi ** 2 / 2
+    name: ClassVar[str] = "dirichlet_heat"
+    is_markov: ClassVar[bool] = False
+    self_adjoint: ClassVar[bool] = True
+    exact_rho: ClassVar[float] = -math.pi ** 2 / 2
 
     def __post_init__(self):
         if self.n_terms < 1:
@@ -454,7 +438,7 @@ class DirichletHeat:
     def eigenvalue(self, n):
         return -((n * math.pi) ** 2) / 2
 
-    def default_grid(self, n=200):
+    def default_grid(self, n):
         return GridDomain.uniform_open(0.0, 1.0, n)
 
 
@@ -464,10 +448,10 @@ class GaussOU:
 
     a: float = -1.0
     sigma: float = 1.0
-    name: str = "gauss_ou"
-    is_markov: bool = True
-    self_adjoint: bool = False
-    exact_rho: float = 0.0
+    name: ClassVar[str] = "gauss_ou"
+    is_markov: ClassVar[bool] = True
+    self_adjoint: ClassVar[bool] = False
+    exact_rho: ClassVar[float] = 0.0
 
     def _moments(self, t, x):
         mean = np.exp(self.a * t) * np.asarray(x, dtype=float)
@@ -490,10 +474,10 @@ class GaussOU:
             raise ValueError("stationary quantities need a stable drift (a < 0)")
         return self.sigma ** 2 / (-2 * self.a)
 
-    def default_grid(self, n=400, halfwidth_std=8.0):
-        # cover both the driving noise and the stationary law so edge rows
-        # keep their Gaussian mass inside the box
-        w = halfwidth_std * max(self.sigma, math.sqrt(self.stationary_cov()))
+    def default_grid(self, n):
+        # cover both the driving noise and the stationary law, 8 standard
+        # deviations each way, so edge rows keep their Gaussian mass inside
+        w = 8.0 * max(self.sigma, math.sqrt(self.stationary_cov()))
         return GridDomain.uniform_closed(-w, w, n)
 
 
@@ -501,9 +485,9 @@ class GaussOU:
 class HalfHarmonicLinear:
     a: float = 0.0
     varsigma: float = 1.0
-    name: str = "half_harmonic_linear"
-    is_markov: bool = False
-    self_adjoint: bool = False
+    name: ClassVar[str] = "half_harmonic_linear"
+    is_markov: ClassVar[bool] = False
+    self_adjoint: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.varsigma <= 0:
@@ -526,8 +510,8 @@ class HalfHarmonicLinear:
     def mass(self, t, x):
         return half_harmonic_linear(t, x, self.a, self.varsigma)[0]
 
-    def default_grid(self, n=400, xmax=8.0):
-        return GridDomain.uniform_open(0.0, xmax, n)
+    def default_grid(self, n):
+        return GridDomain.uniform_open(0.0, 8.0, n)
 
 
 @dataclass(frozen=True)
@@ -536,8 +520,8 @@ class HalfHarmonicOscillator(HalfHarmonicLinear):
 
     a: float = field(default=0.0, init=False)
     varsigma: float = field(default=1.0, init=False)
-    name: str = "half_harmonic"
-    self_adjoint: bool = True
+    name: ClassVar[str] = "half_harmonic"
+    self_adjoint: ClassVar[bool] = True
 
     def exact_h(self, x):
         x = np.asarray(x)
@@ -566,12 +550,12 @@ def make_model(name: str, **params):
 # Discretization and operator-level transforms.
 # ---------------------------------------------------------------------------
 
-def discretize(model, grid: GridDomain, t: float,
-               quad_tol: float = 1e-6) -> DiscreteOperator:
+def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
     """Quadrature realization of the kernel on the grid.
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
-    (truncated eigenseries may dip microscopically negative).  The density
+    (truncated eigenseries may dip microscopically negative).  A Markov
+    model's rows must sum to 1 within 1e-6.  The density
     is evaluated on blocks of rows in broadcast calls, x a column, so it
     must accept an array of x.  When a block fails, its rows are evaluated
     one at a time only to name the first failing row in the raised
@@ -599,7 +583,7 @@ def discretize(model, grid: GridDomain, t: float,
     np.clip(K, 0.0, None, out=K)
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
-                                quad_tol=quad_tol)
+                                quad_tol=1e-6)
     except ValueError as exc:  # rows off by more than a quadrature error
         raise ArithmeticError(f"{n}-point grid quadrature failed: {exc}") from exc
 

@@ -50,9 +50,10 @@ class ScalarRiccati:
             raise ValueError("a0 must be nonnegative")
         if self.b <= 0:
             raise ValueError("b must be positive")
-        # 4 beta^2 of `kernels._scalar_flow`
-        if not math.isfinite(self.a1 * self.a1 + 4 * self.a0 * self.b):
-            raise ValueError("the discriminant a1^2 + 4 a0 b overflows")
+        # beta^2 of `kernels._scalar_flow` and `_scalar_fixed_point`
+        al = 0.5 * self.a1
+        if not math.isfinite(al * al + self.a0 * self.b):
+            raise ValueError("the discriminant (a1/2)^2 + a0 b overflows")
 
     @property
     def z_inf(self) -> float:
@@ -291,23 +292,22 @@ def _record_checkpoints(records, counts, state_V, t_old, t_new, checkpoints):
 
 
 def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
-                    n_checkpoints: int = 10,
                     state_cap: int = 10 ** 6) -> MomentBoundReport:
     """Event-clock simulation of the jump process against the Riccati majorant.
 
-    Runs n_paths independent chains from x0, records V at evenly spaced
+    Runs n_paths independent chains from x0, records V at ten evenly spaced
     checkpoints, and checks mean V <= majorant + 3 standard errors, where
     the majorant is the scalar Riccati flow started at V(x0).  Hitting the
     state cap flags the report as truncated.
     """
     rng = np.random.default_rng([seed, 0x5D])
-    checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
+    checkpoints = np.linspace(T / 10, T, 10)
     x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))  # (paths, d)
     d = x.shape[1]
     V0 = float(np.sum(x0))
     t = np.zeros(n_paths)
-    records = np.full((n_checkpoints, n_paths), np.nan)
-    counts = np.zeros(n_checkpoints, dtype=int)
+    records = np.full((10, n_paths), np.nan)
+    counts = np.zeros(10, dtype=int)
     truncated = False
     active = np.ones(n_paths, dtype=bool)
     while active.any():

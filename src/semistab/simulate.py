@@ -238,15 +238,14 @@ class QSDResult:
 
 def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
                           eta0_sampler: Callable, t: float, n_particles: int,
-                          resample_period: float, dt: float, seed: int,
-                          burn_in_fraction: float = 0.5) -> QSDResult:
+                          resample_period: float, dt: float, seed: int) -> QSDResult:
     """Interacting-particle estimate of the quasi-stationary law and rate.
 
     Multinomial resampling with full weight reset every resample_period; the
     decay-rate estimate averages the per-period log mass decrements after
-    burn-in, of which `t` must leave at least two.  Raises ExtinctionError
-    if every particle dies within a period and ArithmeticError if the mass
-    of a period is not finite.  Every draw comes from one seeded stream on
+    a burn-in of the first half of the periods, of which `t` must leave at
+    least two.  Raises ExtinctionError if every particle dies within a
+    period and ArithmeticError if the mass of a period is not finite.  Every draw comes from one seeded stream on
     the calling thread: the initial sample, one noise array per step and
     the uniforms of each resampling.
     """
@@ -258,12 +257,11 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
     if steps_per_period < 1 or abs(steps_per_period * dt - resample_period) > 1e-9:
         raise ValueError("resample_period must be a positive multiple of dt")
     n_periods = int(round(t / resample_period))
-    start = int(burn_in_fraction * n_periods)
-    if not 0 <= burn_in_fraction < 1 or n_periods - start < 2:
+    start = n_periods // 2  # burn-in
+    if n_periods - start < 2:
         raise ValueError(
-            f"burn_in_fraction = {burn_in_fraction} must be in [0, 1) and t = {t} "
-            f"must leave at least 2 periods of resample_period = {resample_period} "
-            f"after it")
+            f"t = {t} must leave at least 2 periods of resample_period = "
+            f"{resample_period} after the burn-in half")
     rng = np.random.default_rng([seed, 0xA5])
     x = np.atleast_2d(np.asarray(eta0_sampler(rng, n_particles), dtype=float))
     if x.shape[0] != n_particles:

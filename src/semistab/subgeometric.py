@@ -286,20 +286,21 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
 # Canonical fixtures.
 # ---------------------------------------------------------------------------
 
-def build_subgeo_chain(n: int = 200, delta: float = 0.5, L: int = 7,
-                       kappa0: float = 0.25):
+def build_subgeo_chain(n: int = 200):
     """Reflected random walk on {1..n} with polynomial inward drift.
 
     Steps are uniform over {1..L} upward or downward (clipped to the state
     space); the downward bias at x is 2 kappa0 x^delta / (L+1), so the mean
-    drift is exactly -kappa0 x^delta away from the edges.  Returns
-    (P, V, drift, c) with the drift inequality P(V) <= V - phi(V) + c
-    holding at every state.
+    drift is exactly -kappa0 x^delta away from the edges.  Here L = 7,
+    kappa0 = 1/4 and delta = 1/2, so the bias stays a probability up to
+    n = 256.  Returns (P, V, drift, c) with the drift inequality
+    P(V) <= V - phi(V) + c holding at every state.
     """
+    delta, L, kappa0 = 0.5, 7, 0.25
     xs = np.arange(1, n + 1, dtype=float)
     g = 2.0 * kappa0 * xs ** delta / (L + 1)
     if g.max() > 1:
-        raise ValueError("kappa0 too large for this state space and step width")
+        raise ValueError(f"n = {n} too large: the downward bias reaches {g.max():.4g} > 1")
     P = np.zeros((n, n))
     for i in range(n):
         x = i + 1
@@ -316,23 +317,22 @@ def build_subgeo_chain(n: int = 200, delta: float = 0.5, L: int = 7,
     return op, V, drift, c
 
 
-def build_certified_chain(n: int = 500, kappa0: float = 0.4,
-                          theta: float = 0.3):
-    """Jump-to-bottom chain whose rate constants are certifiable.
+def build_certified_chain():
+    """Jump-to-bottom chain on {1..500} whose rate constants are certifiable.
 
     Each state keeps mass 1 - s(x) and sends s(x) = kappa0 sqrt(x)/(x-1)
     + theta to the bottom state, giving drift <= -kappa0 sqrt(x) with a
     uniform overlap floor; the admissibility window of the polynomial rate
-    lemma is nonempty here, unlike on the local-step walk.
+    lemma is nonempty here, unlike on the local-step walk.  With
+    kappa0 = 0.4 and theta = 0.3, s peaks at 0.87 at x = 2.
     """
+    n, kappa0, theta = 500, 0.4, 0.3
     xs = np.arange(1, n + 1, dtype=float)
     P = np.zeros((n, n))
     P[0, 0] = 1.0
     for i in range(1, n):
         x = xs[i]
         s = kappa0 * math.sqrt(x) / (x - 1) + theta
-        if s > 1:
-            raise ValueError("infeasible jump probability; lower kappa0/theta")
         P[i, i] = 1 - s
         P[i, 0] = s
     grid = GridDomain.uniform_closed(1.0, float(n), n)

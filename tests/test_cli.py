@@ -371,7 +371,7 @@ def test_riccati_overflowing_coefficients_are_a_config_error(capsys):
            "extra": {"kind": "scalar", "a0": 1e308, "b": 1e308}}
     assert run_experiment(cfg) == 1
     assert _one_line_error(capsys).startswith(
-        "config error: the discriminant a1^2 + 4 a0 b overflows")
+        "config error: the discriminant (a1/2)^2 + a0 b overflows")
 
 
 def test_grid_too_coarse_for_the_kernel_is_a_numerical_failure(capsys):
@@ -492,6 +492,13 @@ _HARMONIC = {"model": {"name": "harmonic"},
     # the norm weights 1 + rho phi1(V) overflow
     ({"command": "rate", "extra": {"rho": 1e308}}, 2,
      "numerical failure: norm weights are not finite"),
+    # a model constant is not a parameter
+    *[({"command": "eigen", "model": {"name": "harmonic", "params": {key: value}},
+        "grid": _HARMONIC["grid"]}, 1,
+       "config error: model.params: HarmonicOscillator.__init__() got an "
+       f"unexpected keyword argument '{key}'")
+      for key, value in [("exact_rho", 7.0), ("is_markov", True),
+                         ("self_adjoint", False)]],
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

@@ -21,7 +21,6 @@ from semistab.kernels import (
     doob_h_transform,
     gauss_ou_kernel,
     generator_apply,
-    half_harmonic,
     half_harmonic_linear,
     half_linear_fixed_point,
     hermite_polynomial,
@@ -89,23 +88,23 @@ def test_mehler_vs_hermite_series():
 
 
 def test_half_harmonic_normalization_and_mass():
-    mass, dens = half_harmonic(1.0, 1.5)
+    mass, dens = half_harmonic_linear(1.0, 1.5, 0.0, 1.0)
     val, _ = quad(dens, 0, 25)
     assert val == pytest.approx(1.0, abs=1e-8)
     assert 0 < mass < 1
     # mass -> 0 as x -> 0+
-    masses = [half_harmonic(1.0, x)[0] for x in (1.0, 0.1, 0.01, 0.001)]
+    masses = [half_harmonic_linear(1.0, x, 0.0, 1.0)[0] for x in (1.0, 0.1, 0.01, 0.001)]
     assert all(a > b for a, b in zip(masses, masses[1:]))
     assert masses[-1] < 1e-2
     with pytest.raises(ValueError):
-        half_harmonic(1.0, -0.5)
+        half_harmonic_linear(1.0, -0.5, 0.0, 1.0)
 
 
 def test_half_harmonic_eigenvalue_from_decay():
     # incremental rate log(mass(t2)/mass(t1))/(t2-t1) -> rho_1 = -3/2
     x = 1.0
-    r_early = math.log(half_harmonic(3.0, x)[0] / half_harmonic(2.0, x)[0])
-    r_late = math.log(half_harmonic(10.0, x)[0] / half_harmonic(9.0, x)[0])
+    r_early = math.log(half_harmonic_linear(3.0, x, 0.0, 1.0)[0] / half_harmonic_linear(2.0, x, 0.0, 1.0)[0])
+    r_late = math.log(half_harmonic_linear(10.0, x, 0.0, 1.0)[0] / half_harmonic_linear(9.0, x, 0.0, 1.0)[0])
     assert r_late == pytest.approx(-1.5, abs=1e-4)
     assert abs(r_late + 1.5) < abs(r_early + 1.5)
 
@@ -136,7 +135,7 @@ def test_half_harmonic_reflection_oracle():
         30,
     )
     oracle = math.exp(-t / 2 - x * x / 2) * val
-    assert half_harmonic(t, x)[0] == pytest.approx(oracle, rel=1e-9)
+    assert half_harmonic_linear(t, x, 0.0, 1.0)[0] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_dirichlet_heat_values():
@@ -186,7 +185,7 @@ def test_gauss_ou_kernel_matrix_case():
 
 
 def test_half_harmonic_linear_reduction_and_fixed_point():
-    m0, _ = half_harmonic(0.8, 1.3)
+    m0 = HalfHarmonicOscillator().mass(0.8, 1.3)
     m1, _ = half_harmonic_linear(0.8, 1.3, 0.0, 1.0)
     assert m1 == pytest.approx(m0, rel=1e-9)
     assert half_linear_fixed_point(1.0, 3.0) == pytest.approx(1.0)

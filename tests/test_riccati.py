@@ -41,8 +41,8 @@ def test_scalar_riccati_fixed_points():
 @pytest.mark.parametrize("coeffs", [
     (math.nan, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, math.inf),
     (1e308, 0.0, 1e308),    # a0 b overflows
-    (1e308, 0.0, 1.0),      # 4 a0 b overflows
-    (0.0, 1e200, 1.0),      # a1^2 overflows
+    (0.0, 1e200, 1.0),      # (a1/2)^2 overflows
+    (0.0, -1e200, 1.0),     # (a1/2)^2 overflows with a1 < 0
 ])
 def test_scalar_riccati_rejects_coefficients_whose_rate_overflows(coeffs):
     with pytest.raises(ValueError):
@@ -57,9 +57,14 @@ def test_scalar_riccati_z_inf_without_cancellation():
 
 
 def test_scalar_riccati_huge_finite_rate():
-    s = ScalarRiccati(1e307, 0.0, 1.0)
-    assert s.z_inf == pytest.approx(math.sqrt(1e307), rel=1e-15)
-    assert scalar_riccati(s, 0.0, 10.0) == pytest.approx(s.z_inf, rel=1e-15)
+    # the flow forms (a1/2)^2 + a0 b, which is finite here although 4 a0 b
+    # or a1^2 overflows; z0 = 1 because 0 is a rest point when a0 = 0
+    for coeffs, z_inf in [((1e307, 0.0, 1.0), math.sqrt(1e307)),
+                          ((1e308, 0.0, 1.0), math.sqrt(1e308)),
+                          ((0.0, 1.5e154, 1.0), 1.5e154)]:
+        s = ScalarRiccati(*coeffs)
+        assert s.z_inf == pytest.approx(z_inf, rel=1e-15)
+        assert scalar_riccati(s, 1.0, 10.0) == pytest.approx(z_inf, rel=1e-15)
 
 
 def test_scalar_riccati_monotone_and_comparison():

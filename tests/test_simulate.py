@@ -402,7 +402,7 @@ def test_qsd_non_finite_mass_is_a_numerical_failure(dim):
 
 @pytest.mark.parametrize("t", [0.01, 0.05])
 def test_qsd_horizon_needs_two_periods_after_burn_in(t):
-    with pytest.raises(ValueError, match=r"burn_in_fraction = 0\.5 .* t = 0\.0. .*"
+    with pytest.raises(ValueError, match=r"t = 0\.0. must leave .*"
                                          r"resample_period = 0\.05"):
         qsd_particle_estimate(BM, AbsorptionSpec(),
                               lambda rng, m: rng.uniform(size=(m, 1)), t=t,

@@ -1,4 +1,5 @@
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -53,3 +54,53 @@ def test_every_definition_in_the_package_is_used():
             if uses[attrs][name] == Counter(_names(node, attrs))[name]:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"definitions with no caller: {dead}"
+
+
+def _set_by(call):
+    """(positional count, keyword names) that a call passes; a `*args` sets
+    every position, and a `**kwargs` adds the name None, which sets every
+    keyword."""
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return (math.inf if starred else len(call.args)), {k.arg for k in call.keywords}
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call in src/, tests/ or bench/ overrides, positionally
+    # or by keyword, is a constant in disguise; calls match a def by its bare
+    # or attribute name, and a method's positions start after `self`
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                calls.setdefault(name, []).append(_set_by(node))
+    # bench/tracing.py binds these to count flow steps, so they stay arguments
+    exempt = {"scalar_riccati.dt", "coupled_oscillator_semigroup.dt"}
+    unset = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = node in methods and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - skip, positional[i].arg) for i in range(first, len(positional))]
+            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, arg in defaulted:
+                if f"{node.name}.{arg}" in exempt:
+                    continue
+                if not any(n > index or arg in kw or None in kw
+                           for n, kw in calls.get(node.name, [])):
+                    unset.append(f"{path.name}:{node.lineno} {node.name}.{arg}")
+    assert not unset, f"defaulted parameters that no call sets: {unset}"

@@ -169,6 +169,12 @@ def test_polynomial_rate_zero_measure():
     assert np.all(rep.values == 0)
 
 
+def test_subgeo_chain_bias_stays_a_probability_up_to_n_256():
+    assert build_subgeo_chain(n=256)[0].matrix.min() >= 0.0
+    with pytest.raises(ValueError, match="n = 257 too large"):
+        build_subgeo_chain(n=257)
+
+
 def test_polynomial_rate_canonical_chain_window_empty():
     # local steps keep the minorization radius tiny: curve only, no claim
     P, V, drift, c = build_subgeo_chain()
