@@ -1,9 +1,14 @@
 """V-Dobrushin coefficients, local minorization and geometric decay.
 
-All suprema over pairs of states are exhaustive scans of the grid in one
-compiled pass (the continuum supremum is attained on point masses, so grid
-exhaustion is the faithful finite analogue).  Ties are broken toward the
-smallest index pair, making every report deterministic.
+All suprema over pairs of states are exhaustive scans of the grid (the
+continuum supremum is attained on point masses, so grid exhaustion is the
+faithful finite analogue).  A scan covers the pair triangle with fixed tiles
+of 128 rows a side, pdist triangles on the diagonal and cdist rectangles
+above it, and reduces each tile to its maximum and first witness.  Tiles
+depend on the row count alone; a scan of more than one tile runs them on a
+thread pool of the host's usable cores, and its result keeps its bits on
+any host.  Ties are broken toward the smallest index pair, making every
+report deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
+from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, _usable_cores
 from .kernels import DiscreteOperator
 
 __all__ = [
@@ -44,47 +49,116 @@ class ContractionReport:
             raise ValueError("beta must be nonnegative")
 
 
-# Pairs per block of the weighted scan's divisions: bounds its temporaries
-# to a few hundred kB whatever n is (one block up to n = 362).
-_PAIR_BLOCK = 1 << 16
+# Rows per side of a pair-scan tile.  The tiles depend on the row count
+# alone, so values and witnesses keep their bits on any host; a tile's
+# distances take at most 128 kB, and a 700-row scan has 21 tiles.
+_TILE = 128
+
+
+def _tile_rows(r0, r1, c0, c1):
+    """Rows (i, j) of each entry of a tile's distances, as broadcastable
+    arrays: flat over pdist's condensed triangle on a diagonal tile
+    (r0 == c0), an open grid over cdist's rectangle otherwise."""
+    if r0 != c0:
+        return np.ogrid[r0:r1, c0:c1]
+    counts = np.arange(r1 - r0 - 1, 0, -1)  # pairs (i, j > i) of row i
+    i = np.repeat(np.arange(r0, r1 - 1), counts)
+    # entry k pairs row i with j = r0 + k + 1 - (start_i - (i - r0)),
+    # start_i the first entry of row i
+    j = np.arange(r0 + 1, r0 + len(i) + 1)
+    j -= np.repeat(np.cumsum(counts) - counts - np.arange(len(counts)), counts)
+    return i, j
+
+
+def _tile_pair(k: int, r0, r1, c0, c1) -> tuple:
+    """Rows (i, j) of entry k of a tile's distances."""
+    if r0 != c0:
+        i, j = divmod(k, c1 - c0)
+        return r0 + i, c0 + j
+    t = r1 - r0
+    # rows counted from the last hold 1, 2, ... entries: entry k is the
+    # m-th from the end, in row b from the end with b(b+1)/2 <= m
+    m = t * (t - 1) // 2 - 1 - k
+    b = (math.isqrt(8 * m + 1) - 1) // 2
+    i = t - 2 - b
+    return r0 + i, r0 + k - i * (2 * t - i - 1) // 2 + i + 1
+
+
+def _tile(K: np.ndarray, weights: Optional[np.ndarray], r0, r1, c0, c1) -> np.ndarray:
+    """Distances sum_k w_k |K_ik - K_jk| of one tile's pairs, over
+    (w_i + w_j) when weights are given (K square).
+
+    A diagonal tile (r0 == c0) is pdist's condensed triangle and any other
+    is cdist's rectangle; both give each pair the bits of one pdist over all
+    rows of K.
+    """
+    from scipy.spatial.distance import cdist, pdist
+
+    metric = ({"metric": "cityblock"} if weights is None
+              else {"metric": "minkowski", "p": 1, "w": weights})
+    if r0 == c0:
+        d = pdist(K[r0:r1], **metric)
+    else:
+        d = cdist(K[r0:r1], K[c0:c1], **metric)
+    if weights is not None:
+        i, j = _tile_rows(r0, r1, c0, c1)
+        d /= weights[i] + weights[j]
+    return d
+
+
+def _map_tiles(fn: Callable, n: int) -> list:
+    """fn(r0, r1, c0, c1) over the tiles that cover the pairs i < j of n
+    rows, each diagonal block and every block to its right, in that order.
+    One tile runs on the calling thread; more run on a pool of the host's
+    usable cores, as scipy's distance kernels release the GIL."""
+    if n <= _TILE:
+        return [fn(0, n, 0, n)]
+    cuts = [*range(0, n, _TILE), n]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    tiles = [a + b for k, a in enumerate(blocks) for b in blocks[k:]]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(_usable_cores(), len(tiles))) as pool:
+        return list(pool.map(lambda t: fn(*t), tiles))
 
 
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
     """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
-    when weights are given (K square), with its first argmax witness (i, j).
+    when weights are given (K square), with its lexicographically first
+    argmax witness (i, j).  K and the weights must be finite.
 
-    The one large array is pdist's condensed n(n-1)/2 distances.  The
-    weighted divisions run over whole rows in blocks of at most
-    _PAIR_BLOCK pairs (or one row), so their index and denominator
-    temporaries stay a few hundred kB and do not grow with n(n-1)/2.
+    Each tile is reduced to its maximum and its first witness.  Maxima are
+    exact, so the result does not depend on how tiles share the threads.
     """
-    from scipy.spatial.distance import pdist
-
     n = K.shape[0]
     if n < 2:
         return 0.0, (0, 0)
-    counts = np.arange(n - 1, 0, -1)  # pairs (i, j > i) of row i
-    ends = np.cumsum(counts)  # condensed row i ends at ends[i]
-    if weights is None:
-        d = pdist(K, "cityblock")
-    else:
-        d = pdist(K, "minkowski", p=1, w=weights)
-        starts = ends - counts
-        r0 = 0
-        while r0 < n - 1:
-            lo = starts[r0]
-            r1 = max(r0 + 1, int(np.searchsorted(ends, lo + _PAIR_BLOCK, side="right")))
-            hi = ends[r1 - 1]
-            # the condensed entry k of row i pairs it with j = k + 1 - (starts[i] - i)
-            j = np.arange(lo + 1, hi + 1)
-            j -= np.repeat(starts[r0:r1] - np.arange(r0, r1), counts[r0:r1])
-            den = np.repeat(weights[r0:r1], counts[r0:r1])
-            den += weights[j]
-            d[lo:hi] /= den
-            r0 = r1
-    k = int(np.argmax(d))  # lexicographic first maximum: smallest-index tie-break
-    i = int(np.searchsorted(ends, k, side="right"))
-    return float(d[k]), (i, int(k - ends[i] + n))
+
+    def best(*tile):
+        d = _tile(K, weights, *tile)
+        k = int(np.argmax(d))  # first maximum in row-major pair order
+        return float(d.flat[k]), _tile_pair(k, *tile)
+
+    found = _map_tiles(best, n)
+    top = max(value for value, _ in found)
+    return top, min(pair for value, pair in found if value == top)
+
+
+def _minorization_levels(K: np.ndarray, masks: list) -> list:
+    """1 - max total-variation distance between the rows of K inside each
+    mask (None for an empty mask), from one scan of the rows in any mask;
+    at least one mask selects a row."""
+    union = np.logical_or.reduce(masks)
+    rows = K[union]
+    sets = [m[union] for m in masks]
+
+    def maxima(*tile):
+        d = _tile(rows, None, *tile)
+        i, j = _tile_rows(*tile)
+        return [np.max(d, where=s[i] & s[j], initial=0.0) for s in sets]
+
+    tops = np.max(_map_tiles(maxima, len(rows)), axis=0)
+    return [1.0 - 0.5 * float(top) if s.any() else None for s, top in zip(sets, tops)]
 
 
 def _minorization(K: np.ndarray, mask: np.ndarray, what: str) -> float:
@@ -347,6 +421,17 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
                               violated, monotone, worst_inc)
 
 
+def _sorted_quantile(v: np.ndarray, q: float) -> float:
+    """np.quantile(v, q) of an ascending array, bit for bit: numpy's linear
+    method interpolates between the neighbours of index (n - 1) q, from the
+    upper one when the fraction is at least 1/2."""
+    h = (len(v) - 1) * q
+    lo = math.floor(h)
+    g = h - lo
+    a, b = float(v[lo]), float(v[min(lo + 1, len(v) - 1)])
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def build_pvc_chain(rng: np.random.Generator, n: int, eps: float):
     """Random finite chain engineered to satisfy the normalized drift.
 
@@ -373,6 +458,6 @@ def build_pvc_chain(rng: np.random.Generator, n: int, eps: float):
     rows[pull] *= lam[:, None]
     rows[pull, 0] += 1.0 - lam
     P = DiscreteOperator(rows, grid, 1.0, is_markov=True, quad_tol=1e-9)
-    r = max(float(np.quantile(v, 0.8)), 1.05 * r_eps)
+    r = max(_sorted_quantile(v, 0.8), 1.05 * r_eps)
     alpha_r = local_minorization(P, V, r)
     return P, V, eps, r, alpha_r

@@ -70,7 +70,12 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square of the grid size")
         if self.time_step <= 0:
             raise ValueError("time_step must be positive")
-        if (K < 0).any():
+        if not (K >= 0).all():  # False at a NaN entry too, unlike (K < 0).any()
+            bad = ~np.isfinite(K)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(f"operator has {int(bad.sum())} non-finite entries; "
+                                 f"the first, ({i}, {j}), is {float(K[i, j])!r}")
             raise ValueError("operator entries must be nonnegative")
         rows = K.sum(axis=1)
         if self.is_markov:
@@ -196,7 +201,9 @@ def dirichlet_heat(t: float, x, y, N: int) -> np.ndarray:
     lam = np.exp(-((ns * math.pi) ** 2) * t / 2.0)
     sx = np.sqrt(2.0) * np.sin(np.outer(ns, x) * math.pi)
     sy = np.sqrt(2.0) * np.sin(np.outer(ns, y) * math.pi)
-    out = np.einsum("k,ki,kj->ij", lam, sx, sy)
+    # one (1 x N) @ (N x ny) product per x: each row's bits do not depend
+    # on how many rows are evaluated together
+    out = np.matmul((lam[:, None] * sx).T[:, None, :], sy)[:, 0, :]
     return out[0, 0] if out.size == 1 else np.squeeze(out)
 
 

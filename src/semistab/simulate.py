@@ -22,11 +22,12 @@ closed-form oracle, run by one function per estimator.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .core import _usable_cores
 
 __all__ = [
     "SDEModel",
@@ -162,7 +163,7 @@ def _workers(threads: int, tasks: int) -> int:
     """Threads worth starting for `tasks` independent tasks."""
     if threads < 1:
         raise ValueError(f"threads = {threads} must be at least 1")
-    return min(threads, os.cpu_count() or 1, tasks)
+    return min(threads, _usable_cores(), tasks)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .contraction import _drift_constant, _minorization, _norm_path
+from .contraction import _drift_constant, _minorization_levels, _norm_path
 from .core import GridDomain, LyapunovSpec, MeasureVec
 from .kernels import DiscreteOperator
 
@@ -231,6 +231,8 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     The hypotheses are re-certified from scratch: the phi1 drift transfer
     and minorization over the sub-level sets of phi(V) and phi2(V), scanning
     candidate radii for a nonempty admissibility window at the given rho.
+    One pair scan over the union of the eight sub-level sets gives every
+    minorization level.
     When no radius qualifies, the curve is returned without assertion.
     Needs T >= 1 steps and rho >= 0, which keeps the weights positive.
     """
@@ -254,16 +256,12 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     if not jr.ok:
         return RateReport(times, values, False, None, None, rho, None, (),
                           note="phi1 drift transfer failed")
-    phi2v = drift.phi2(vals)
+    phiv, phi2v = drift.phi(vals), drift.phi2(vals)
+    radii = [float(np.quantile(phi2v, q)) for q in (1.0, 0.9, 0.75, 0.5)]
+    levels = _minorization_levels(P.matrix, [f <= r for r in radii for f in (phiv, phi2v)])
     best = None
-    for q in (1.0, 0.9, 0.75, 0.5):
-        r = float(np.quantile(phi2v, q))
-        try:
-            a1 = _minorization(P.matrix, drift.phi(vals) <= r, "empty sub-level set")
-            a2 = _minorization(P.matrix, phi2v <= r, "empty sub-level set")
-        except ValueError:
-            continue
-        if a1 <= 0 or a2 <= 0:
+    for r, a1, a2 in zip(radii, levels[::2], levels[1::2]):
+        if a1 is None or a2 is None or a1 <= 0 or a2 <= 0:
             continue
         lo = 2.0 * max(a1, a2) / r
         hi = min(a1, a2) / min(jr.c1, c) if min(jr.c1, c) > 0 else math.inf

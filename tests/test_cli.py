@@ -620,3 +620,17 @@ def test_schema_key_fuzzer_exits_cleanly(base, path, data):
     assert code in (0, 1, 2)
     if code:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_nan_kernel_entries_exit_as_a_numerical_failure(capsys, monkeypatch):
+    from semistab import kernels
+
+    def nan_density(self, t, x, y):
+        return np.where((x > 0) & (y > 0), np.nan, kernels.mehler_kernel(t, x, y))
+
+    monkeypatch.setattr(kernels.HarmonicOscillator, "density", nan_density)
+    cfg = {"command": "eigen", "model": {"name": "harmonic"},
+           "grid": {"min": -4.0, "max": 4.0, "n": 15}}
+    assert run_experiment(cfg) == 2
+    assert "numerical failure: 15-point grid quadrature failed: operator has 49" \
+        in _one_line_error(capsys)

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
+import semistab.contraction as contraction
 from semistab.contraction import (
+    _minorization,
+    _minorization_levels,
     _pair_scan,
+    _sorted_quantile,
     build_pvc_chain,
     decay_envelope_constant,
     foster_lyapunov_verify,
@@ -372,3 +376,110 @@ def test_nonexpansive_batched_trials_keep_the_per_trial_stream():
             prev = cur
     assert not rep.monotone_ok
     assert rep.worst_increase == pytest.approx(worst, rel=1e-12)
+
+
+def _one_pdist_scan(K, w=None):
+    # the scan as one condensed pdist over all rows and one argmax
+    i, j = np.triu_indices(K.shape[0], 1)
+    if w is None:
+        d = pdist(K, "cityblock")
+    else:
+        d = pdist(K, "minkowski", p=1, w=w) / (w[i] + w[j])
+    k = int(np.argmax(d))
+    return float(d[k]), (int(i[k]), int(j[k]))
+
+
+def _scan_matrix(n, dyadic):
+    rng = np.random.default_rng(n + dyadic)
+    if dyadic:
+        return (rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n)),
+                rng.choice([0.5, 1.0, 2.0], size=n))
+    return rng.dirichlet(np.ones(n), size=n), rng.uniform(0.5, 40.0, size=n)
+
+
+# one, two and three tiles a side, the last one ragged, and an exact fit
+@pytest.mark.parametrize("n", [100, 200, 256, 300])
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tiled_pair_scan_keeps_the_one_pdist_bits(n, dyadic, weighted):
+    K, w = _scan_matrix(n, dyadic)
+    w = w if weighted else None
+    assert _pair_scan(K, w) == _one_pdist_scan(K, w)
+
+
+def _two_tied_pairs(n, p, q):
+    # rows p and q are disjoint halves of columns {0, 1, 2, 3}, each of which
+    # overlaps both rows of the other pair: only p and q reach distance 2
+    K = np.full((n, n), 1.0 / n)
+    for (a, b), (ca, cb) in ((p, ((0, 2), (1, 3))), (q, ((0, 1), (2, 3)))):
+        for row, cols in ((a, ca), (b, cb)):
+            K[row] = 0.0
+            K[row, list(cols)] = 0.5
+    return K
+
+
+@pytest.mark.parametrize("p, q", [
+    ((5, 200), (10, 20)),     # the first pair sits in a later tile
+    ((5, 200), (130, 131)),   # the later pair sits in a later tile
+    ((3, 590), (300, 599)),
+])
+def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
+    assert _pair_scan(np.eye(600)) == (2.0, (0, 1))
+    assert _pair_scan(np.eye(600), np.ones(600)) == (1.0, (0, 1))
+    K = _two_tied_pairs(600, p, q)
+    assert _pair_scan(K) == (2.0, min(p, q)) == _one_pdist_scan(K)
+    w = np.ones(600)
+    assert _pair_scan(K, w) == (1.0, min(p, q)) == _one_pdist_scan(K, w)
+
+
+def test_pair_scans_do_not_depend_on_the_core_count(monkeypatch):
+    K, w = _scan_matrix(300, True)
+    masks = [np.arange(300) < 150, np.arange(300) % 3 == 0]
+    expected = _pair_scan(K), _pair_scan(K, w), _minorization_levels(K, masks)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(contraction, "_usable_cores", lambda: cores)
+        assert (_pair_scan(K), _pair_scan(K, w), _minorization_levels(K, masks)) == expected
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pair_scan_memory_is_a_few_tiles(monkeypatch, weighted):
+    # the condensed n(n-1)/2 array of one pdist would be 16 MB at n = 2000;
+    # four tiles in flight stay below a quarter of it
+    monkeypatch.setattr(contraction, "_usable_cores", lambda: 4)
+    n = 2000
+    rng = np.random.default_rng(0)
+    K = rng.random((n, n))
+    w = rng.uniform(0.5, 3.0, size=n) if weighted else None
+    _pair_scan(K[:300, :300], None if w is None else w[:300])  # imports first
+    tracemalloc.start()
+    try:
+        _pair_scan(K, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (n - 1) // 2 // 4
+
+
+@pytest.mark.parametrize("n", [20, 300])
+def test_minorization_levels_equal_the_scans_one_mask_at_a_time(n):
+    rng = np.random.default_rng(n)
+    K = rng.dirichlet(np.ones(n), size=n)
+    idx = np.arange(n)
+    masks = [idx < n // 3, idx < n // 2, idx < n,         # nested
+             idx % 2 == 0, (idx > n // 4) & (idx % 3 > 0),  # not nested
+             idx < 0,                                       # empty
+             idx == n - 1]                                  # one row
+    levels = _minorization_levels(K, masks)
+    assert levels[5] is None
+    assert levels[6] == 1.0
+    for m, level in zip(masks, levels):
+        if m.any():
+            assert level == _minorization(K, m, "empty")
+    assert _minorization_levels(K, [idx < 0, idx == 3]) == [None, 1.0]
+
+
+def test_sorted_quantile_is_numpys_linear_quantile():
+    rng = np.random.default_rng(7)
+    for n in range(2, 2001):
+        v = np.sort(rng.uniform(0.5, 4.0 * rng.uniform(1.0, 10.0), size=n))
+        assert _sorted_quantile(v, 0.8) == float(np.quantile(v, 0.8)), n

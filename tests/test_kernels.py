@@ -10,6 +10,7 @@ from semistab.kernels import (
     GaussOU,
     HalfHarmonicLinear,
     HalfHarmonicOscillator,
+    DiscreteOperator,
     HarmonicOscillator,
     MatrixFlow,
     _matrix_flow,
@@ -527,3 +528,27 @@ def test_half_line_fixed_point_is_the_riccati_fixed_point():
         da, dv = Decimal(a), Decimal(varsigma)
         exact = 1 / ((da * da + dv).sqrt() - da)  # the same root, exactly rounded
         assert p == pytest.approx(float(exact), rel=4e-16)
+
+
+@pytest.mark.parametrize("is_markov", [True, False])
+def test_operator_rejects_nan_entries(is_markov):
+    # NaN compares False both ways, so neither the sign nor the row checks
+    # would see it
+    K = np.full((4, 4), 0.25)
+    K[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"1 non-finite entries; the first, \(2, 1\), is nan"):
+        DiscreteOperator(K, GridDomain.uniform_open(0.0, 1.0, 4), 1.0, is_markov=is_markov)
+    K[2, 1] = -0.25
+    with pytest.raises(ValueError, match="entries must be nonnegative"):
+        DiscreteOperator(K, GridDomain.uniform_open(0.0, 1.0, 4), 1.0, is_markov=is_markov)
+
+
+class _NanOscillator(HarmonicOscillator):
+    def density(self, t, x, y):
+        out = mehler_kernel(t, x, y)
+        return np.where((x > 0) & (y > 0), np.nan, out)
+
+
+def test_discretize_reports_nan_entries_as_a_numerical_failure():
+    with pytest.raises(ArithmeticError, match="quadrature failed: operator has 49 non-finite"):
+        discretize(_NanOscillator(), GridDomain.uniform_closed(-4.0, 4.0, 15), 0.5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semistab.contraction import _minorization
 from semistab.core import MeasureVec
 from semistab.subgeometric import (
     build_certified_chain,
@@ -212,3 +213,50 @@ def test_tv_decay_slope_canonical_chain():
     sel = (ts >= 50) & (tvs > 1e-13)
     slope = np.polyfit(np.log(ts[sel]), np.log(tvs[sel]), 1)[0]
     assert slope <= -0.4
+
+
+def _eight_scan_window(P, V, drift, rho):
+    # the radius search as one minorization scan per sub-level set
+    vals = V(P.grid.points)
+    c = max(float(np.max(P.matrix @ vals - vals + drift.phi(vals))), 0.0)
+    c1 = c * float(drift.dphi1(1.0))
+    phi2v = drift.phi2(vals)
+    best = None
+    for q in (1.0, 0.9, 0.75, 0.5):
+        r = float(np.quantile(phi2v, q))
+        try:
+            a1 = _minorization(P.matrix, drift.phi(vals) <= r, "empty sub-level set")
+            a2 = _minorization(P.matrix, phi2v <= r, "empty sub-level set")
+        except ValueError:
+            continue
+        if a1 <= 0 or a2 <= 0:
+            continue
+        lo = 2.0 * max(a1, a2) / r
+        hi = min(a1, a2) / min(c1, c) if min(c1, c) > 0 else math.inf
+        if rho > lo and rho <= hi:
+            delta_rho = drift.kappa2 * (rho - lo)
+            if best is None or delta_rho > best[0]:
+                best = (delta_rho, r, a1, a2)
+    return best
+
+
+@pytest.mark.parametrize("build", [build_certified_chain, build_subgeo_chain])
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.95, 2.0])
+def test_polynomial_rate_window_keeps_the_eight_scan_bits(build, rho):
+    P, V, drift, c = build()
+    n = P.grid.size
+    nu = np.zeros(n)
+    nu[-1], nu[0] = 1.0, -1.0
+    rep = polynomial_rate_check(P, V, drift, rho, MeasureVec(nu, P.grid), 30)
+    best = _eight_scan_window(P, V, drift, rho)
+    if best is None:
+        assert not rep.certified and (rep.r, rep.alphas) == (None, ())
+    else:
+        delta_rho, r, a1, a2 = best
+        chi = drift.chi
+        omega = rho ** chi * delta_rho / (1 + rho) ** (1 + chi)
+        norm0 = float(np.abs(nu) @ (1.0 + rho * V(P.grid.points)))
+        envelope = ((chi * omega) ** (-1.0 / chi)
+                    * np.arange(1, 31, dtype=float) ** (-1.0 / chi) * norm0)
+        assert rep.certified and (rep.r, rep.alphas) == (r, (a1, a2))
+        assert np.array_equal(rep.envelope, envelope)
