@@ -3,12 +3,11 @@
 All suprema over pairs of states are exhaustive scans of the grid (the
 continuum supremum is attained on point masses, so grid exhaustion is the
 faithful finite analogue).  A scan covers the pair triangle with fixed tiles
-of 128 rows a side, pdist triangles on the diagonal and cdist rectangles
-above it, and reduces each tile to its maximum and first witness.  Tiles
-depend on the row count alone; a scan of more than one tile runs them on a
-thread pool of the host's usable cores, and its result keeps its bits on
-any host.  Ties are broken toward the smallest index pair, making every
-report deterministic.
+of 128 rows a side (a last row over joins the block before it), pdist
+triangles on the diagonal and cdist rectangles above it, and reduces each
+tile to its maximum and first witness.  Memory is one tile at a time,
+not the n(n-1)/2 condensed distances.  Ties are broken toward the
+smallest index pair, making every report deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, _usable_cores
+from .core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
 from .kernels import DiscreteOperator
 
 __all__ = [
@@ -49,9 +48,8 @@ class ContractionReport:
             raise ValueError("beta must be nonnegative")
 
 
-# Rows per side of a pair-scan tile.  The tiles depend on the row count
-# alone, so values and witnesses keep their bits on any host; a tile's
-# distances take at most 128 kB, and a 700-row scan has 21 tiles.
+# Rows per side of a pair-scan tile: a tile's distances take about 128 kB,
+# and a 700-row scan has 21 tiles.
 _TILE = 128
 
 
@@ -109,17 +107,11 @@ def _tile(K: np.ndarray, weights: Optional[np.ndarray], r0, r1, c0, c1) -> np.nd
 def _map_tiles(fn: Callable, n: int) -> list:
     """fn(r0, r1, c0, c1) over the tiles that cover the pairs i < j of n
     rows, each diagonal block and every block to its right, in that order.
-    One tile runs on the calling thread; more run on a pool of the host's
-    usable cores, as scipy's distance kernels release the GIL."""
-    if n <= _TILE:
-        return [fn(0, n, 0, n)]
-    cuts = [*range(0, n, _TILE), n]
+    A last block of one row joins the block before it, so every diagonal
+    tile holds a pair."""
+    cuts = [0, *range(_TILE, n - 1, _TILE), n]
     blocks = list(zip(cuts[:-1], cuts[1:]))
-    tiles = [a + b for k, a in enumerate(blocks) for b in blocks[k:]]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(min(_usable_cores(), len(tiles))) as pool:
-        return list(pool.map(lambda t: fn(*t), tiles))
+    return [fn(*a, *b) for k, a in enumerate(blocks) for b in blocks[k:]]
 
 
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
@@ -127,8 +119,7 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
     when weights are given (K square), with its lexicographically first
     argmax witness (i, j).  K and the weights must be finite.
 
-    Each tile is reduced to its maximum and its first witness.  Maxima are
-    exact, so the result does not depend on how tiles share the threads.
+    Each tile is reduced to its maximum and its first witness.
     """
     n = K.shape[0]
     if n < 2:

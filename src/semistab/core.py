@@ -8,7 +8,6 @@ variation and V-norms are exact finite sums.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -407,11 +406,3 @@ def _grad_hess(f, x, h):
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4 * h * h)
     return g, H
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -22,12 +22,11 @@ closed-form oracle, run by one function per estimator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .core import _usable_cores
 
 __all__ = [
     "SDEModel",
@@ -157,6 +156,14 @@ def _step(model, absorb, ens, noise, dt, u_old):
     elif absorb.hard_indicator is not None:
         ens.alive &= np.asarray(absorb.hard_indicator(x_new), dtype=bool)
     return u_new
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _workers(threads: int, tasks: int) -> int:

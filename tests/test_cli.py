@@ -634,3 +634,12 @@ def test_nan_kernel_entries_exit_as_a_numerical_failure(capsys, monkeypatch):
     assert run_experiment(cfg) == 2
     assert "numerical failure: 15-point grid quadrature failed: operator has 49" \
         in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", [161, 321])
+def test_contract_scans_sub_level_sets_of_a_last_row_over(tmp_path, n):
+    # the 0.8-quantile sub-level set holds 129 and 257 rows: one row past
+    # the last full tile of the pair scan
+    cfg = {"command": "contract", "model": {"name": "harmonic"},
+           "grid": {"min": -4.0, "max": 4.0, "n": n}}
+    assert run_experiment(cfg, out_dir=tmp_path) == 0

@@ -397,14 +397,29 @@ def _scan_matrix(n, dyadic):
     return rng.dirichlet(np.ones(n), size=n), rng.uniform(0.5, 40.0, size=n)
 
 
-# one, two and three tiles a side, the last one ragged, and an exact fit
-@pytest.mark.parametrize("n", [100, 200, 256, 300])
+# one, two and three tiles a side, the last one ragged, an exact fit, and a
+# last row over (folded into the block before it)
+@pytest.mark.parametrize("n", [100, 129, 200, 256, 257, 300])
 @pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_tiled_pair_scan_keeps_the_one_pdist_bits(n, dyadic, weighted):
     K, w = _scan_matrix(n, dyadic)
     w = w if weighted else None
     assert _pair_scan(K, w) == _one_pdist_scan(K, w)
+
+
+def test_tiles_cover_each_pair_once_and_every_diagonal_tile_holds_a_pair():
+    # the tile's index arrays and the one-entry form name the same pairs
+    for n in range(1, 530):
+        pairs = np.zeros((n, n), dtype=int)
+        for tile in contraction._map_tiles(lambda *t: t, n):
+            r0, r1, c0, c1 = tile
+            assert r0 != c0 or r1 - r0 >= min(n, 2), (n, r0, r1)
+            i, j = (a.ravel() for a in np.broadcast_arrays(*contraction._tile_rows(*tile)))
+            np.add.at(pairs, (i, j), 1)
+            for k in {0, len(i) // 3, len(i) - 1} if len(i) else ():
+                assert contraction._tile_pair(k, *tile) == (i[k], j[k]), (n, tile, k)
+        assert (pairs == np.triu(np.ones((n, n), dtype=int), 1)).all(), n
 
 
 def _two_tied_pairs(n, p, q):
@@ -432,20 +447,10 @@ def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
     assert _pair_scan(K, w) == (1.0, min(p, q)) == _one_pdist_scan(K, w)
 
 
-def test_pair_scans_do_not_depend_on_the_core_count(monkeypatch):
-    K, w = _scan_matrix(300, True)
-    masks = [np.arange(300) < 150, np.arange(300) % 3 == 0]
-    expected = _pair_scan(K), _pair_scan(K, w), _minorization_levels(K, masks)
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(contraction, "_usable_cores", lambda: cores)
-        assert (_pair_scan(K), _pair_scan(K, w), _minorization_levels(K, masks)) == expected
-
-
 @pytest.mark.parametrize("weighted", [False, True])
-def test_pair_scan_memory_is_a_few_tiles(monkeypatch, weighted):
+def test_pair_scan_memory_is_one_tile(weighted):
     # the condensed n(n-1)/2 array of one pdist would be 16 MB at n = 2000;
-    # four tiles in flight stay below a quarter of it
-    monkeypatch.setattr(contraction, "_usable_cores", lambda: 4)
+    # one tile at a time stays below a sixteenth of it
     n = 2000
     rng = np.random.default_rng(0)
     K = rng.random((n, n))
@@ -457,7 +462,7 @@ def test_pair_scan_memory_is_a_few_tiles(monkeypatch, weighted):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * (n - 1) // 2 // 4
+    assert peak <= 8 * n * (n - 1) // 2 // 16
 
 
 @pytest.mark.parametrize("n", [20, 300])
@@ -475,7 +480,31 @@ def test_minorization_levels_equal_the_scans_one_mask_at_a_time(n):
     for m, level in zip(masks, levels):
         if m.any():
             assert level == _minorization(K, m, "empty")
+            if m.sum() > 1:
+                assert level == 1.0 - 0.5 * _one_pdist_scan(K[m])[0]
     assert _minorization_levels(K, [idx < 0, idx == 3]) == [None, 1.0]
+
+
+@pytest.mark.parametrize("rows", [129, 257])
+def test_scans_of_a_last_row_over_keep_the_one_pdist_bits(rows):
+    # 129 and 257 rows leave one row past the last full tile
+    n = rows + 32
+    rng = np.random.default_rng(rows)
+    P = chain(rng.dirichlet(np.ones(n), size=n))
+    V = LyapunovSpec.poly(2)  # increasing on [0, 1]
+    vals = V(P.grid.points)
+    r = float(vals[rows - 1])
+    mask = vals <= r
+    assert mask.sum() == rows
+    expected = 1.0 - 0.5 * _one_pdist_scan(P.matrix[mask])[0]
+    assert local_minorization(P, V, r) == expected
+    assert _minorization_levels(P.matrix, [mask, ~mask])[0] == expected
+    Q = chain(rng.dirichlet(np.ones(rows), size=rows))
+    w = V(Q.grid.points)
+    best, pair = _one_pdist_scan(Q.matrix, w)
+    rep = v_dobrushin(Q, V)
+    assert rep.witness_pair == pair
+    assert rep.beta == pytest.approx(best, rel=1e-12)
 
 
 def test_sorted_quantile_is_numpys_linear_quantile():

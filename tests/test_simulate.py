@@ -413,13 +413,11 @@ def test_qsd_horizon_needs_two_periods_after_burn_in(t):
 def test_workers_are_capped_by_the_usable_cores(monkeypatch):
     import os
 
-    from semistab import core
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert core._usable_cores() == 1
+    assert simulate._usable_cores() == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert core._usable_cores() == 3
+    assert simulate._usable_cores() == 3
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
     assert simulate._workers(4, 10) == 2
     assert simulate._workers(4, 1) == 1
