@@ -280,7 +280,7 @@ def _cmd_riccati(cfg):
                    "abs_error": err}
         assertions = [("matches_tanh", err, 1e-8, err <= 1e-8)]
         return results, assertions, None, float(p[0, 0])
-    rng = np.random.default_rng(extra["seed_spec"])
+    rng = np.random.default_rng(cfg["seed"])
     A = rng.normal(size=(2, 2))
     Sig = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
     Cs = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
@@ -372,7 +372,7 @@ _SCHEMA = {
     "riccati": {**_COMMON, "extra": {
         "kind": (("scalar", "matrix_tanh", "coupled"), "scalar"),
         "a0": (float, 1.0), "a1": (float, 0.0), "b": (float, 1.0),
-        "z0": (float, 0.0), "t": (float, 10.0), "seed_spec": (int, 0)}},
+        "z0": (float, 0.0), "t": (float, 10.0)}},
     "geometry": {**_COMMON, "extra": {
         "op": (("shape", "frame", "offset", "weingarten_residual"), "shape"),
         "surface": (str, "parabola"), "theta": (_numbers, 0.0),

@@ -257,7 +257,8 @@ class DriftCertificate:
     """Drift data (eps, c) with a minorization level on a sub-level set.
 
     ok is False when no eps < 1 is achievable (the drift ratio never dips
-    below one anywhere on the grid).
+    below one anywhere on the grid) or when the rows started in {V <= r}
+    do not overlap, so that alpha(r) = 0.
     """
 
     ok: bool
@@ -289,7 +290,7 @@ def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec) -> DriftCertifi
     with c the maximum of V * theta over the super-level set of theta.
     The minorization level alpha(r) is read at r, the 0.8 quantile of V.
     Returns a failure report rather than raising when the ratio never
-    drops below 1.
+    drops below 1 or when alpha(r) is not positive.
     """
     vals = V(P.grid.points)
     pv = P.matrix @ vals
@@ -300,26 +301,23 @@ def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec) -> DriftCertifi
     if theta.min() >= 1.0:
         return DriftCertificate(False, math.nan, math.nan, math.nan, math.nan,
                                 theta_f, reason="P(V)/V >= 1 everywhere")
+    rungs = [e for e in (float(np.quantile(theta, q)) for q in (0.5, 0.25, 0.1)) if 0 < e < 1]
     ladder = []
-    for q in (0.5, 0.25, 0.1):
-        eps = float(np.quantile(theta, q))
-        if not 0 < eps < 1:
-            continue
+    # when the ratio dips below 1 but the chosen quantiles all sit above it,
+    # the one rung is halfway from its minimum to 1
+    for eps in rungs or [float(0.5 * (theta.min() + 1.0))]:
         mask = theta >= eps
         c = float((vals[mask] * theta[mask]).max()) if mask.any() else 0.0
         ladder.append((eps, c, int(mask.sum())))
-    if not ladder:
-        # ratio dips below 1 but the chosen quantiles all sit above it
-        eps = float(0.5 * (theta.min() + 1.0))
-        mask = theta >= eps
-        ladder = [(eps, float((vals[mask] * theta[mask]).max()), int(mask.sum()))]
     eps, c, _ = ladder[0]
     r = float(np.quantile(vals, 0.8))
-    r = max(r, float(vals.min()))
     alpha_r = local_minorization(P, V, r)
-    cert = DriftCertificate(True, eps, c, r, alpha_r, theta_f,
-                            ladder=tuple(ladder), edge_decay_ok=edge_decay)
-    cert.validate(P, V)
+    reason = "" if alpha_r > 0 else (f"alpha(r) = 0 at r = {r:.6g}: two rows started "
+                                     f"in {{V <= r}} do not overlap (computed {alpha_r:.3g})")
+    cert = DriftCertificate(alpha_r > 0, eps, c, r, alpha_r, theta_f, tuple(ladder),
+                            edge_decay, reason)
+    if cert.ok:
+        cert.validate(P, V)
     return cert
 
 

@@ -8,7 +8,7 @@ variation and V-norms are exact finite sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -153,7 +153,7 @@ def _require_same_grid(g1: GridDomain, g2: GridDomain):
 @dataclass(frozen=True)
 class LyapunovSpec:
     family: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -235,17 +235,9 @@ class LyapunovSpec:
         except ValueError:
             raise ValueError(f"bad Lyapunov spelling {spelling!r}") from None
         name = name.strip()
-        if name == "const":
-            return cls.const(float(arg))
-        if name == "poly":
-            return cls.poly(float(arg))
-        if name == "exp":
-            return cls.exp(float(arg))
-        if name == "inv_plus_poly":
-            return cls.inv_plus_poly(float(arg))
-        if name == "boundary":
-            return cls.boundary(float(arg))
-        raise ValueError(f"unknown Lyapunov family {name!r}")
+        if name not in ("const", "poly", "exp", "inv_plus_poly", "boundary"):
+            raise ValueError(f"unknown Lyapunov family {name!r}")
+        return getattr(cls, name)(float(arg))
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x) -> np.ndarray:
@@ -332,10 +324,7 @@ def tv_norm(mu: MeasureVec) -> float:
 
 def v_norm_measure(mu: MeasureVec, V: LyapunovSpec) -> float:
     """Measure V-norm |mu|(V) = sum |m_i| V(x_i)."""
-    vals = V(mu.grid.points)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("V takes non-finite values on the grid")
-    return float(np.abs(mu.masses) @ vals)
+    return float(np.abs(mu.masses) @ V(mu.grid.points))
 
 
 def v_operator_norm(Q, V: LyapunovSpec) -> float:

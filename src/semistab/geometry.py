@@ -35,12 +35,11 @@ class MongeSurface:
     `th[:, 0] ** 2`); one-point callbacks do not work.  Derivatives use grad
     and hess when supplied, central differences at fd_step, one chart point
     at a time, otherwise.  epsilon flips the normal orientation (and with it
-    the signs of Omega and W).
+    the signs of Omega and W).  The ambient dimension n is len(chart_domain) + 1.
     """
 
     phi: Callable
     chart_domain: tuple
-    n: int = 2
     epsilon: int = 1
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
@@ -50,17 +49,19 @@ class MongeSurface:
 
     def __post_init__(self):
         if self.n not in (2, 3):
-            raise ValueError("only ambient dimensions 2 and 3 are supported")
+            raise ValueError("chart_domain must have 1 or 2 intervals (ambient dimension 2 or 3)")
         if self.epsilon not in (-1, 1):
             raise ValueError("epsilon must be -1 or +1")
-        if len(self.chart_domain) != self.n - 1:
-            raise ValueError("chart_domain must have n-1 intervals")
         if self.graph_axis is None:
             object.__setattr__(self, "graph_axis", self.n - 1)
 
     @property
+    def n(self) -> int:
+        return len(self.chart_domain) + 1
+
+    @property
     def chart_dim(self) -> int:
-        return self.n - 1
+        return len(self.chart_domain)
 
     def _inside(self, thetas, margin: float = 0.0) -> np.ndarray:
         """Row mask of a stack of chart points inside the chart box."""
@@ -487,7 +488,7 @@ def make_surface(name: str, epsilon: int = 1) -> object:
         return MongeSurface(phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2,
                             grad=lambda th: 2.0 * th,
                             hess=lambda th: np.tile(2.0 * np.eye(2), (len(th), 1, 1)),
-                            chart_domain=((-2.0, 2.0), (-2.0, 2.0)), n=3,
+                            chart_domain=((-2.0, 2.0), (-2.0, 2.0)),
                             epsilon=epsilon, name="paraboloid")
     if name == "graph_example_8_4":
         charts = {"psi0": make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),

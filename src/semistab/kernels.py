@@ -170,12 +170,14 @@ def hermite_series_kernel(t: float, x, y, N: int) -> np.ndarray:
         raise ValueError("N > 200 rejected (normalization-stable range)")
     if t <= 0:
         raise ValueError("t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    fx = hermite_functions(N, x)
-    fy = hermite_functions(N, y)
     lam = np.exp(-(np.arange(N) + 0.5) * t)
-    out = np.einsum("k,ki,kj->ij", lam, fx, fy)
+    return _series(lam, hermite_functions(N, x), hermite_functions(N, y))
+
+
+def _series(lam, fx, fy):
+    """sum_k lam_k fx[k, i] fy[k, j] by one (1 x N) @ (N x ny) product per x,
+    squeezed; a row keeps its bits in any batch of two or more rows."""
+    out = np.matmul((lam[:, None] * fx).T[:, None, :], fy)[:, 0, :]
     return out[0, 0] if out.size == 1 else np.squeeze(out)
 
 
@@ -201,10 +203,7 @@ def dirichlet_heat(t: float, x, y, N: int) -> np.ndarray:
     lam = np.exp(-((ns * math.pi) ** 2) * t / 2.0)
     sx = np.sqrt(2.0) * np.sin(np.outer(ns, x) * math.pi)
     sy = np.sqrt(2.0) * np.sin(np.outer(ns, y) * math.pi)
-    # one (1 x N) @ (N x ny) product per x: each row's bits do not depend
-    # on how many rows are evaluated together
-    out = np.matmul((lam[:, None] * sx).T[:, None, :], sy)[:, 0, :]
-    return out[0, 0] if out.size == 1 else np.squeeze(out)
+    return _series(lam, sx, sy)
 
 
 def dirichlet_mass(t: float, x, N: int = 100) -> np.ndarray:
@@ -562,7 +561,8 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
     (truncated eigenseries may dip microscopically negative).  A Markov
-    model's rows must sum to 1 within 1e-6.  The density
+    model's rows must sum to 1 within 1e-6; a zero row (underflow) is an
+    ArithmeticError.  The density
     is evaluated on blocks of rows in broadcast calls, x a column, so it
     must accept an array of x.  When a block fails, its rows are evaluated
     one at a time only to name the first failing row in the raised
@@ -588,6 +588,10 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
                     break
             raise ArithmeticError(f"density evaluation failed {where}") from exc
     np.clip(K, 0.0, None, out=K)
+    live = K.any(axis=1)
+    if not live.all():
+        raise ArithmeticError(f"the kernel mass underflowed to zero in {n - live.sum()} of "
+                              f"{n} grid rows, the first at x={float(pts[live.argmin()])!r}")
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
                                 quad_tol=1e-6)

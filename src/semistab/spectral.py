@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .contraction import _tail_rate
+from .contraction import DecayCurve, _tail_rate
 from .core import (
     FunctionVec,
     LyapunovSpec,
@@ -30,7 +29,6 @@ __all__ = [
     "leading_eigentriple",
     "GroundStateProduct",
     "ground_state_product",
-    "GapCurve",
     "finite_rank_gap",
     "SpectralDecayReport",
     "spectral_decay_check",
@@ -92,17 +90,15 @@ def normalized_flow(Q: DiscreteOperator, eta0: MeasureVec, n: int):
 
 
 def _connected(K: np.ndarray) -> bool:
-    n = K.shape[0]
-    adj = K > 0
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
+    """Whether state 0 reaches every state and back, by a breadth-first walk each
+    way: the next frontier is where K (>= 0) summed over the last is positive."""
+    for step in (lambda front: front @ K, lambda front: K @ front):
+        seen = np.zeros(len(K), dtype=bool)
         seen[0] = True
-        while stack:
-            i = stack.pop()
-            nbrs = np.nonzero(mat[i] & ~seen)[0]
-            seen[nbrs] = True
-            stack.extend(nbrs.tolist())
+        front = seen
+        while front.any():
+            front = (step(front) > 0) & ~seen
+            seen = seen | front
         if not seen.all():
             return False
     return True
@@ -114,12 +110,11 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
 
     Residuals: sup-norm eigen-relation defect for h, total-variation defect
     for the fixed-point measure.  On non-convergence the best iterate is
-    returned with converged=False rather than raising.
+    returned with converged=False rather than raising.  A reducible K is a
+    ValueError, a ground state underflowed to zero an ArithmeticError.
     """
     K = Q.matrix
     n = K.shape[0]
-    if np.any(K.sum(axis=1) <= 0):
-        raise ValueError("power iteration needs all row sums positive")
     if not _connected(K):
         raise ValueError("operator support graph is not strongly connected")
     eta = np.full(n, 1.0 / n)
@@ -142,6 +137,9 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
         if res_l <= tol and res_r <= tol:
             break
     h = h / float(eta @ h)  # pairing normalization eta_inf(h) = 1
+    if not (h > 0).all():
+        raise ArithmeticError(f"the ground state underflowed to zero at {(h <= 0).sum()} of {n} "
+                              f"grid points, the first at x={float(Q.grid.points[h.argmin()])!r}")
     rho = math.log(lam) / Q.time_step
     return EigenTriple(
         rho,
@@ -180,15 +178,8 @@ def ground_state_product(Q: DiscreteOperator, triple: EigenTriple,
     return GroundStateProduct(partials, float(partials[-1]), factors)
 
 
-@dataclass(frozen=True)
-class GapCurve:
-    times: np.ndarray
-    values: np.ndarray
-    fitted_rate: Optional[float]
-
-
 def finite_rank_gap(Q: DiscreteOperator, mu: MeasureVec, H: FunctionVec,
-                    T: int, V: LyapunovSpec) -> GapCurve:
+                    T: int, V: LyapunovSpec) -> DecayCurve:
     """V-operator-norm distance to the rank-one ground-state projector.
 
     At each step t the normalized operator Q^t / mu Q^t(1) is compared with
@@ -209,7 +200,7 @@ def finite_rank_gap(Q: DiscreteOperator, mu: MeasureVec, H: FunctionVec,
         G = Mt / z - np.outer((Mt @ H.values) / z, mu_t)
         out[t - 1] = np.max((np.abs(G) @ vals) / vals)
     times = np.arange(1, T + 1) * Q.time_step
-    return GapCurve(times, out, _tail_rate(times, out, 1e-250))
+    return DecayCurve(times, out, _tail_rate(times, out, 1e-250))
 
 
 @dataclass(frozen=True)
@@ -253,12 +244,12 @@ def h_transform_commute(Q: DiscreteOperator, triple: EigenTriple,
     Returns the tv distance between the two routes after 1, 2 and 5 steps.
     """
     P = doob_h_transform(Q, triple.h, triple.rho)
+    flow, _ = normalized_flow(Q, eta, 5)
+    rhs = boltzmann_gibbs(triple.h, eta).masses
     out = {}
-    for n in (1, 2, 5):
-        flow, _ = normalized_flow(Q, eta, n)
-        lhs = boltzmann_gibbs(triple.h, flow[-1])
-        rhs = boltzmann_gibbs(triple.h, eta).masses
-        for _ in range(n):
-            rhs = rhs @ P.matrix
-        out[n] = tv_norm(MeasureVec(lhs.masses - rhs, Q.grid))
+    for n in range(1, 6):
+        rhs = rhs @ P.matrix
+        if n in (1, 2, 5):
+            lhs = boltzmann_gibbs(triple.h, flow[n]).masses
+            out[n] = tv_norm(MeasureVec(lhs - rhs, Q.grid))
     return out

@@ -307,12 +307,7 @@ def build_subgeo_chain(n: int = 200):
             dn = max(x - s, 1)
             P[i, up - 1] += (1 - g[i]) / (2 * L)
             P[i, dn - 1] += (1 + g[i]) / (2 * L)
-    grid = GridDomain.uniform_closed(1.0, float(n), n)
-    V = LyapunovSpec.table(xs, grid)
-    op = DiscreteOperator(P, grid, 1.0, is_markov=True, quad_tol=1e-9)
-    drift = prototype_drift(delta, 0.5, kappa0, 1.0)
-    c = _drift_constant(P, xs, drift.phi)
-    return op, V, drift, c
+    return _chain(P, delta, kappa0)
 
 
 def build_certified_chain():
@@ -333,9 +328,15 @@ def build_certified_chain():
         s = kappa0 * math.sqrt(x) / (x - 1) + theta
         P[i, i] = 1 - s
         P[i, 0] = s
+    return _chain(P, 0.5, kappa0)
+
+
+def _chain(P: np.ndarray, delta: float, kappa0: float):
+    """(P, V, drift, c) of a Markov matrix on {1..n}: V(x) = x, the prototype
+    drift at (delta, 1/2, kappa0, 1) and the least c with P(V) <= V - phi(V) + c."""
+    n = len(P)
+    xs = np.arange(1, n + 1, dtype=float)
     grid = GridDomain.uniform_closed(1.0, float(n), n)
-    V = LyapunovSpec.table(xs, grid)
-    op = DiscreteOperator(P, grid, 1.0, is_markov=True, quad_tol=1e-9)
-    drift = prototype_drift(0.5, 0.5, kappa0, 1.0)
-    c = _drift_constant(P, xs, drift.phi)
-    return op, V, drift, c
+    drift = prototype_drift(delta, 0.5, kappa0, 1.0)
+    return (DiscreteOperator(P, grid, 1.0, is_markov=True, quad_tol=1e-9),
+            LyapunovSpec.table(xs, grid), drift, _drift_constant(P, xs, drift.phi))

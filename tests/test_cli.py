@@ -558,6 +558,7 @@ _BASE_CONFIGS = [
     {"command": "riccati", "extra": {"kind": "matrix_tanh", "t": 1.0}},
     {"command": "geometry",
      "extra": {"op": "shape", "surface": "parabola", "theta": 0.5}},
+    {"command": "riccati", "extra": {"kind": "coupled"}},
 ]
 
 
@@ -643,3 +644,57 @@ def test_contract_scans_sub_level_sets_of_a_last_row_over(tmp_path, n):
     cfg = {"command": "contract", "model": {"name": "harmonic"},
            "grid": {"min": -4.0, "max": 4.0, "n": n}}
     assert run_experiment(cfg, out_dir=tmp_path) == 0
+
+
+def test_contract_with_no_minorization_is_a_reported_failure(tmp_path, capsys):
+    # the rows of {V <= r} do not overlap on this wide grid, so alpha(r) = 0
+    out = tmp_path / "contract.json"
+    cfg = {"command": "contract", "model": {"name": "gauss_ou"},
+           "grid": {"min": -20, "max": 20, "n": 400}, "time": {"tau": 0.5},
+           "output": {"path": str(out)}}
+    assert run_experiment(cfg) == 2
+    assert _one_line_error(capsys) == "assertion failed: drift_certificate_found\n"
+    results = json.loads(out.read_text())["results"]
+    assert results["ok"] is False
+    assert results["reason"].startswith("alpha(r) = 0 at r = 257.323")
+
+
+@pytest.mark.parametrize("command", ["eigen", "decay"])
+@pytest.mark.parametrize("width, message", [
+    (40, "the ground state underflowed to zero at 8 of 200 grid points"),
+    (60, "the kernel mass underflowed to zero in "),
+])
+def test_underflow_on_a_wide_grid_is_a_numerical_failure(capsys, command, width,
+                                                         message):
+    cfg = {"command": command, "model": {"name": "harmonic"},
+           "grid": {"min": -width, "max": width, "n": 200}}
+    assert run_experiment(cfg) == 2
+    assert _one_line_error(capsys).startswith(f"numerical failure: {message}")
+
+
+def test_riccati_coupled_draws_its_matrices_from_the_seed(tmp_path, capsys):
+    out = tmp_path / "coupled.json"
+    cfg = {"command": "riccati", "extra": {"kind": "coupled"},
+           "output": {"path": str(out)}}
+    rho = []
+    for seed in (0, 3):
+        assert run_experiment({**cfg, "seed": seed}) == 0
+        art = json.loads(out.read_text())
+        assert art["inputs"]["seed"] == seed
+        assert [a["pass"] for a in art["assertions"]] == [True]
+        rho.append(art["results"]["rho_hat"])
+    assert rho[0] != rho[1]
+    assert run_experiment({**cfg, "extra": {"kind": "coupled", "seed_spec": 0}}) == 1
+    assert "unknown key extra.seed_spec" in _one_line_error(capsys)
+
+
+def test_geometry_weingarten_residual(tmp_path):
+    out = tmp_path / "w.json"
+    cfg = {"command": "geometry", "output": {"path": str(out)},
+           "extra": {"op": "weingarten_residual", "surface": "paraboloid",
+                     "theta": [0.3, -0.4]}}
+    assert run_experiment(cfg) == 0
+    art = json.loads(out.read_text())
+    assert [a["name"] for a in art["assertions"]] == ["weingarten_identity"]
+    assert art["assertions"][0]["pass"] is True
+    assert 0 <= art["results"]["residual"] <= 1e-5

@@ -512,3 +512,42 @@ def test_sorted_quantile_is_numpys_linear_quantile():
     for n in range(2, 2001):
         v = np.sort(rng.uniform(0.5, 4.0 * rng.uniform(1.0, 10.0), size=n))
         assert _sorted_quantile(v, 0.8) == float(np.quantile(v, 0.8)), n
+
+
+def test_foster_lyapunov_fallback_rung():
+    # P(V)/V < 1 at one point in 20, so its 0.5, 0.25 and 0.1 quantiles are
+    # all above 1 and the ladder's one rung sits halfway from its minimum to 1
+    n = 20
+    row = np.full(n, 0.05 / n)
+    row[-1] += 0.95
+    P = chain(np.tile(row, (n, 1)))
+    vals = np.ones(n)
+    vals[-1] = 10.0
+    V = LyapunovSpec.table(vals, P.grid)
+    cert = foster_lyapunov_verify(P, V)
+    theta = cert.theta.values
+    assert (theta < 1).sum() == 1
+    assert cert.ok and cert.alpha_r == 1.0
+    assert cert.ladder == ((0.5 * (theta.min() + 1.0), theta[0], n - 1),)
+    cert.validate(P, V)
+
+
+def test_foster_lyapunov_fallback_rung_above_every_ratio():
+    # P(V)/V is 0 on three zero rows and 0.3 on the last: every quantile
+    # rung is 0, and no ratio reaches the fallback rung 1/2, so c = 0
+    rows = np.zeros((4, 4))
+    rows[3, [0, 1, 3]] = 0.1
+    P = DiscreteOperator(rows, GridDomain.uniform_closed(0.0, 1.0, 4), 1.0)
+    cert = foster_lyapunov_verify(P, LyapunovSpec.const(1.0))
+    assert cert.ok and cert.ladder == ((0.5, 0.0, 0),)
+
+
+def test_foster_lyapunov_without_overlap_reports_alpha_zero():
+    # the three rows of {V <= r} sit on distinct states
+    P = chain([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+    V = LyapunovSpec.table([1.0, 1.0, 1.0, 10.0], P.grid)
+    cert = foster_lyapunov_verify(P, V)
+    assert not cert.ok and cert.alpha_r == 0.0 and cert.r == pytest.approx(4.6)
+    assert cert.reason.startswith("alpha(r) = 0 at r = 4.6: two rows started in")
+    with pytest.raises(ValueError, match="failure report"):
+        cert.validate(P, V)

@@ -386,7 +386,7 @@ def test_finite_difference_fallback_keeps_its_stencils():
         (lambda th: np.sin(th[..., 0]) * np.cos(2 * th[..., 1])
          + th[..., 0] * th[..., 1] ** 2, ((-2.0, 2.0), (-2.0, 2.0))),
     ):
-        surf = MongeSurface(phi=phi, chart_domain=domain, n=len(domain) + 1)
+        surf = MongeSurface(phi=phi, chart_domain=domain)
         for _ in range(20):
             th = rng.uniform(-1.9, 1.9, size=surf.chart_dim)
             g, H = reference(phi, th, surf.fd_step)
@@ -403,7 +403,7 @@ def test_fundamental_forms_reads_the_gradient_once():
 
     surf = MongeSurface(phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2, grad=grad,
                         hess=lambda th: np.broadcast_to(2.0 * np.eye(2), (len(th), 2, 2)),
-                        chart_domain=((-2.0, 2.0), (-2.0, 2.0)), n=3)
+                        chart_domain=((-2.0, 2.0), (-2.0, 2.0)))
     for th in ([0.0, 0.0], [0.5, -1.2], [1.9, 0.3]):
         calls.clear()
         ff = fundamental_forms(surf, th)
@@ -633,3 +633,15 @@ def test_a_stack_of_frames_checks_every_node(field, value, message):
     bad[1].flat[0] += value  # the middle node only
     with pytest.raises(ValueError, match=message):
         BoundaryFrame(**{**parts, field: bad})
+
+
+@pytest.mark.parametrize("domain", [(), ((0.0, 1.0),) * 3])
+def test_chart_domains_of_zero_or_three_intervals_rejected(domain):
+    with pytest.raises(ValueError, match="chart_domain must have 1 or 2 intervals"):
+        MongeSurface(phi=lambda th: th.sum(axis=1), chart_domain=domain)
+
+
+def test_ambient_dimension_follows_the_chart_domain():
+    assert make_surface("parabola").n == 2
+    assert make_surface("paraboloid").n == 3
+    assert make_surface("paraboloid").chart_dim == 2

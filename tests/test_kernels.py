@@ -552,3 +552,17 @@ class _NanOscillator(HarmonicOscillator):
 def test_discretize_reports_nan_entries_as_a_numerical_failure():
     with pytest.raises(ArithmeticError, match="quadrature failed: operator has 49 non-finite"):
         discretize(_NanOscillator(), GridDomain.uniform_closed(-4.0, 4.0, 15), 0.5)
+
+
+
+def test_hermite_series_matches_the_plain_sum():
+    from semistab.kernels import hermite_functions
+
+    xs, ys = np.linspace(-3, 3, 7), np.linspace(-2.5, 2.5, 11)
+    lam = np.exp(-(np.arange(30) + 0.5) * 0.7)
+    ref = np.einsum("k,ki,kj->ij", lam, hermite_functions(30, xs), hermite_functions(30, ys))
+    out = hermite_series_kernel(0.7, xs, ys, 30)
+    assert out.shape == (7, 11)
+    assert np.abs(out - ref).max() <= 2e-15 * np.abs(ref).max()  # rounding only
+    assert hermite_series_kernel(0.7, xs[0], ys, 30).shape == (11,)
+    assert isinstance(hermite_series_kernel(0.7, 0.1, 0.2, 30), float)

@@ -340,7 +340,7 @@ def test_negative_horizons_rejected():
         with pytest.raises(ValueError):
             coupled_oscillator_semigroup(0.0, 1.0, 1.0, np.array([1.0]), t)
     assert scalar_riccati(s, 0.5, 0.0) == 0.5
-    np.testing.assert_array_equal(matrix_riccati(spec, 0.0), spec.p0)
+    np.testing.assert_array_equal(matrix_riccati(spec, 0.0), np.zeros((1, 1)))
 
 
 def test_long_horizons_reach_fixed_points():

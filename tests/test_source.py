@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import importlib
+import inspect
 import math
 from collections import Counter
 from pathlib import Path
@@ -64,10 +67,29 @@ def _set_by(call):
     return (math.inf if starred else len(call.args)), {k.arg for k in call.keywords}
 
 
+def _defaulted_fields():
+    """(where, class name, positional index, field) of every dataclass field
+    with a default that the generated __init__ takes (init=False excluded)."""
+    out = []
+    for path in sorted(SRC.glob("[!_]*.py")):
+        mod = importlib.import_module(f"semistab.{path.stem}")
+        for cls in vars(mod).values():
+            if not (inspect.isclass(cls) and cls.__module__ == mod.__name__
+                    and dataclasses.is_dataclass(cls)):
+                continue
+            fields = [f for f in dataclasses.fields(cls) if f.init]
+            out += [(f"{path.name} {cls.__name__}", cls.__name__, i, f.name)
+                    for i, f in enumerate(fields)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING]
+    return out
+
+
 def test_every_defaulted_parameter_is_set_by_some_call():
     # a default that no call in src/, tests/ or bench/ overrides, positionally
     # or by keyword, is a constant in disguise; calls match a def by its bare
-    # or attribute name, and a method's positions start after `self`
+    # or attribute name, and a method's positions start after `self`; a
+    # dataclass field with a default counts as a parameter of its class
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
@@ -80,7 +102,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                 calls.setdefault(name, []).append(_set_by(node))
     # bench/tracing.py binds these to count flow steps, so they stay arguments
     exempt = {"scalar_riccati.dt", "coupled_oscillator_semigroup.dt"}
-    unset = []
+    defaulted = _defaulted_fields()
     for path, tree in trees.items():
         if SRC not in path.parents:
             continue
@@ -94,13 +116,12 @@ def test_every_defaulted_parameter_is_set_by_some_call():
             skip = node in methods and not any(
                 getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
             first = len(positional) - len(args.defaults)
-            defaulted = [(i - skip, positional[i].arg) for i in range(first, len(positional))]
-            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None]
-            for index, arg in defaulted:
-                if f"{node.name}.{arg}" in exempt:
-                    continue
-                if not any(n > index or arg in kw or None in kw
-                           for n, kw in calls.get(node.name, [])):
-                    unset.append(f"{path.name}:{node.lineno} {node.name}.{arg}")
+            where = f"{path.name}:{node.lineno} {node.name}"
+            defaulted += [(where, node.name, i - skip, positional[i].arg)
+                          for i in range(first, len(positional))]
+            defaulted += [(where, node.name, math.inf, a.arg)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    unset = [f"{where}.{arg}" for where, name, index, arg in defaulted
+             if f"{name}.{arg}" not in exempt
+             and not any(n > index or arg in kw or None in kw for n, kw in calls.get(name, []))]
     assert not unset, f"defaulted parameters that no call sets: {unset}"

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
+from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, boltzmann_gibbs
 from semistab.kernels import (
     DirichletHeat,
     DiscreteOperator,
     HalfHarmonicOscillator,
     HarmonicOscillator,
     discretize,
+    doob_h_transform,
 )
 from semistab.spectral import (
     EigenTriple,
@@ -276,3 +277,33 @@ def test_h_transform_commute_markov_identity():
     dists = h_transform_commute(Q, triple, eta)
     for d_tv in dists.values():
         assert d_tv < 1e-14
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]],  # state 1 never leaves
+    [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.5]],  # a zero row
+])
+def test_eigentriple_rejects_an_operator_that_is_not_strongly_connected(rows):
+    Q = DiscreteOperator(np.array(rows), GridDomain.uniform_closed(0, 1, 3), 1.0)
+    with pytest.raises(ValueError, match="not strongly connected"):
+        leading_eigentriple(Q)
+
+
+def test_eigentriple_names_an_underflowed_ground_state():
+    m = HarmonicOscillator()
+    Q = discretize(m, GridDomain.uniform_closed(-40, 40, 200), 0.5)
+    with pytest.raises(ArithmeticError, match="ground state underflowed to zero at 8 of 200"):
+        leading_eigentriple(Q)
+
+
+def test_h_transform_commute_steps_match_separate_flows(dirichlet_op):
+    _, Q = dirichlet_op
+    triple = leading_eigentriple(Q)
+    eta = MeasureVec(np.full(Q.grid.size, 1 / Q.grid.size), Q.grid)
+    P = doob_h_transform(Q, triple.h, triple.rho)
+    dists = h_transform_commute(Q, triple, eta)
+    assert sorted(dists) == [1, 2, 5]
+    for n, dist in dists.items():
+        lhs = boltzmann_gibbs(triple.h, normalized_flow(Q, eta, n)[0][-1]).masses
+        rhs = boltzmann_gibbs(triple.h, eta).masses @ np.linalg.matrix_power(P.matrix, n)
+        assert dist == pytest.approx(0.5 * np.abs(lhs - rhs).sum(), abs=1e-15)
