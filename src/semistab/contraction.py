@@ -2,19 +2,22 @@
 
 All suprema over pairs of states are exhaustive scans of the grid (the
 continuum supremum is attained on point masses, so grid exhaustion is the
-faithful finite analogue).  A scan covers the pair triangle with fixed tiles
+faithful finite analogue).  One scan serves the V-Dobrushin coefficient
+and every minorization level: it covers the pair triangle with fixed tiles
 of 128 rows a side (a last row over joins the block before it), pdist
-triangles on the diagonal and cdist rectangles above it, and reduces each
-tile to its maximum and first witness.  Memory is one tile at a time,
-not the n(n-1)/2 condensed distances.  Ties are broken toward the
-smallest index pair, making every report deterministic.
+triangles on the diagonal and cdist rectangles above it, and one reducer
+takes each tile to every row set's maximum and first witness.  The
+triangles' row layout is one cached np.triu_indices per tile size.  Memory
+is one tile at a time, not the n(n-1)/2 condensed distances.  Ties are
+broken toward the smallest index pair, making every report deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +44,6 @@ __all__ = [
 class ContractionReport:
     beta: float
     witness_pair: tuple
-    V_used: LyapunovSpec
 
     def __post_init__(self):
         if not 0 <= self.beta:
@@ -53,111 +55,75 @@ class ContractionReport:
 _TILE = 128
 
 
-def _tile_rows(r0, r1, c0, c1):
-    """Rows (i, j) of each entry of a tile's distances, as broadcastable
-    arrays: flat over pdist's condensed triangle on a diagonal tile
-    (r0 == c0), an open grid over cdist's rectangle otherwise."""
-    if r0 != c0:
-        return np.ogrid[r0:r1, c0:c1]
-    counts = np.arange(r1 - r0 - 1, 0, -1)  # pairs (i, j > i) of row i
-    i = np.repeat(np.arange(r0, r1 - 1), counts)
-    # entry k pairs row i with j = r0 + k + 1 - (start_i - (i - r0)),
-    # start_i the first entry of row i
-    j = np.arange(r0 + 1, r0 + len(i) + 1)
-    j -= np.repeat(np.cumsum(counts) - counts - np.arange(len(counts)), counts)
-    return i, j
+@functools.lru_cache(maxsize=_TILE)
+def _triangle(t: int) -> tuple:
+    """Rows (i, j) of each entry of pdist's condensed triangle over t rows,
+    read-only.  A diagonal tile holds 2 to _TILE + 1 rows, so the cache
+    keeps at most _TILE layouts."""
+    ij = np.triu_indices(t, 1)
+    for a in ij:
+        a.flags.writeable = False
+    return ij
 
 
-def _tile_pair(k: int, r0, r1, c0, c1) -> tuple:
-    """Rows (i, j) of entry k of a tile's distances."""
-    if r0 != c0:
-        i, j = divmod(k, c1 - c0)
-        return r0 + i, c0 + j
-    t = r1 - r0
-    # rows counted from the last hold 1, 2, ... entries: entry k is the
-    # m-th from the end, in row b from the end with b(b+1)/2 <= m
-    m = t * (t - 1) // 2 - 1 - k
-    b = (math.isqrt(8 * m + 1) - 1) // 2
-    i = t - 2 - b
-    return r0 + i, r0 + k - i * (2 * t - i - 1) // 2 + i + 1
+def _tiles(n: int) -> list:
+    """Tiles (r0, r1, c0, c1) that cover the pairs i < j of n rows, each
+    diagonal block and every block to its right, in that order.  A last
+    block of one row joins the block before it, so every diagonal tile
+    holds a pair."""
+    cuts = [0, *range(_TILE, n - 1, _TILE), n] if n > 1 else []
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    return [(*a, *b) for k, a in enumerate(blocks) for b in blocks[k:]]
 
 
-def _tile(K: np.ndarray, weights: Optional[np.ndarray], r0, r1, c0, c1) -> np.ndarray:
-    """Distances sum_k w_k |K_ik - K_jk| of one tile's pairs, over
-    (w_i + w_j) when weights are given (K square).
+def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
+               sets: Sequence = (None,)) -> list:
+    """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
+    when weights are given (K square), with its lexicographically first
+    argmax witness (i, j): one (max, witness) per row set, a boolean mask
+    over the rows of K or None for all of them, and (0.0, (0, 0)) for a
+    set without a pair.  K and the weights must be finite.
 
-    A diagonal tile (r0 == c0) is pdist's condensed triangle and any other
-    is cdist's rectangle; both give each pair the bits of one pdist over all
-    rows of K.
+    A diagonal tile (r0 == c0) is pdist's condensed triangle, rows (i, j)
+    from `_triangle`, and any other is cdist's rectangle, rows from an open
+    grid; both give each pair the bits of one pdist over all rows of K.
+    Each tile is reduced to every set's maximum and first witness.
     """
     from scipy.spatial.distance import cdist, pdist
 
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
-    if r0 == c0:
-        d = pdist(K[r0:r1], **metric)
-    else:
-        d = cdist(K[r0:r1], K[c0:c1], **metric)
-    if weights is not None:
-        i, j = _tile_rows(r0, r1, c0, c1)
-        d /= weights[i] + weights[j]
-    return d
-
-
-def _map_tiles(fn: Callable, n: int) -> list:
-    """fn(r0, r1, c0, c1) over the tiles that cover the pairs i < j of n
-    rows, each diagonal block and every block to its right, in that order.
-    A last block of one row joins the block before it, so every diagonal
-    tile holds a pair."""
-    cuts = [0, *range(_TILE, n - 1, _TILE), n]
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    return [fn(*a, *b) for k, a in enumerate(blocks) for b in blocks[k:]]
-
-
-def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None):
-    """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
-    when weights are given (K square), with its lexicographically first
-    argmax witness (i, j).  K and the weights must be finite.
-
-    Each tile is reduced to its maximum and its first witness.
-    """
-    n = K.shape[0]
-    if n < 2:
-        return 0.0, (0, 0)
-
-    def best(*tile):
-        d = _tile(K, weights, *tile)
-        k = int(np.argmax(d))  # first maximum in row-major pair order
-        return float(d.flat[k]), _tile_pair(k, *tile)
-
-    found = _map_tiles(best, n)
-    top = max(value for value, _ in found)
-    return top, min(pair for value, pair in found if value == top)
+    found = [[] for _ in sets]
+    for r0, r1, c0, c1 in _tiles(K.shape[0]):
+        if r0 == c0:
+            d = pdist(K[r0:r1], **metric)
+            i, j = _triangle(r1 - r0)
+        else:
+            d = cdist(K[r0:r1], K[c0:c1], **metric)
+            i, j = np.ogrid[:r1 - r0, :c1 - c0]
+        if weights is not None:
+            d /= weights[r0:r1][i] + weights[c0:c1][j]
+        for s, tops in zip(sets, found):
+            e = d if s is None else np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
+            k = int(e.argmax())  # first maximum in row-major pair order
+            if (value := e.item(k)) > -math.inf:
+                a, b = (i[k], j[k]) if r0 == c0 else divmod(k, c1 - c0)
+                tops.append((value, (r0 + int(a), c0 + int(b))))
+    # the largest value, and of its pairs the smallest
+    return [min(tops, key=lambda top: (-top[0], top[1]), default=(0.0, (0, 0)))
+            for tops in found]
 
 
 def _minorization_levels(K: np.ndarray, masks: list) -> list:
     """1 - max total-variation distance between the rows of K inside each
-    mask (None for an empty mask), from one scan of the rows in any mask;
-    at least one mask selects a row."""
+    mask (None for an empty mask), from one scan of the rows in any mask."""
     union = np.logical_or.reduce(masks)
-    rows = K[union]
-    sets = [m[union] for m in masks]
-
-    def maxima(*tile):
-        d = _tile(rows, None, *tile)
-        i, j = _tile_rows(*tile)
-        return [np.max(d, where=s[i] & s[j], initial=0.0) for s in sets]
-
-    tops = np.max(_map_tiles(maxima, len(rows)), axis=0)
-    return [1.0 - 0.5 * float(top) if s.any() else None for s, top in zip(sets, tops)]
-
-
-def _minorization(K: np.ndarray, mask: np.ndarray, what: str) -> float:
-    """1 - max total-variation distance between the rows of K in mask;
-    raises ValueError(what) when mask selects no row."""
-    if not mask.any():
-        raise ValueError(what)
-    return 1.0 - 0.5 * _pair_scan(K[mask])[0]
+    rows = np.count_nonzero(union)
+    sizes = [np.count_nonzero(m) for m in masks]
+    # a mask that holds every scanned row needs no mask
+    scans = _pair_scan(K[union], None, [None if size == rows else m[union]
+                                        for m, size in zip(masks, sizes)])
+    return [1.0 - 0.5 * top if size else None for size, (top, _) in zip(sizes, scans)]
 
 
 def _drift_constant(K: np.ndarray, vals: np.ndarray, phi: Callable) -> float:
@@ -192,7 +158,7 @@ def v_dobrushin(P: DiscreteOperator, V: LyapunovSpec) -> ContractionReport:
     """Exhaustive sup over grid pairs of |delta_x P - delta_y P|_V / (V(x)+V(y))."""
     K = P.matrix
     vals = V(P.grid.points)
-    best, pair = _pair_scan(K, vals)
+    [(best, pair)] = _pair_scan(K, vals)
     # recompute at the witness so the reported value is exact, not a
     # vectorized intermediate
     i, j = pair
@@ -201,15 +167,17 @@ def v_dobrushin(P: DiscreteOperator, V: LyapunovSpec) -> ContractionReport:
         raise ArithmeticError(
             f"pair-scan ratio {best:.17g} disagrees with its witness {exact:.17g}"
         )
-    return ContractionReport(exact, pair, V)
+    return ContractionReport(exact, pair)
 
 
 def local_minorization(P: DiscreteOperator, V: LyapunovSpec, r: float) -> float:
     """alpha(r) = 1 - max total-variation distance of rows started in {V <= r}."""
     vals = V(P.grid.points)
-    return _minorization(P.matrix, vals <= r,
-                         f"sub-level set {{V <= {r:g}}} is empty; smallest V "
+    [alpha_r] = _minorization_levels(P.matrix, [vals <= r])
+    if alpha_r is None:
+        raise ValueError(f"sub-level set {{V <= {r:g}}} is empty; smallest V "
                          f"value is {vals.min():.17g}")
+    return alpha_r
 
 
 def rescaled_lyapunov(eps: float, c: float, alpha_r: float, r: float,
@@ -386,8 +354,9 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
     k = max(1, P.grid.size // 20)
     if ratio[order[-k:]].max() > np.median(ratio) + 1e-12:
         raise ValueError("phi(V)/V does not decay where V is large")
-    alpha1 = _minorization(P.matrix, phiv <= r,
-                           "sub-level set {phi(V) <= r} is empty")
+    [alpha1] = _minorization_levels(P.matrix, [phiv <= r])
+    if alpha1 is None:
+        raise ValueError("sub-level set {phi(V) <= r} is empty")
     violated = ""
     if rho * c > alpha1:
         violated = f"rho*c = {rho * c:.6g} > alpha1(r) = {alpha1:.6g}"

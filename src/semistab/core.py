@@ -240,6 +240,7 @@ class LyapunovSpec:
         return getattr(cls, name)(float(arg))
 
     # -- evaluation ---------------------------------------------------------
+    @np.errstate(all="ignore")  # a non-finite or non-positive value is reported below
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -280,8 +281,9 @@ class LyapunovSpec:
                 out = out * f(pts)
         else:
             raise ValueError(f"unknown family {fam!r}")
-        if not np.isfinite(out).all():
-            raise ValueError(f"Lyapunov family {fam!r} produced non-finite values")
+        if not (np.isfinite(out).all() and (out > 0).all()):
+            raise ValueError(f"Lyapunov family {fam!r} produced non-finite or "
+                             "non-positive values")
         return float(out[0]) if scalar else out
 
     def at(self, x) -> float:

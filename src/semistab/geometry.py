@@ -216,7 +216,11 @@ def offset_jacobian(surface: MongeSurface, theta, u: float) -> float:
     if cross is not None:
         raise ValueError(f"offset depth |u| = {abs(u):g} crosses the focal "
                          f"distance {cross:g} at this chart point")
-    return float(_offset_dets(ff.W, u))
+    with np.errstate(all="ignore"):  # a non-finite Jacobian is reported below
+        jac = float(_offset_dets(ff.W, u))
+    if not math.isfinite(jac):
+        raise ArithmeticError(f"offset Jacobian at depth u = {u:g} is {jac}")
+    return jac
 
 
 @dataclass(frozen=True)

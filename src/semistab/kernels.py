@@ -459,6 +459,10 @@ class GaussOU:
     self_adjoint: ClassVar[bool] = False
     exact_rho: ClassVar[float] = 0.0
 
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+
     def _moments(self, t, x):
         mean = np.exp(self.a * t) * np.asarray(x, dtype=float)
         if self.a == 0:
@@ -577,7 +581,8 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         try:
-            K[lo:hi] = model.density(t, pts[lo:hi, None], pts) * w
+            with np.errstate(all="ignore"):  # non-finite and zero rows are reported below
+                K[lo:hi] = model.density(t, pts[lo:hi, None], pts) * w
         except Exception as exc:
             where = f"on grid rows {lo} to {hi - 1} broadcast together"
             for i in range(lo, hi):  # name the first row that fails alone

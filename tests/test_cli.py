@@ -499,6 +499,21 @@ _HARMONIC = {"model": {"name": "harmonic"},
        f"unexpected keyword argument '{key}'")
       for key, value in [("exact_rho", 7.0), ("is_markov", True),
                          ("self_adjoint", False)]],
+    # V overflows, or underflows to zero, on the grid
+    *[({"command": "contract", "model": {"name": "half_harmonic"},
+        "grid": {"min": 0, "max": 6, "n": 40}, "lyapunov": spec}, 1,
+       f"config error: Lyapunov family '{spec.split(':')[0]}' produced non-finite "
+       "or non-positive values")
+      for spec in ["exp:800", "poly:400", "inv_plus_poly:400", "exp:-1e308"]],
+    ({"command": "contract", "model": {"name": "gauss_ou", "params": {"sigma": 0}},
+      "grid": {"min": -20, "max": 20, "n": 100}}, 1,
+     "config error: sigma must be positive"),
+    # the densities overflow inside the kernel and every row's mass is zero
+    ({"command": "eigen", "model": {"name": "harmonic"},
+      "grid": {"min": -1e200, "max": 1e200, "n": 40}}, 2,
+     "numerical failure: the kernel mass underflowed to zero in 40 of 40 grid rows"),
+    ({"command": "geometry", "extra": {"op": "offset", "u": 1e308}}, 2,
+     "numerical failure: offset Jacobian at depth u = 1e+308 is inf"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code
@@ -508,6 +523,16 @@ def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert err == "" or code
     assert len(line.strip().splitlines()) == 1
     assert line.startswith(message)
+
+
+def test_non_finite_offset_jacobian_writes_no_artifact(tmp_path, capsys):
+    out = tmp_path / "offset.json"
+    cfg = {"command": "geometry", "extra": {"op": "offset", "u": 1e308},
+           "output": {"path": str(out)}}
+    assert run_experiment(cfg) == 2
+    assert _one_line_error(capsys).startswith(
+        "numerical failure: offset Jacobian at depth u = 1e+308 is inf")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -10,7 +10,6 @@ from scipy.spatial.distance import pdist
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec
 import semistab.contraction as contraction
 from semistab.contraction import (
-    _minorization,
     _minorization_levels,
     _pair_scan,
     _sorted_quantile,
@@ -289,7 +288,7 @@ def scan_inputs(draw):
 def test_pair_scan_matches_brute_force(inputs, weighted):
     K, w = inputs
     w = w if weighted else None
-    value, pair = _pair_scan(K, w)
+    [(value, pair)] = _pair_scan(K, w)
     ref_value, ref_pair = brute_pair_scan(K, w)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     assert pair == ref_pair
@@ -298,11 +297,11 @@ def test_pair_scan_matches_brute_force(inputs, weighted):
 def test_pair_scan_exact_ties_take_the_smallest_index_pair():
     # every pair of point masses is at L1 distance 2 and weighted ratio 1
     K = np.eye(5)
-    assert _pair_scan(K) == (2.0, (0, 1))
-    assert _pair_scan(K, np.array([3.0, 0.5, 1.0, 2.0, 0.25])) == (1.0, (0, 1))
+    assert _pair_scan(K) == [(2.0, (0, 1))]
+    assert _pair_scan(K, np.array([3.0, 0.5, 1.0, 2.0, 0.25])) == [(1.0, (0, 1))]
     # rows 1 and 3 equal: (1, 2) and (2, 3) tie at the maximum
     K = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert _pair_scan(K) == (2.0, (1, 2))
+    assert _pair_scan(K) == [(2.0, (1, 2))]
 
 
 def _row_loop_weighted_scan(K, w):
@@ -329,7 +328,7 @@ def test_weighted_pair_scan_keeps_the_row_loop_bits(n, dyadic):
     else:
         K = rng.dirichlet(np.ones(n), size=n)
         w = rng.uniform(0.5, 40.0, size=n)
-    assert _pair_scan(K, w) == _row_loop_weighted_scan(K, w)
+    assert _pair_scan(K, w) == [_row_loop_weighted_scan(K, w)]
 
 
 def test_weighted_pair_scan_memory_is_the_condensed_array():
@@ -405,21 +404,31 @@ def _scan_matrix(n, dyadic):
 def test_tiled_pair_scan_keeps_the_one_pdist_bits(n, dyadic, weighted):
     K, w = _scan_matrix(n, dyadic)
     w = w if weighted else None
-    assert _pair_scan(K, w) == _one_pdist_scan(K, w)
+    assert _pair_scan(K, w) == [_one_pdist_scan(K, w)]
 
 
 def test_tiles_cover_each_pair_once_and_every_diagonal_tile_holds_a_pair():
-    # the tile's index arrays and the one-entry form name the same pairs
+    # a diagonal tile's pairs are its cached triangle, any other tile's
+    # its rectangle, entry k at divmod(k, width)
     for n in range(1, 530):
         pairs = np.zeros((n, n), dtype=int)
-        for tile in contraction._map_tiles(lambda *t: t, n):
-            r0, r1, c0, c1 = tile
-            assert r0 != c0 or r1 - r0 >= min(n, 2), (n, r0, r1)
-            i, j = (a.ravel() for a in np.broadcast_arrays(*contraction._tile_rows(*tile)))
-            np.add.at(pairs, (i, j), 1)
-            for k in {0, len(i) // 3, len(i) - 1} if len(i) else ():
-                assert contraction._tile_pair(k, *tile) == (i[k], j[k]), (n, tile, k)
+        for r0, r1, c0, c1 in contraction._tiles(n):
+            if r0 == c0:
+                assert 2 <= r1 - r0 <= contraction._TILE + 1, (n, r0, r1)
+                i, j = contraction._triangle(r1 - r0)
+            else:
+                i, j = np.divmod(np.arange((r1 - r0) * (c1 - c0)), c1 - c0)
+            np.add.at(pairs, (r0 + i, c0 + j), 1)
         assert (pairs == np.triu(np.ones((n, n), dtype=int), 1)).all(), n
+
+
+def test_cached_triangles_are_read_only():
+    i, j = contraction._triangle(5)
+    assert contraction._triangle(5)[0] is i  # one array per size
+    for a in (i, j):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def _two_tied_pairs(n, p, q):
@@ -439,12 +448,12 @@ def _two_tied_pairs(n, p, q):
     ((3, 590), (300, 599)),
 ])
 def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
-    assert _pair_scan(np.eye(600)) == (2.0, (0, 1))
-    assert _pair_scan(np.eye(600), np.ones(600)) == (1.0, (0, 1))
+    assert _pair_scan(np.eye(600)) == [(2.0, (0, 1))]
+    assert _pair_scan(np.eye(600), np.ones(600)) == [(1.0, (0, 1))]
     K = _two_tied_pairs(600, p, q)
-    assert _pair_scan(K) == (2.0, min(p, q)) == _one_pdist_scan(K)
+    assert _pair_scan(K) == [(2.0, min(p, q))] == [_one_pdist_scan(K)]
     w = np.ones(600)
-    assert _pair_scan(K, w) == (1.0, min(p, q)) == _one_pdist_scan(K, w)
+    assert _pair_scan(K, w) == [(1.0, min(p, q))] == [_one_pdist_scan(K, w)]
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -477,12 +486,28 @@ def test_minorization_levels_equal_the_scans_one_mask_at_a_time(n):
     levels = _minorization_levels(K, masks)
     assert levels[5] is None
     assert levels[6] == 1.0
-    for m, level in zip(masks, levels):
-        if m.any():
-            assert level == _minorization(K, m, "empty")
-            if m.sum() > 1:
-                assert level == 1.0 - 0.5 * _one_pdist_scan(K[m])[0]
+    for m, level in zip(masks[:5], levels):
+        assert level == 1.0 - 0.5 * _one_pdist_scan(K[m])[0]
     assert _minorization_levels(K, [idx < 0, idx == 3]) == [None, 1.0]
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_row_sets_scan_like_their_own_rows(n, dyadic):
+    # each set's maximum and witness are those of one pdist over its rows,
+    # the witness named in the rows of K
+    K, w = _scan_matrix(n, dyadic)
+    idx = np.arange(n)
+    masks = [idx % 2 == 1, idx > n // 2, idx == 3, idx < 0]
+    scans = _pair_scan(K, w, [None, *masks])
+    assert scans[0] == _pair_scan(K, w)[0]
+    for m, scan in zip(masks[:2], scans[1:3]):
+        rows = np.flatnonzero(m)
+        i, j = np.triu_indices(len(rows), 1)
+        d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
+        k = int(np.argmax(d))
+        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
+    assert scans[3:] == [(0.0, (0, 0))] * 2  # no pair in the set
 
 
 @pytest.mark.parametrize("rows", [129, 257])

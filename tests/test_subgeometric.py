@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semistab.contraction import _minorization
+from semistab.contraction import _minorization_levels
 from semistab.core import MeasureVec
 from semistab.subgeometric import (
     build_certified_chain,
@@ -224,12 +224,9 @@ def _eight_scan_window(P, V, drift, rho):
     best = None
     for q in (1.0, 0.9, 0.75, 0.5):
         r = float(np.quantile(phi2v, q))
-        try:
-            a1 = _minorization(P.matrix, drift.phi(vals) <= r, "empty sub-level set")
-            a2 = _minorization(P.matrix, phi2v <= r, "empty sub-level set")
-        except ValueError:
-            continue
-        if a1 <= 0 or a2 <= 0:
+        [a1] = _minorization_levels(P.matrix, [drift.phi(vals) <= r])
+        [a2] = _minorization_levels(P.matrix, [phi2v <= r])
+        if a1 is None or a2 is None or a1 <= 0 or a2 <= 0:
             continue
         lo = 2.0 * max(a1, a2) / r
         hi = min(a1, a2) / min(c1, c) if min(c1, c) > 0 else math.inf
