@@ -34,8 +34,6 @@ class ConfigError(ValueError):
     pass
 
 
-_OPEN_GRID_MODELS = {"dirichlet_heat", "half_harmonic", "half_harmonic_linear"}
-
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
           str: (str, "a string"), dict: (dict, "a JSON object")}
 
@@ -162,7 +160,7 @@ def _discretize(cfg):
     except TypeError as exc:
         raise ConfigError(f"model.params: {exc}") from None
     g = cfg["grid"]
-    grid = (GridDomain.uniform_open if model.name in _OPEN_GRID_MODELS
+    grid = (GridDomain.uniform_open if model.open_grid
             else GridDomain.uniform_closed)(g["min"], g["max"], g["n"])
     return model, grid, kernels.discretize(model, grid, cfg["time"]["tau"])
 
@@ -467,7 +465,7 @@ def main(argv=None) -> int:
     if args.cmd == "list-models":
         for name in kernels.MODELS:
             print(name)
-        for name in ("flat", "parabola", "paraboloid", "graph_example_8_4"):
+        for name in geometry.SURFACES:
             print(f"surface:{name}")
         return 0
     if args.cmd == "list-cases":

@@ -17,7 +17,7 @@ import numpy as np
 from .core import _grad_hess
 
 __all__ = [
-    "MongeSurface", "BoundaryFrame", "BoundaryProfile", "make_surface",
+    "MongeSurface", "BoundaryFrame", "BoundaryProfile", "SURFACES", "make_surface",
     "make_polynomial_surface", "frame", "fundamental_forms",
     "weingarten_identity_check", "offset_jacobian", "signed_distance",
     "coarea_check", "level_set_density", "boundary_lyapunov",
@@ -472,6 +472,9 @@ def make_polynomial_surface(coeffs: Sequence[float], domain=(-2.0, 2.0),
         grad=lambda th: horner(th, c1),
         hess=lambda th: horner(th[:, :, None], c2),
         chart_domain=(tuple(domain),), epsilon=epsilon, name=name)
+
+
+SURFACES = ("flat", "parabola", "paraboloid", "graph_example_8_4")
 
 
 def make_surface(name: str, epsilon: int = 1) -> object:

@@ -199,20 +199,23 @@ def dirichlet_heat(t: float, x, y, N: int) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any((x <= 0) | (x >= 1)) or np.any((y <= 0) | (y >= 1)):
         raise ValueError("x and y must lie in the open interval (0, 1)")
+    _, lam, sx, sy = _sine_modes(t, N, x, y)
+    return _series(lam, sx, sy)
+
+
+def _sine_modes(t: float, N: int, *points):
+    """Mode numbers n = 1..N, their decay factors exp(-(n pi)^2 t / 2), and
+    the eigenfunctions sqrt(2) sin(n pi x) as an (N, len(x)) array for each
+    array of points."""
     ns = np.arange(1, N + 1)
     lam = np.exp(-((ns * math.pi) ** 2) * t / 2.0)
-    sx = np.sqrt(2.0) * np.sin(np.outer(ns, x) * math.pi)
-    sy = np.sqrt(2.0) * np.sin(np.outer(ns, y) * math.pi)
-    return _series(lam, sx, sy)
+    return (ns, lam, *(np.sqrt(2.0) * np.sin(np.outer(ns, x) * math.pi) for x in points))
 
 
 def dirichlet_mass(t: float, x, N: int = 100) -> np.ndarray:
     """Survival probability: integral of the kernel over (0, 1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ns = np.arange(1, N + 1)
+    ns, lam, sx = _sine_modes(t, N, np.atleast_1d(np.asarray(x, dtype=float)))
     integ = np.sqrt(2.0) * (1 - np.cos(ns * math.pi)) / (ns * math.pi)
-    lam = np.exp(-((ns * math.pi) ** 2) * t / 2.0)
-    sx = np.sqrt(2.0) * np.sin(np.outer(ns, x) * math.pi)
     out = (lam * integ) @ sx
     return out[0] if out.size == 1 else out
 
@@ -403,6 +406,7 @@ def half_linear_fixed_point(a: float, varsigma: float) -> float:
 @dataclass(frozen=True)
 class HarmonicOscillator:
     name: ClassVar[str] = "harmonic"
+    open_grid: ClassVar[bool] = False
     is_markov: ClassVar[bool] = False
     self_adjoint: ClassVar[bool] = True
     exact_rho: ClassVar[float] = -0.5
@@ -424,6 +428,7 @@ class HarmonicOscillator:
 class DirichletHeat:
     n_terms: int = 50
     name: ClassVar[str] = "dirichlet_heat"
+    open_grid: ClassVar[bool] = True
     is_markov: ClassVar[bool] = False
     self_adjoint: ClassVar[bool] = True
     exact_rho: ClassVar[float] = -math.pi ** 2 / 2
@@ -455,6 +460,7 @@ class GaussOU:
     a: float = -1.0
     sigma: float = 1.0
     name: ClassVar[str] = "gauss_ou"
+    open_grid: ClassVar[bool] = False
     is_markov: ClassVar[bool] = True
     self_adjoint: ClassVar[bool] = False
     exact_rho: ClassVar[float] = 0.0
@@ -496,6 +502,7 @@ class HalfHarmonicLinear:
     a: float = 0.0
     varsigma: float = 1.0
     name: ClassVar[str] = "half_harmonic_linear"
+    open_grid: ClassVar[bool] = True
     is_markov: ClassVar[bool] = False
     self_adjoint: ClassVar[bool] = False
 
@@ -565,8 +572,8 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
     (truncated eigenseries may dip microscopically negative).  A Markov
-    model's rows must sum to 1 within 1e-6; a zero row (underflow) is an
-    ArithmeticError.  The density
+    model's rows must sum to 1 within 1e-6; a zero row or column
+    (underflow) is an ArithmeticError.  The density
     is evaluated on blocks of rows in broadcast calls, x a column, so it
     must accept an array of x.  When a block fails, its rows are evaluated
     one at a time only to name the first failing row in the raised
@@ -593,10 +600,12 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
                     break
             raise ArithmeticError(f"density evaluation failed {where}") from exc
     np.clip(K, 0.0, None, out=K)
-    live = K.any(axis=1)
-    if not live.all():
-        raise ArithmeticError(f"the kernel mass underflowed to zero in {n - live.sum()} of "
-                              f"{n} grid rows, the first at x={float(pts[live.argmin()])!r}")
+    for axis, lines in ((1, "rows"), (0, "columns")):
+        live = K.any(axis=axis)
+        if not live.all():
+            raise ArithmeticError(
+                f"the kernel mass underflowed to zero in {n - live.sum()} of {n} grid "
+                f"{lines}, the first at x={float(pts[live.argmin()])!r}")
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
                                 quad_tol=1e-6)

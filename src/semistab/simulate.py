@@ -7,13 +7,16 @@ sqrt(dt) discrete-monitoring bias; it is evaluated only on live rows near a
 finite barrier, and log-weight increments below 7.83e-22 a step are dropped.
 General indicator domains fall back to exit checks at grid times only.
 
+Each Feynman-Kac partition and each quasi-stationary resampling period is
+one call of one particle propagator, `_propagate`.
+
 Reproducibility: Feynman-Kac particles are processed in fixed partitions of
-10^4, each with its own seeded substream, and reduced in partition order;
-with threads >= 2 (capped by the host's cores) the partitions run on a
-thread pool that is joined before the estimator returns or raises.  The
-quasi-stationary estimate is one seeded stream that cannot be split, so it
-runs on the calling thread alone.  Results depend on the seed alone, never
-on `threads`.
+10^4, each with its own seeded substream, and reduced in partition order.
+At every `threads` value the partitions run on one thread pool of
+min(threads, usable cores) threads, joined before the estimator returns or
+raises.  The quasi-stationary estimate is one seeded stream that cannot be
+split, so it runs on the calling thread alone.  Results depend on the seed
+alone, never on `threads`.
 
 The seeded validation cases are data: one table row per case, each with a
 closed-form oracle, run by one function per estimator.
@@ -31,8 +34,6 @@ import numpy as np
 __all__ = [
     "SDEModel",
     "AbsorptionSpec",
-    "ParticleEnsemble",
-    "sde_step",
     "FKResult",
     "feynman_kac_estimate",
     "QSDResult",
@@ -81,26 +82,6 @@ class AbsorptionSpec:
             raise ValueError("give either an interval or an indicator, not both")
 
 
-@dataclass
-class ParticleEnsemble:
-    positions: np.ndarray     # (n, d)
-    log_weights: np.ndarray   # (n,)
-    alive: np.ndarray         # (n,) bool
-
-    def weights(self):
-        w = np.where(self.alive, np.exp(self.log_weights), 0.0)
-        return w
-
-
-def sde_step(model: SDEModel, ens: ParticleEnsemble, dt: float,
-             rng: np.random.Generator) -> ParticleEnsemble:
-    """One Euler step x + b(x) dt + sigma sqrt(dt) xi on the live particles."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _step(model, AbsorptionSpec(), ens, rng.standard_normal(ens.positions.shape), dt, None)
-    return ens
-
-
 def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
     """Log of the within-step non-crossing probability for interval barriers,
     as (rows, term): the live rows where some finite barrier c has
@@ -125,37 +106,38 @@ def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
     return rows, term
 
 
-def _step(model, absorb, ens, noise, dt, u_old):
-    """One Euler step x + b(x) dt + sigma sqrt(dt) noise of `ens` into a new
-    positions array, then the weighting and killing of `absorb`.
-
-    `u_old` is the soft potential at the current positions, or None to
-    evaluate it; the potential at the new positions is returned to serve
-    as the next step's `u_old`.
-    """
-    x_old = ens.positions
-    drift = np.asarray(model.drift(x_old), dtype=float)
-    x_new = x_old + drift * dt + model.diffusion * math.sqrt(dt) * noise
-    bad = ~np.isfinite(x_new).all(axis=1)
-    if bad.any():  # a particle that leaves the floats dies where it stood
-        ens.alive &= ~bad
-        x_new[bad] = x_old[bad]
-    ens.positions = x_new
-    u_new = None
-    if absorb.soft_potential is not None:
-        if u_old is None:
-            u_old = np.asarray(absorb.soft_potential(x_old), dtype=float)
-        u_new = np.asarray(absorb.soft_potential(x_new), dtype=float)
-        ens.log_weights -= 0.5 * dt * (u_old + u_new)
-    if absorb.hard_interval is not None:
-        a, b = absorb.hard_interval
-        ens.alive &= (x_new[:, 0] > a) & (x_new[:, 0] < b)
-        rows, term = _bridge_log_survival(x_old, x_new, ens.alive, absorb.hard_interval,
-                                          model.diffusion, dt)
-        ens.log_weights[rows] += term
-    elif absorb.hard_indicator is not None:
-        ens.alive &= np.asarray(absorb.hard_indicator(x_new), dtype=bool)
-    return u_new
+def _propagate(model, absorb, x, n_steps, dt, rng):
+    """`n_steps` Euler steps x + b(x) dt + sigma sqrt(dt) xi of the rows of
+    `x`, one normal array drawn a step, weighted and killed by `absorb`;
+    returns the positions and the weights, zero on the dead rows.  A row
+    that leaves the floats dies where it stood."""
+    log_w = np.zeros(len(x))
+    alive = np.ones(len(x), dtype=bool)
+    u_old = None
+    for _ in range(n_steps):
+        noise = rng.standard_normal(x.shape)
+        x_old = x
+        drift = np.asarray(model.drift(x_old), dtype=float)
+        x = x_old + drift * dt + model.diffusion * math.sqrt(dt) * noise
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            alive &= ~bad
+            x[bad] = x_old[bad]
+        if absorb.soft_potential is not None:
+            if u_old is None:
+                u_old = np.asarray(absorb.soft_potential(x_old), dtype=float)
+            u_new = np.asarray(absorb.soft_potential(x), dtype=float)
+            log_w -= 0.5 * dt * (u_old + u_new)
+            u_old = u_new
+        if absorb.hard_interval is not None:
+            a, b = absorb.hard_interval
+            alive &= (x[:, 0] > a) & (x[:, 0] < b)
+            rows, term = _bridge_log_survival(x_old, x, alive, absorb.hard_interval,
+                                              model.diffusion, dt)
+            log_w[rows] += term
+        elif absorb.hard_indicator is not None:
+            alive &= np.asarray(absorb.hard_indicator(x), dtype=bool)
+    return x, np.where(alive, np.exp(log_w), 0.0)
 
 
 def _usable_cores() -> int:
@@ -166,31 +148,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(threads: int, tasks: int) -> int:
-    """Threads worth starting for `tasks` independent tasks."""
-    if threads < 1:
-        raise ValueError(f"threads = {threads} must be at least 1")
-    return min(threads, _usable_cores(), tasks)
-
-
 @dataclass(frozen=True)
 class FKResult:
     q1_hat: float
     stderr: float
     qf_hat: dict
     qf_stderr: dict
-
-
-def _fk_partition(model, absorb, x0, m, n_steps, dt, rng, observables):
-    """Rows (sum w, sum w^2), then (sum f w, sum (f w)^2) per observable,
-    over one partition of m particles."""
-    ens = ParticleEnsemble(np.tile(x0, (m, 1)), np.zeros(m), np.ones(m, dtype=bool))
-    u = None
-    for _ in range(n_steps):
-        u = _step(model, absorb, ens, rng.standard_normal(ens.positions.shape), dt, u)
-    w = ens.weights()
-    fws = [w] + [np.asarray(f(ens.positions), dtype=float) * w for f in observables.values()]
-    return np.array([(fw.sum(), (fw * fw).sum()) for fw in fws])
 
 
 def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
@@ -200,33 +163,35 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
     """Weighted-particle estimate of the killed semigroup mass and averages.
 
     Partition k of 10^4 particles draws from substream (seed, k); the
-    partitions run on up to `threads` threads and their sums are reduced in
-    partition order, so the output is a deterministic function of the seed
-    and the budgets.
+    partitions run on a pool of min(threads, usable cores) threads and
+    their sums are reduced in partition order, so the output is a
+    deterministic function of the seed and the budgets.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if threads < 1:
+        raise ValueError(f"threads = {threads} must be at least 1")
     observables = observables or {}
     n_steps = max(1, int(round(t / dt)))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sizes = [min(_PARTITION, n_particles - done)
              for done in range(0, n_particles, _PARTITION)]
-    workers = _workers(threads, len(sizes))
 
     def partition(k):
-        return _fk_partition(model, absorb, x0, sizes[k], n_steps, dt,
-                             np.random.default_rng([seed, k]), observables)
+        """Rows (sum w, sum w^2), then (sum f w, sum (f w)^2) per observable."""
+        x, w = _propagate(model, absorb, np.tile(x0, (sizes[k], 1)), n_steps, dt,
+                          np.random.default_rng([seed, k]))
+        fws = [w] + [np.asarray(f(x), dtype=float) * w for f in observables.values()]
+        return np.array([(fw.sum(), (fw * fw).sum()) for fw in fws])
 
-    if workers == 1:
-        parts = map(partition, range(len(sizes)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(partition, range(len(sizes))))
-    sums, sumsq = sum(parts).T
+    # map starts at most one thread per partition and cancels the queued
+    # ones when one raises; leaving the block joins every thread
+    with ThreadPoolExecutor(min(threads, _usable_cores())) as pool:
+        sums, sumsq = sum(pool.map(partition, range(len(sizes)))).T
     n = float(n_particles)
     means = sums / n
     stderrs = np.sqrt(np.maximum(sumsq / n - means * means, 0.0) / n)
@@ -274,14 +239,9 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
     x = np.atleast_2d(np.asarray(eta0_sampler(rng, n_particles), dtype=float))
     if x.shape[0] != n_particles:
         x = x.T
-    ens = ParticleEnsemble(x, np.zeros(n_particles),
-                           np.ones(n_particles, dtype=bool))
     decrements = np.empty(n_periods)
     for k in range(n_periods):
-        u = None
-        for _ in range(steps_per_period):
-            u = _step(model, absorb, ens, rng.standard_normal(x.shape), dt, u)
-        w = ens.weights()
+        x, w = _propagate(model, absorb, x, steps_per_period, dt, rng)
         mass = float(w.mean())
         if not math.isfinite(mass):
             raise ArithmeticError(f"particle mass {mass} in period {k}")
@@ -299,13 +259,11 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
         order = uniforms.argsort()
         picks = np.empty(n_particles, dtype=np.intp)
         picks[order] = cdf.searchsorted(uniforms[order], side="right")
-        ens.positions = ens.positions[picks]
-        ens.log_weights = np.zeros(n_particles)
-        ens.alive = np.ones(n_particles, dtype=bool)
+        x = x[picks]
     tail = decrements[start:]
     rho_hat = float(tail.mean()) / resample_period
     rho_se = float(tail.std(ddof=1)) / math.sqrt(len(tail)) / resample_period
-    return QSDResult(ens.positions, rho_hat, rho_se, decrements, n_periods)
+    return QSDResult(x, rho_hat, rho_se, decrements, n_periods)
 
 # ---------------------------------------------------------------------------
 # Named validation cases.

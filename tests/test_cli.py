@@ -213,6 +213,15 @@ def test_main_subcommands(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+def test_every_listed_surface_builds(capsys):
+    assert main(["list-models"]) == 0
+    names = [line.split(":", 1)[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("surface:")]
+    assert names == list(cli.geometry.SURFACES)
+    for name in names:
+        assert cli.geometry.make_surface(name) is not None
+
+
 def test_scientific_float_format(tmp_path):
     out = tmp_path / "fmt.json"
     cfg = {
@@ -514,6 +523,15 @@ _HARMONIC = {"model": {"name": "harmonic"},
      "numerical failure: the kernel mass underflowed to zero in 40 of 40 grid rows"),
     ({"command": "geometry", "extra": {"op": "offset", "u": 1e308}}, 2,
      "numerical failure: offset Jacobian at depth u = 1e+308 is inf"),
+    ({"command": "eigen", "model": {"name": "harmonic", "params": {"open_grid": True}},
+      "grid": _HARMONIC["grid"]}, 1,
+     "config error: model.params: HarmonicOscillator.__init__() got an "
+     "unexpected keyword argument 'open_grid'"),
+    # no row reaches the grid columns past x = 3.75, where the kernel underflowed
+    ({"command": "eigen", "model": {"name": "half_harmonic_linear", "params": {"a": -50}},
+      "grid": {"min": 0, "max": 5, "n": 20}}, 2,
+     "numerical failure: the kernel mass underflowed to zero in 5 of 20 grid columns, "
+     "the first at x=3.875"),
 ])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code

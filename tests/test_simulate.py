@@ -9,45 +9,37 @@ from semistab.simulate import (
     AbsorptionSpec,
     ExtinctionError,
     FKResult,
-    ParticleEnsemble,
     SDEModel,
     feynman_kac_estimate,
     list_cases,
     mc_validate,
     qsd_particle_estimate,
-    sde_step,
 )
 
 BM = SDEModel(drift=lambda x: np.zeros_like(x), diffusion=1.0)
 OU = SDEModel(drift=lambda x: -x, diffusion=1.0)
 
 
-def test_sde_step_zero_motion():
+def test_propagate_zero_motion():
     model = SDEModel(drift=lambda x: np.zeros_like(x), diffusion=0.0)
-    ens = ParticleEnsemble(np.zeros((100, 1)), np.zeros(100),
-                           np.ones(100, dtype=bool))
-    rng = np.random.default_rng(0)
-    sde_step(model, ens, 0.01, rng)
-    assert np.all(ens.positions == 0.0)
+    x, w = simulate._propagate(model, AbsorptionSpec(), np.zeros((100, 1)), 1, 0.01,
+                               np.random.default_rng(0))
+    assert np.all(x == 0.0)
+    assert np.all(w == 1.0)
 
 
-def test_sde_step_brownian_variance_grows():
-    rng = np.random.default_rng(1)
-    ens = ParticleEnsemble(np.zeros((20000, 1)), np.zeros(20000),
-                           np.ones(20000, dtype=bool))
-    for _ in range(100):
-        sde_step(BM, ens, 0.01, rng)
-    var = ens.positions.var()
-    assert var == pytest.approx(1.0, rel=0.05)  # t = 1
+def test_propagate_brownian_variance_grows():
+    x, _ = simulate._propagate(BM, AbsorptionSpec(), np.zeros((20000, 1)), 100, 0.01,
+                               np.random.default_rng(1))
+    assert x.var() == pytest.approx(1.0, rel=0.05)  # t = 1
 
 
-def test_sde_step_kills_nonfinite():
+def test_propagate_kills_nonfinite():
     model = SDEModel(drift=lambda x: np.where(x > 0, np.inf, 0.0), diffusion=0.0)
-    pos = np.array([[1.0], [-1.0]])
-    ens = ParticleEnsemble(pos, np.zeros(2), np.ones(2, dtype=bool))
-    sde_step(model, ens, 0.1, np.random.default_rng(0))
-    assert not ens.alive[0]
-    assert ens.alive[1]
+    x, w = simulate._propagate(model, AbsorptionSpec(), np.array([[1.0], [-1.0]]), 1,
+                               0.1, np.random.default_rng(0))
+    assert w.tolist() == [0.0, 1.0]
+    assert x.tolist() == [[1.0], [-1.0]]  # the dead row stays where it stood
 
 
 def test_ou_stationary_variance():
@@ -369,7 +361,8 @@ def test_fk_threads_give_identical_results():
         assert res == runs[0]
 
 
-def test_a_failing_drift_joins_every_thread():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_drift_joins_every_thread(threads):
     def drift(x):
         raise RuntimeError("drift failed")
 
@@ -377,7 +370,7 @@ def test_a_failing_drift_joins_every_thread():
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="drift failed"):
         feynman_kac_estimate(model, AbsorptionSpec(), [0.0], t=0.1,
-                             n_particles=20000, dt=1e-2, seed=1, threads=2)
+                             n_particles=20000, dt=1e-2, seed=1, threads=threads)
     assert threading.active_count() == before
 
 
@@ -418,6 +411,18 @@ def test_workers_are_capped_by_the_usable_cores(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert simulate._usable_cores() == 3
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
-    assert simulate._workers(4, 10) == 2
-    assert simulate._workers(4, 1) == 1
+    for threads in (1, 2, 4):
+        feynman_kac_estimate(BM, AbsorptionSpec(), [0.0], t=0.01, n_particles=30000,
+                             dt=1e-2, seed=1, threads=threads)
+    assert sizes == [1, 2, 2]
