@@ -165,14 +165,26 @@ def _discretize(cfg):
     return model, grid, kernels.discretize(model, grid, cfg["time"]["tau"])
 
 
+def _ground_state(cfg):
+    """`_discretize`, then the leading eigen-triple, which needs every grid
+    point reached.  A zero column is where the kernel underflowed, so it is
+    a numerical failure, not a reducible operator's config error."""
+    model, grid, op = _discretize(cfg)
+    live = op.matrix.any(axis=0)
+    if not live.all():
+        raise ArithmeticError(
+            f"the kernel mass underflowed to zero in {grid.size - live.sum()} of "
+            f"{grid.size} grid columns, the first at x={float(grid.points[live.argmin()])!r}")
+    return model, grid, op, spectral.leading_eigentriple(op, tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Command implementations.  Each takes the resolved config and returns
 # (results dict, assertions list, curve rows or None, key summary scalar).
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(cfg):
-    model, grid, op = _discretize(cfg)
-    triple = spectral.leading_eigentriple(op, tol=1e-12)
+    model, grid, op, triple = _ground_state(cfg)
     results = {
         "rho": triple.rho,
         "converged": triple.converged,
@@ -218,8 +230,7 @@ def _cmd_contract(cfg):
 
 def _cmd_decay(cfg):
     T = cfg["time"]["t_max"]
-    _, grid, op = _discretize(cfg)
-    triple = spectral.leading_eigentriple(op, tol=1e-12)
+    _, grid, op, triple = _ground_state(cfg)
     P = kernels.doob_h_transform(op, triple.h, triple.rho)
     V = LyapunovSpec.parse(cfg["lyapunov"])
     i = int(np.argmin(np.abs(grid.points - cfg["extra"]["x1"])))

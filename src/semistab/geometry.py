@@ -474,38 +474,39 @@ def make_polynomial_surface(coeffs: Sequence[float], domain=(-2.0, 2.0),
         chart_domain=(tuple(domain),), epsilon=epsilon, name=name)
 
 
-SURFACES = ("flat", "parabola", "paraboloid", "graph_example_8_4")
+def _atlas_8_4(epsilon: int) -> dict:
+    """Example 8.4: psi0 takes the given epsilon, while psi_plus and
+    psi_minus keep the orientations +1 and -1."""
+    charts = {"psi0": make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),
+                                              epsilon, "psi0")}
+    for eps in (1, -1):
+        charts[f"psi_{'plus' if eps == 1 else 'minus'}"] = MongeSurface(
+            phi=lambda th, e=eps: -e * np.sqrt(th[:, 0]),
+            grad=lambda th, e=eps: -e / (2 * np.sqrt(th)),
+            hess=lambda th, e=eps: e / (4 * th[:, :, None] ** 1.5),
+            chart_domain=((1.0, 16.0),), epsilon=eps, graph_axis=0,
+            name=f"psi_eps({eps})")
+    return charts
+
+
+SURFACES = {
+    "flat": lambda epsilon: MongeSurface(
+        phi=lambda th: np.zeros(len(th)), grad=lambda th: np.zeros(th.shape),
+        hess=lambda th: np.zeros((len(th), 1, 1)),
+        chart_domain=((-8.0, 8.0),), epsilon=epsilon, name="flat"),
+    "parabola": lambda epsilon: make_polynomial_surface(
+        [0.0, 0.0, 1.0], (-2.0, 2.0), epsilon, "parabola"),
+    "paraboloid": lambda epsilon: MongeSurface(
+        phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2, grad=lambda th: 2.0 * th,
+        hess=lambda th: np.tile(2.0 * np.eye(2), (len(th), 1, 1)),
+        chart_domain=((-2.0, 2.0), (-2.0, 2.0)), epsilon=epsilon, name="paraboloid"),
+    "graph_example_8_4": _atlas_8_4,
+}
 
 
 def make_surface(name: str, epsilon: int = 1) -> object:
-    """Named boundary fixtures; the atlas fixture returns a dict of charts.
-
-    In the atlas, psi0 takes the given epsilon, while psi_plus and psi_minus
-    keep the orientations +1 and -1 of Example 8.4.
-    """
-    if name == "flat":
-        return MongeSurface(phi=lambda th: np.zeros(len(th)),
-                            grad=lambda th: np.zeros(th.shape),
-                            hess=lambda th: np.zeros((len(th), 1, 1)),
-                            chart_domain=((-8.0, 8.0),), epsilon=epsilon, name="flat")
-    if name == "parabola":
-        return make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),
-                                       epsilon, "parabola")
-    if name == "paraboloid":
-        return MongeSurface(phi=lambda th: th[:, 0] ** 2 + th[:, 1] ** 2,
-                            grad=lambda th: 2.0 * th,
-                            hess=lambda th: np.tile(2.0 * np.eye(2), (len(th), 1, 1)),
-                            chart_domain=((-2.0, 2.0), (-2.0, 2.0)),
-                            epsilon=epsilon, name="paraboloid")
-    if name == "graph_example_8_4":
-        charts = {"psi0": make_polynomial_surface([0.0, 0.0, 1.0], (-2.0, 2.0),
-                                                  epsilon, "psi0")}
-        for eps in (1, -1):
-            charts[f"psi_{'plus' if eps == 1 else 'minus'}"] = MongeSurface(
-                phi=lambda th, e=eps: -e * np.sqrt(th[:, 0]),
-                grad=lambda th, e=eps: -e / (2 * np.sqrt(th)),
-                hess=lambda th, e=eps: e / (4 * th[:, :, None] ** 1.5),
-                chart_domain=((1.0, 16.0),), epsilon=eps, graph_axis=0,
-                name=f"psi_eps({eps})")
-        return charts
-    raise ValueError(f"unknown surface fixture {name!r}")
+    """Named boundary fixture from `SURFACES`, built with the given epsilon;
+    the atlas fixture returns a dict of charts."""
+    if name not in SURFACES:
+        raise ValueError(f"unknown surface fixture {name!r}")
+    return SURFACES[name](epsilon)

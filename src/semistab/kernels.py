@@ -572,8 +572,8 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
 
     Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
     (truncated eigenseries may dip microscopically negative).  A Markov
-    model's rows must sum to 1 within 1e-6; a zero row or column
-    (underflow) is an ArithmeticError.  The density
+    model's rows must sum to 1 within 1e-6; a zero row (underflow) is an
+    ArithmeticError.  The density
     is evaluated on blocks of rows in broadcast calls, x a column, so it
     must accept an array of x.  When a block fails, its rows are evaluated
     one at a time only to name the first failing row in the raised
@@ -600,12 +600,10 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
                     break
             raise ArithmeticError(f"density evaluation failed {where}") from exc
     np.clip(K, 0.0, None, out=K)
-    for axis, lines in ((1, "rows"), (0, "columns")):
-        live = K.any(axis=axis)
-        if not live.all():
-            raise ArithmeticError(
-                f"the kernel mass underflowed to zero in {n - live.sum()} of {n} grid "
-                f"{lines}, the first at x={float(pts[live.argmin()])!r}")
+    live = K.any(axis=1)
+    if not live.all():
+        raise ArithmeticError(f"the kernel mass underflowed to zero in {n - live.sum()} of "
+                              f"{n} grid rows, the first at x={float(pts[live.argmin()])!r}")
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
                                 quad_tol=1e-6)

@@ -24,6 +24,7 @@ closed-form oracle, run by one function per estimator.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -163,9 +164,9 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
     """Weighted-particle estimate of the killed semigroup mass and averages.
 
     Partition k of 10^4 particles draws from substream (seed, k); the
-    partitions run on a pool of min(threads, usable cores) threads and
-    their sums are reduced in partition order, so the output is a
-    deterministic function of the seed and the budgets.
+    partitions run in the caller's context on a pool of min(threads, usable
+    cores) threads, and their sums are reduced in partition order, so the
+    output is a deterministic function of the seed and the budgets.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles = {n_particles} must be at least 1")
@@ -188,10 +189,13 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
 
     from concurrent.futures import ThreadPoolExecutor
 
-    # map starts at most one thread per partition and cancels the queued
-    # ones when one raises; leaving the block joins every thread
+    # map starts at most one thread per partition and cancels the queued ones when
+    # one raises; the block joins every thread.  Each partition runs in a copy of
+    # the caller's context, so the caller's np.errstate holds there too.
+    ctx = contextvars.copy_context()
     with ThreadPoolExecutor(min(threads, _usable_cores())) as pool:
-        sums, sumsq = sum(pool.map(partition, range(len(sizes)))).T
+        sums, sumsq = sum(pool.map(lambda k: ctx.copy().run(partition, k),
+                                   range(len(sizes)))).T
     n = float(n_particles)
     means = sums / n
     stderrs = np.sqrt(np.maximum(sumsq / n - means * means, 0.0) / n)

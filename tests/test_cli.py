@@ -715,6 +715,20 @@ def test_underflow_on_a_wide_grid_is_a_numerical_failure(capsys, command, width,
     assert _one_line_error(capsys).startswith(f"numerical failure: {message}")
 
 
+def test_an_unreached_grid_column_fails_only_the_eigen_triple(capsys):
+    # the columns past |x| = 27.5 underflowed to zero from every row; the rows keep
+    # their mass, so the drift certificate needs none of those columns
+    cfg = {"model": {"name": "gauss_ou"}, "grid": {"min": -30, "max": 30, "n": 200},
+           "time": {"tau": 5}}
+    assert run_experiment({**cfg, "command": "contract"}) == 0
+    capsys.readouterr()
+    for command in ("eigen", "decay"):
+        assert run_experiment({**cfg, "command": command}) == 2
+        assert _one_line_error(capsys) == (
+            "numerical failure: the kernel mass underflowed to zero in 18 of 200 grid "
+            "columns, the first at x=-30.0\n")
+
+
 def test_riccati_coupled_draws_its_matrices_from_the_seed(tmp_path, capsys):
     out = tmp_path / "coupled.json"
     cfg = {"command": "riccati", "extra": {"kind": "coupled"},

@@ -374,6 +374,14 @@ def test_a_failing_drift_joins_every_thread(threads):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_callers_errstate_holds_in_every_partition(threads):
+    model = SDEModel(drift=lambda x: x * 1e308, diffusion=1.0)  # overflows
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        feynman_kac_estimate(model, AbsorptionSpec(), [1.0], t=0.1,
+                             n_particles=20000, dt=1e-2, seed=1, threads=threads)
+
+
 def test_threads_below_one_are_rejected():
     with pytest.raises(ValueError, match="threads = 0"):
         feynman_kac_estimate(BM, AbsorptionSpec(), [0.0], t=0.1,
