@@ -1,15 +1,30 @@
 """V-Dobrushin coefficients, local minorization and geometric decay.
 
-All suprema over pairs of states are exhaustive scans of the grid (the
+All suprema over pairs of states are exact maxima over the grid pairs (the
 continuum supremum is attained on point masses, so grid exhaustion is the
 faithful finite analogue).  One scan serves the V-Dobrushin coefficient
 and every minorization level: it covers the pair triangle with fixed tiles
 of 128 rows a side (a last row over joins the block before it), pdist
 triangles on the diagonal and cdist rectangles above it, and one reducer
-takes each tile to every row set's maximum and first witness.  The
-triangles' row layout is one cached np.triu_indices per tile size.  Memory
-is one tile at a time, not the n(n-1)/2 condensed distances.  Ties are
-broken toward the smallest index pair, making every report deterministic.
+takes each block to every row set's maximum and first witness.  The
+triangles' row layout is one cached np.triu_indices per size.  Memory is
+one tile at a time, not the n(n-1)/2 condensed distances.
+
+A scan of more than one tile skips the pairs that a metric bound proves
+cannot hold a maximum.  The weighted L1 distance is a metric, so
+d(i, j) <= d(i, p) + d(p, j) for any pivot row p; the zero row as a pivot
+gives the row-mass bound.  The pivots are the zero row and up to _PIVOTS
+rows picked farthest-first, one cdist each, until one rules out no more
+cells than those before it.  Each pair of _CELL-row cells is
+bounded by its blocks' largest pivot distances (and least weights), and
+each tile by its largest cell bound, times a rounding slack of
+1 + 16 m eps.  Each set's best starts at the values of its pivot pairs.
+Tiles are visited in descending order of bound; a cell is skipped only
+when its bound is strictly below the best of every set with a pair in it,
+and a tile whose cell bounds rule out part of it bounds each pair.  A pair
+that ties a maximum is never skipped, every scanned pair keeps its bits,
+and ties are broken toward the smallest index pair, making every report
+deterministic.
 """
 
 from __future__ import annotations
@@ -53,12 +68,23 @@ class ContractionReport:
 # Rows per side of a pair-scan tile: a tile's distances take about 128 kB,
 # and a 700-row scan has 21 tiles.
 _TILE = 128
+# Rows per side of a cell, the unit a tile's bound is refined to: a tile
+# that the bound rules out in part is scanned as its live cells, a run of
+# them in one row of cells as one cdist.
+_CELL = 16
+# Most rows picked farthest-first as pivots of the triangle-inequality bound.
+_PIVOTS = 8
+# A bound times 1 + _SLACK m, plus 2m subnormals, is at least the computed
+# value of each pair it bounds and of each set's seed: it covers the
+# rounding of the m-term sums of the scan, of the pivot distances and of the
+# row masses, with a margin of four.
+_SLACK = 16 * np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=_TILE)
 def _triangle(t: int) -> tuple:
     """Rows (i, j) of each entry of pdist's condensed triangle over t rows,
-    read-only.  A diagonal tile holds 2 to _TILE + 1 rows, so the cache
+    read-only.  A diagonal block holds 2 to _TILE + 1 rows, so the cache
     keeps at most _TILE layouts."""
     ij = np.triu_indices(t, 1)
     for a in ij:
@@ -66,14 +92,154 @@ def _triangle(t: int) -> tuple:
     return ij
 
 
+def _cuts(n: int, size: int) -> list:
+    """Edges of blocks of `size` rows over n rows; a last block of one row
+    joins the block before it, so every block holds a pair."""
+    return [0, *range(size, n - 1, size), n] if n > 1 else []
+
+
 def _tiles(n: int) -> list:
     """Tiles (r0, r1, c0, c1) that cover the pairs i < j of n rows, each
-    diagonal block and every block to its right, in that order.  A last
-    block of one row joins the block before it, so every diagonal tile
-    holds a pair."""
-    cuts = [0, *range(_TILE, n - 1, _TILE), n] if n > 1 else []
+    diagonal block and every block to its right, in that order."""
+    cuts = _cuts(n, _TILE)
     blocks = list(zip(cuts[:-1], cuts[1:]))
     return [(*a, *b) for k, a in enumerate(blocks) for b in blocks[k:]]
+
+
+class _Bound:
+    """Upper bounds on the pair values of one scan, and each set's best value.
+
+    d(i, j) <= d(i, p) + d(p, j) for every pivot row p: the zero row, whose
+    distance to row i is the row mass sum_k w_k |K_ik|, and rows of the
+    scanned sets picked farthest-first from the first scanned row, up to
+    _PIVOTS of them and no more once one rules out no more cells than the
+    pivots before it.  A cell's bound is the smallest over the pivots of the
+    sum of the pivot's largest distances to its two row blocks, over the sum
+    of the blocks' least weights for a ratio; a tile's bound is the largest
+    of its cells'.  Each set's best value starts at its largest pair value
+    with a pivot: it seeds the value only, and the witness comes from a
+    scanned block.  `ruled_out` counts the cells that the bounds rule out at
+    the seeds; when it is 0, the scan needs no bound.
+    """
+
+    @np.errstate(over="ignore")  # a bound that overflows is inf and rules out nothing
+    def __init__(self, K, weights, sets, metric, cdist):
+        n, m = K.shape
+        self.masks = masks = np.array([np.ones(n, bool) if s is None else s for s in sets])
+        self.weights = weights
+        self.slack = (1.0 + _SLACK * m, 2 * m * np.finfo(float).smallest_subnormal)
+        self.cuts = _cuts(n, _CELL)
+        self.index = {cut: k for k, cut in enumerate(self.cuts)}
+        self.lo = None if weights is None else np.minimum.reduceat(weights, self.cuts[:-1])
+        self.best = np.full(len(masks), -np.inf)
+        self.D, self.cell = [], np.inf
+        self._add(cdist(np.zeros((1, m)), K, **metric)[0])
+        near = np.where(masks.any(axis=0), np.inf, -np.inf)  # to the nearest pivot
+        self.ruled_out = 0  # cells that the bounds rule out at the seeds
+        for _ in range(_PIVOTS):
+            p = int(near.argmax())
+            d = self._add(cdist(K[p:p + 1], K, **metric)[0])
+            np.minimum(near, d, out=near)
+            value = d if weights is None else d / (weights[p] + weights)
+            seed = np.where(masks, value, -np.inf).max(axis=1)
+            np.maximum(self.best, np.where(masks[:, p], seed, -np.inf), out=self.best)
+            if (ruled_out := self._ruled_out()) <= self.ruled_out:
+                break  # a pivot that rules out no more cells is the last
+            self.ruled_out = ruled_out
+        self.D = np.array(self.D)
+
+    @functools.cached_property
+    def meets(self):
+        """meets[s, a, b]: set s has a pair in cell (a, b), a <= b."""
+        rows = np.add.reduceat(self.masks.astype(np.intp), self.cuts[:-1], axis=1)
+        meets = (rows[:, :, None] > 0) & (rows[:, None, :] > 0)
+        meets &= ~np.tri(rows.shape[1], k=-1, dtype=bool)
+        diagonal = np.arange(rows.shape[1])
+        meets[:, diagonal, diagonal] = rows > 1
+        return meets
+
+    def _add(self, d):
+        """Take the distances d of a pivot to every row into the bounds."""
+        self.D.append(d)
+        hi = np.maximum.reduceat(d, self.cuts[:-1])
+        self.cell = np.minimum(self.cell, self._ratio(hi[:, None] + hi[None, :], self.lo, self.lo))
+        return d
+
+    def _ratio(self, d, wr, wc):
+        """Bound, in place, on the computed value of each pair whose distance
+        is at most d, with row and column weights at least wr and wc (None
+        for distances)."""
+        scale, tiny = self.slack
+        d *= scale
+        d += tiny
+        if wr is not None:
+            d /= wr[:, None] + wc[None, :]
+        return d
+
+    def _cells(self, r0, r1, c0, c1):
+        """The rows and columns of cells that make up the block."""
+        index = self.index
+        return slice(index[r0], index[r1]), slice(index[c0], index[c1])
+
+    def _live(self, a, b, tile=None):
+        """Of the cells a x b, which are live and which hold a pair of some
+        set.  A cell with a pair is ruled out when its bound is below the
+        best value of every set with a pair in it, and live otherwise.  With
+        the tile of the cells, where their bounds rule out some of them but
+        not all, the bound of each pair decides."""
+        meets = self.meets[:, a, b]
+        floor = np.where(meets, self.best[:, None, None], np.inf).min(axis=0)
+        pairs = meets.any(axis=0)
+        live = pairs & (self.cell[a, b] >= floor)
+        if tile is not None and live.any() and (pairs > live).any():
+            live &= self._pairs(tile, a, b) >= floor
+        return live, pairs
+
+    def _ruled_out(self) -> int:
+        """How many cells with a pair the bounds rule out at the bests."""
+        if self.cell.min() >= self.best.max():  # no cell is below a best
+            return 0
+        live, pairs = self._live(slice(None), slice(None))
+        return int((pairs > live).sum())
+
+    def of_tile(self, tile) -> float:
+        """The tile's bound, the largest bound of its cells."""
+        return float(self.cell[self._cells(*tile)].max())
+
+    def live(self, tile) -> list:
+        """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
+        when none of its cells with a pair is ruled out, or else its live
+        cells."""
+        a, b = self._cells(*tile)
+        live, pairs = self._live(a, b, tile)
+        if not live.any() or (live == pairs).all():
+            return [tile] if live.any() else []
+        cuts, blocks = self.cuts, []
+        for i, j in zip(*np.nonzero(live)):
+            r0, r1, c0, c1 = (cuts[a.start + i], cuts[a.start + i + 1],
+                              cuts[b.start + j], cuts[b.start + j + 1])
+            last = blocks[-1] if blocks else ()
+            # rectangles side by side in one row of cells are one rectangle
+            if last[:2] == (r0, r1) and last[3] == c0 and r0 not in (c0, last[2]):
+                blocks[-1] = (r0, r1, last[2], c1)
+            else:
+                blocks.append((r0, r1, c0, c1))
+        return blocks
+
+    @np.errstate(over="ignore")
+    def _pairs(self, tile, a, b):
+        """The largest bound of a pair in each cell of the tile, from the
+        bound of each pair: the smallest sum over the pivots."""
+        r0, r1, c0, c1 = tile
+        d = self.D[0, r0:r1, None] + self.D[0, None, c0:c1]
+        pivot = np.empty_like(d)
+        for row in self.D[1:]:
+            np.minimum(d, np.add(row[r0:r1, None], row[None, c0:c1], out=pivot), out=d)
+        w = self.weights
+        self._ratio(d, None if w is None else w[r0:r1], None if w is None else w[c0:c1])
+        rows = np.asarray(self.cuts[a]) - r0
+        cols = np.asarray(self.cuts[b]) - c0
+        return np.maximum.reduceat(np.maximum.reduceat(d, rows, axis=0), cols, axis=1)
 
 
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
@@ -84,34 +250,51 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
     over the rows of K or None for all of them, and (0.0, (0, 0)) for a
     set without a pair.  K and the weights must be finite.
 
-    A diagonal tile (r0 == c0) is pdist's condensed triangle, rows (i, j)
-    from `_triangle`, and any other is cdist's rectangle, rows from an open
-    grid; both give each pair the bits of one pdist over all rows of K.
-    Each tile is reduced to every set's maximum and first witness.
+    With more than one tile and a `_Bound` that rules out a cell, the tiles
+    are visited in descending order of bound, and a tile or cell is skipped
+    when its bound is below the best value of every set with a pair in it:
+    it holds no pair that ties a maximum.  A diagonal block (r0 == c0) is
+    pdist's condensed triangle, rows (i, j) from `_triangle`, and any other
+    is cdist's rectangle, its rows and columns broadcast; both give each
+    pair the bits of one pdist over all rows of K.  Each block is reduced
+    to the maximum and first witness of every set with a pair in it.
     """
     from scipy.spatial.distance import cdist, pdist
 
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
-    found = [[] for _ in sets]
-    for r0, r1, c0, c1 in _tiles(K.shape[0]):
-        if r0 == c0:
-            d = pdist(K[r0:r1], **metric)
-            i, j = _triangle(r1 - r0)
-        else:
-            d = cdist(K[r0:r1], K[c0:c1], **metric)
-            i, j = np.ogrid[:r1 - r0, :c1 - c0]
-        if weights is not None:
-            d /= weights[r0:r1][i] + weights[c0:c1][j]
-        for s, tops in zip(sets, found):
-            e = d if s is None else np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
-            k = int(e.argmax())  # first maximum in row-major pair order
-            if (value := e.item(k)) > -math.inf:
-                a, b = (i[k], j[k]) if r0 == c0 else divmod(k, c1 - c0)
-                tops.append((value, (r0 + int(a), c0 + int(b))))
-    # the largest value, and of its pairs the smallest
-    return [min(tops, key=lambda top: (-top[0], top[1]), default=(0.0, (0, 0)))
-            for tops in found]
+    tiles = _tiles(K.shape[0])
+    bound = _Bound(K, weights, sets, metric, cdist) if len(tiles) > 1 else None
+    if bound and bound.ruled_out:
+        tiles.sort(key=bound.of_tile, reverse=True)
+    else:
+        bound = None
+    tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)
+    for tile in tiles:
+        for r0, r1, c0, c1 in bound.live(tile) if bound else [tile]:
+            if r0 == c0:
+                d = pdist(K[r0:r1], **metric)
+                i, j = _triangle(r1 - r0)
+            else:
+                d = cdist(K[r0:r1], K[c0:c1], **metric)
+                i, j = np.s_[:, None], np.s_[None, :]
+            if weights is not None:
+                d /= weights[r0:r1][i] + weights[c0:c1][j]
+            for k, s in enumerate(sets):
+                if s is None or s[r0:r1].all() and s[c0:c1].all():
+                    e = d
+                elif s[r0:r1].any() and s[c0:c1].any():
+                    e = np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
+                else:
+                    continue
+                first = int(e.argmax())  # first maximum in row-major pair order
+                if (value := e.item(first)) > -math.inf:
+                    a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
+                    # the largest value, and of its pairs the smallest
+                    tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
+                    if bound:
+                        bound.best[k] = max(bound.best[k], value)
+    return [(-top, pair) if top < math.inf else (0.0, (0, 0)) for top, pair in tops]
 
 
 def _minorization_levels(K: np.ndarray, masks: list) -> list:

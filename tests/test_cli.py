@@ -396,143 +396,151 @@ _HARMONIC = {"model": {"name": "harmonic"},
              "grid": {"min": -8.0, "max": 8.0, "n": 50}}
 
 
-@pytest.mark.parametrize("cfg, code, message", [
-    ({"command": "riccati", "extra": []}, 1,
+# (label, config, exit code, start of the one line); the label and not the
+# place in the list names a case's test id, so adding a case renames none
+_CONFIG_CASES = [
+    ("cfg0", {"command": "riccati", "extra": []}, 1,
      "config error: extra must be a JSON object"),
-    ({"command": "eigen", **_HARMONIC, "time": []}, 1,
+    ("cfg1", {"command": "eigen", **_HARMONIC, "time": []}, 1,
      "config error: time must be a JSON object"),
-    ({"command": "riccati", "output": []}, 1,
+    ("cfg2", {"command": "riccati", "output": []}, 1,
      "config error: output must be a JSON object"),
-    ({"command": "eigen", "model": "name"}, 1,
+    ("cfg3", {"command": "eigen", "model": "name"}, 1,
      "config error: model must be a JSON object"),
-    ({"command": "contract", **_HARMONIC, "lyapunov": 5}, 1,
+    ("cfg4", {"command": "contract", **_HARMONIC, "lyapunov": 5}, 1,
      "config error: Lyapunov spelling must be a string"),
-    ({"command": "eigen", "model": {"name": "harmonic"},
-      "grid": {"min": -8.0, "max": 8.0, "n": 0}}, 1,
+    ("cfg5", {"command": "eigen", "model": {"name": "harmonic"},
+              "grid": {"min": -8.0, "max": 8.0, "n": 0}}, 1,
      "config error: a closed grid needs n >= 2 points, got 0"),
-    ({"command": "eigen", "model": {"name": "harmonic"},
-      "grid": {"min": -8.0, "max": 8.0, "n": 1}}, 1,
+    ("cfg6", {"command": "eigen", "model": {"name": "harmonic"},
+              "grid": {"min": -8.0, "max": 8.0, "n": 1}}, 1,
      "config error: a closed grid needs n >= 2 points, got 1"),
-    ({"command": "eigen", "model": {"name": "dirichlet_heat"},
-      "grid": {"min": 0.0, "max": 1.0, "n": 0}}, 1,
+    ("cfg7", {"command": "eigen", "model": {"name": "dirichlet_heat"},
+              "grid": {"min": 0.0, "max": 1.0, "n": 0}}, 1,
      "config error: an open grid needs n >= 1 points, got 0"),
-    ({"command": "rate", "extra": {"start": 10**9}}, 1,
+    ("cfg8", {"command": "rate", "extra": {"start": 10**9}}, 1,
      "config error: extra.start must lie in [1, 499]"),
-    ({"command": "rate", "extra": {"start": -1}}, 1,
+    ("cfg9", {"command": "rate", "extra": {"start": -1}}, 1,
      "config error: extra.start must lie in [1, 499]"),
-    ({"command": "simulate", "extra": {"budget": 0}}, 1,
+    ("cfg10", {"command": "simulate", "extra": {"budget": 0}}, 1,
      "config error: n_particles = 0 must be at least 1; budget = 0.0 of case "
      "'harmonic_mass_t1' must be at least 1e-05\n"),
-    ({"command": "simulate", "extra": {"budget": -1}}, 1,
+    ("cfg11", {"command": "simulate", "extra": {"budget": -1}}, 1,
      "config error: n_particles = -100000 must be at least 1; budget = -1.0 of "
      "case 'harmonic_mass_t1' must be at least 1e-05\n"),
-    ({"command": "simulate", "extra": {"budget": 1e-9}}, 1,
+    ("cfg12", {"command": "simulate", "extra": {"budget": 1e-9}}, 1,
      "config error: n_particles = 0 must be at least 1; budget = 1e-09 of case "
      "'harmonic_mass_t1' must be at least 1e-05\n"),
-    ({"command": "riccati", "output": {"path": 5}}, 1,
+    ("cfg13", {"command": "riccati", "output": {"path": 5}}, 1,
      "config error: output.path must be a string"),
-    ({"command": "riccati", "output": {"path": ""}}, 1, "config error: "),
-    ({"command": "geometry", "extra": {"theta": []}}, 1,
+    ("cfg14", {"command": "riccati", "output": {"path": ""}}, 1, "config error: "),
+    ("cfg15", {"command": "geometry", "extra": {"theta": []}}, 1,
      "config error: theta [] outside chart domain"),
-    ({"command": "riccati", "extra": {"kind": "scalar", "a0": 0.0, "a1": 1.0}}, 2,
+    ("cfg16", {"command": "riccati", "extra": {"kind": "scalar", "a0": 0.0, "a1": 1.0}}, 2,
      "assertion failed: flow_reaches_fixed_point"),
-    ({"command": "decay", **_HARMONIC, "time": {"t_max": 0}}, 0,
+    ("cfg17", {"command": "decay", **_HARMONIC, "time": {"t_max": 0}}, 0,
      "decay: key=null assertions=0/0"),
-    ({"command": "riccati",
-      "extra": {"kind": "scalar", "a0": 1e4, "a1": -1e8, "b": 1e-4}}, 0,
+    ("cfg18", {"command": "riccati",
+               "extra": {"kind": "scalar", "a0": 1e4, "a1": -1e8, "b": 1e-4}}, 0,
      "riccati: key=0.0001 assertions=1/1"),
-    ({"command": "geometry",
-      "extra": {"surface": "graph_example_8_4", "epsilon": -1}}, 0,
+    ("cfg19", {"command": "geometry",
+               "extra": {"surface": "graph_example_8_4", "epsilon": -1}}, 0,
      "geometry: key="),
-    ({"command": "eigen", **_HARMONIC, "extra": {"banana": 1}}, 1,
+    ("cfg20", {"command": "eigen", **_HARMONIC, "extra": {"banana": 1}}, 1,
      "config error: unknown key extra.banana"),
-    ({"command": "eigen", **_HARMONIC, "lyapunov": "nonsense"}, 1,
+    ("cfg21", {"command": "eigen", **_HARMONIC, "lyapunov": "nonsense"}, 1,
      "config error: unknown key config.lyapunov"),
-    ({"command": "riccati", "model": {"name": "harmonic"}}, 1,
+    ("cfg22", {"command": "riccati", "model": {"name": "harmonic"}}, 1,
      "config error: unknown key config.model"),
-    ({"command": "riccati", "grid": {"min": -8.0, "max": 8.0, "n": 50}}, 1,
+    ("cfg23", {"command": "riccati", "grid": {"min": -8.0, "max": 8.0, "n": 50}}, 1,
      "config error: unknown key config.grid"),
-    ({"command": "eigen", "model": {"name": "harmonic"},
-      "grid": {"min": -8.0, "max": 8.0, "n": 50.9}}, 1,
+    ("cfg24", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": -8.0, "max": 8.0, "n": 50.9}}, 1,
      "config error: grid.n must be an integer, not 50.9"),
-    ({"command": "riccati", "extra": {"a0": "2.0"}}, 1,
+    ("cfg25", {"command": "riccati", "extra": {"a0": "2.0"}}, 1,
      "config error: extra.a0 must be a finite number, not '2.0'"),
-    ({"command": "riccati", "extra": {"t": True}}, 1,
+    ("cfg26", {"command": "riccati", "extra": {"t": True}}, 1,
      "config error: extra.t must be a finite number, not True"),
-    ({"command": "simulate", "seed": True}, 1,
+    ("cfg27", {"command": "simulate", "seed": True}, 1,
      "config error: seed must be an integer, not True"),
-    ({"command": "riccati", "threads": "many"}, 1,
+    ("cfg28", {"command": "riccati", "threads": "many"}, 1,
      "config error: threads must be an integer, not 'many'"),
-    ({"command": "geometry", "extra": {"theta": "1"}}, 1,
+    ("cfg29", {"command": "geometry", "extra": {"theta": "1"}}, 1,
      "config error: extra.theta must be a finite number, not '1'"),
-    ({"command": "decay", **_HARMONIC, "time": {"t_max": -1}}, 1,
+    ("cfg30", {"command": "decay", **_HARMONIC, "time": {"t_max": -1}}, 1,
      "config error: time.t_max must be >= 0, not -1"),
-    ({"command": "riccati", "extra": {"t": float("nan")}}, 1,
+    ("cfg31", {"command": "riccati", "extra": {"t": float("nan")}}, 1,
      "config error: extra.t must be a finite number, not nan"),
-    ({"command": "riccati", "extra": {"t": 10**400}}, 1,
+    ("cfg32", {"command": "riccati", "extra": {"t": 10**400}}, 1,
      "config error: extra.t must be a finite number, not 1000"),
-    ({"command": "rate", "extra": {"t_max": 0}}, 1,
+    ("cfg33", {"command": "rate", "extra": {"t_max": 0}}, 1,
      "config error: extra.t_max must be >= 1, not 0"),
-    ({"command": "rate", "extra": {"t_max": -2}}, 1,
+    ("cfg34", {"command": "rate", "extra": {"t_max": -2}}, 1,
      "config error: extra.t_max must be >= 1, not -2"),
-    ({"command": "rate", "extra": {"rho": -3}}, 1,
+    ("cfg35", {"command": "rate", "extra": {"rho": -3}}, 1,
      "config error: extra.rho must be >= 0.0, not -3.0"),
-    ({"command": "simulate", "threads": 0}, 1,
+    ("cfg36", {"command": "simulate", "threads": 0}, 1,
      "config error: threads must be >= 1, not 0"),
-    ({"command": "simulate", "extra": {"case": "qsd_dirichlet_rho", "budget": 4e-5}},
+    ("cfg37", {"command": "simulate", "extra": {"case": "qsd_dirichlet_rho", "budget": 4e-5}},
      1, "config error: n_particles = 0 must be at least 1; budget = 4e-05 of case "
         "'qsd_dirichlet_rho' must be at least 5e-05\n"),
-    ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 0}},
+    ("cfg38", {"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 0}},
      1, "config error: n_particles = 0 must be at least 1; budget = 0.0 of case "
         "'ou_qsd_variance' must be at least 2e-05\n"),
     # one particle gives a Feynman-Kac case a zero standard error
-    ({"command": "validate", "extra": {"budget": 1e-5}}, 1,
+    ("cfg39", {"command": "validate", "extra": {"budget": 1e-5}}, 1,
      "config error: n_particles = 1 has no standard error; budget = 1e-05 of case "
      "'dirichlet_survival_t03' must be at least 2e-05\n"),
-    ({"command": "simulate", "extra": {"case": "ou_stationary_var", "budget": 1e-5}},
+    ("cfg40", {"command": "simulate", "extra": {"case": "ou_stationary_var", "budget": 1e-5}},
      1, "config error: n_particles = 1 has no standard error; budget = 1e-05 of "
         "case 'ou_stationary_var' must be at least 2e-05\n"),
-    ({"command": "simulate", "extra": {"case": "harmonic_mass_t1", "budget": 1e-5}},
+    ("cfg41", {"command": "simulate", "extra": {"case": "harmonic_mass_t1", "budget": 1e-5}},
      1, "config error: n_particles = 1 has no standard error; budget = 1e-05 of "
         "case 'harmonic_mass_t1' must be at least 2e-05\n"),
-    ({"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 2e-5}},
+    ("cfg42", {"command": "validate", "extra": {"cases": ["ou_qsd_variance"], "budget": 2e-5}},
      1, "config error: n_particles = 1 has no standard error; budget = 2e-05 of "
         "case 'ou_qsd_variance' must be at least 4e-05\n"),
     # the norm weights 1 + rho phi1(V) overflow
-    ({"command": "rate", "extra": {"rho": 1e308}}, 2,
+    ("cfg43", {"command": "rate", "extra": {"rho": 1e308}}, 2,
      "numerical failure: norm weights are not finite"),
     # a model constant is not a parameter
-    *[({"command": "eigen", "model": {"name": "harmonic", "params": {key: value}},
-        "grid": _HARMONIC["grid"]}, 1,
+    *[(label, {"command": "eigen", "model": {"name": "harmonic", "params": {key: value}},
+               "grid": _HARMONIC["grid"]}, 1,
        "config error: model.params: HarmonicOscillator.__init__() got an "
        f"unexpected keyword argument '{key}'")
-      for key, value in [("exact_rho", 7.0), ("is_markov", True),
-                         ("self_adjoint", False)]],
+      for label, key, value in [("cfg44", "exact_rho", 7.0), ("cfg45", "is_markov", True),
+                                ("cfg46", "self_adjoint", False)]],
     # V overflows, or underflows to zero, on the grid
-    *[({"command": "contract", "model": {"name": "half_harmonic"},
-        "grid": {"min": 0, "max": 6, "n": 40}, "lyapunov": spec}, 1,
+    *[(label, {"command": "contract", "model": {"name": "half_harmonic"},
+               "grid": {"min": 0, "max": 6, "n": 40}, "lyapunov": spec}, 1,
        f"config error: Lyapunov family '{spec.split(':')[0]}' produced non-finite "
        "or non-positive values")
-      for spec in ["exp:800", "poly:400", "inv_plus_poly:400", "exp:-1e308"]],
-    ({"command": "contract", "model": {"name": "gauss_ou", "params": {"sigma": 0}},
-      "grid": {"min": -20, "max": 20, "n": 100}}, 1,
+      for label, spec in [("cfg47", "exp:800"), ("cfg48", "poly:400"),
+                          ("cfg49", "inv_plus_poly:400"), ("cfg50", "exp:-1e308")]],
+    ("cfg51", {"command": "contract", "model": {"name": "gauss_ou", "params": {"sigma": 0}},
+               "grid": {"min": -20, "max": 20, "n": 100}}, 1,
      "config error: sigma must be positive"),
     # the densities overflow inside the kernel and every row's mass is zero
-    ({"command": "eigen", "model": {"name": "harmonic"},
-      "grid": {"min": -1e200, "max": 1e200, "n": 40}}, 2,
+    ("cfg52", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": -1e200, "max": 1e200, "n": 40}}, 2,
      "numerical failure: the kernel mass underflowed to zero in 40 of 40 grid rows"),
-    ({"command": "geometry", "extra": {"op": "offset", "u": 1e308}}, 2,
+    ("cfg53", {"command": "geometry", "extra": {"op": "offset", "u": 1e308}}, 2,
      "numerical failure: offset Jacobian at depth u = 1e+308 is inf"),
-    ({"command": "eigen", "model": {"name": "harmonic", "params": {"open_grid": True}},
-      "grid": _HARMONIC["grid"]}, 1,
+    ("cfg54", {"command": "eigen", "model": {"name": "harmonic", "params": {"open_grid": True}},
+               "grid": _HARMONIC["grid"]}, 1,
      "config error: model.params: HarmonicOscillator.__init__() got an "
      "unexpected keyword argument 'open_grid'"),
     # no row reaches the grid columns past x = 3.75, where the kernel underflowed
-    ({"command": "eigen", "model": {"name": "half_harmonic_linear", "params": {"a": -50}},
-      "grid": {"min": 0, "max": 5, "n": 20}}, 2,
+    ("cfg55", {"command": "eigen", "model": {"name": "half_harmonic_linear", "params": {"a": -50}},
+               "grid": {"min": 0, "max": 5, "n": 20}}, 2,
      "numerical failure: the kernel mass underflowed to zero in 5 of 20 grid columns, "
      "the first at x=3.875"),
-])
+]
+
+
+@pytest.mark.parametrize("cfg, code, message", [
+    pytest.param(cfg, code, message, id=f"{label}-{code}-{message}")
+    for label, cfg, code, message in _CONFIG_CASES])
 def test_configs_end_in_one_line(capsys, cfg, code, message):
     assert run_experiment(cfg) == code
     out, err = capsys.readouterr()

@@ -474,6 +474,213 @@ def test_pair_scan_memory_is_one_tile(weighted):
     assert peak <= 8 * n * (n - 1) // 2 // 16
 
 
+def _banded(n, dyadic):
+    """Rows of a Gaussian kernel a twelfth of the grid wide, so that rows far
+    apart barely overlap and the bound rules out cells near the diagonal.
+    Dyadic entries (multiples of 1/8, rows not normalized) make exact ties;
+    three rows are copies of others.  Positive weights to match."""
+    rng = np.random.default_rng([n, dyadic])
+    x = np.arange(n) / max(1.0, n / 12)
+    K = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
+    if dyadic:
+        K = np.round(K * 8) / 8
+        w = rng.choice([0.5, 1.0, 2.0], size=n)
+    else:
+        K /= K.sum(axis=1, keepdims=True)
+        w = rng.uniform(0.5, 3.0, size=n)
+    for src, dst in rng.integers(n, size=(3, 2)):
+        K[dst], w[dst] = K[src], w[src]
+    return K, w
+
+
+def _scanned(monkeypatch):
+    """Counts, as a scan runs, the pairs that its pdist and cdist calls
+    compute and the tiles of it that are scanned; a scan that rules out no
+    cell at its seeds scans every tile and records none."""
+    import scipy.spatial.distance as distance
+
+    record = {"pairs": 0, "tiles": []}
+    cdist, pdist, live = distance.cdist, distance.pdist, contraction._Bound.live
+
+    def counting_cdist(XA, XB, **kw):
+        if len(XA) > 1:  # not a pivot's distances to every row
+            record["pairs"] += len(XA) * len(XB)
+        return cdist(XA, XB, **kw)
+
+    def counting_pdist(X, **kw):
+        record["pairs"] += len(X) * (len(X) - 1) // 2
+        return pdist(X, **kw)
+
+    def recording_live(self, tile):
+        blocks = live(self, tile)
+        record["tiles"] += [tile] if blocks else []
+        return blocks
+
+    monkeypatch.setattr(distance, "cdist", counting_cdist)
+    monkeypatch.setattr(distance, "pdist", counting_pdist)
+    monkeypatch.setattr(contraction._Bound, "live", recording_live)
+    return record
+
+
+def test_pair_scan_skips_tiles_on_the_harmonic_contract_set(monkeypatch):
+    # the 560 rows {V <= r} that `contract` scans for alpha(r) on the
+    # harmonic model at 700 grid points, r the 0.8 quantile of V = 1 + x^2
+    P = discretize(HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
+    vals = LyapunovSpec.poly(2)(P.grid.points)
+    K = P.matrix[vals <= np.quantile(vals, 0.8)]
+    n = K.shape[0]
+    assert n == 560
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K) == [_one_pdist_scan(K)]
+    assert record["pairs"] < n * (n - 1) // 2 // 4
+    assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
+
+
+# sizes from one row to several tiles a side: cell and tile edges, an exact
+# fit, and a last row over
+SCAN_SIZES = [1, 2, 3, 7, 16, 17, 33, 39, 100, 127, 128, 129, 200, 256, 257, 300, 700]
+
+
+@pytest.mark.parametrize("n", SCAN_SIZES)
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pruned_pair_scan_keeps_the_one_pdist_bits(monkeypatch, n, dyadic, weighted):
+    K, w = _banded(n, dyadic)
+    w = w if weighted else None
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K, w) == ([_one_pdist_scan(K, w)] if n > 1 else [(0.0, (0, 0))])
+    if n == 700:  # the bound rules out part of the largest scan
+        assert record["pairs"] < n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted):
+    n = 700
+    K, w = _banded(n, dyadic)
+    w = w if weighted else None
+    idx = np.arange(n)
+    masks = [idx < n // 3, idx < n // 2, None,                # nested
+             idx % 2 == 0, (idx > n // 4) & (idx % 3 > 0),    # not nested
+             idx < 0, idx == n - 1]                           # empty, one row
+    record = _scanned(monkeypatch)
+    scans = _pair_scan(K, w, masks)
+    assert record["pairs"] < n * (n - 1) // 2
+    for m, scan in zip(masks, scans):
+        rows = idx if m is None else np.flatnonzero(m)
+        if len(rows) < 2:
+            assert scan == (0.0, (0, 0))
+            continue
+        i, j = np.triu_indices(len(rows), 1)
+        if w is None:
+            d = pdist(K[rows], "cityblock")
+        else:
+            d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
+        k = int(np.argmax(d))
+        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
+
+
+@pytest.mark.parametrize("p, q", [
+    ((5, 200), (10, 20)),     # the first pair sits in a later tile
+    ((5, 200), (130, 131)),   # the later pair sits in a later tile
+    ((3, 590), (300, 599)),
+    ((300, 599), (140, 450)),  # both pairs away from the first tile
+])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tied_pairs_across_skipped_tiles_take_the_smallest_index_pair(monkeypatch, p, q,
+                                                                      weighted):
+    # the rows other than p and q are equal, so the tiles that hold neither
+    # pair are skipped, and each tied pair's tile is scanned
+    K = _two_tied_pairs(600, p, q)
+    w = np.ones(600) if weighted else None
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K, w) == [(1.0 if weighted else 2.0, min(p, q))] == [_one_pdist_scan(K, w)]
+    assert 0 < len(record["tiles"]) < len(contraction._tiles(600))
+
+
+def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
+    # the skip is strict, so a pair whose value ties the bound of its cell
+    # is scanned
+    from scipy.spatial.distance import cdist
+
+    K, _ = _banded(300, False)
+    bound = contraction._Bound(K, None, [None], {"metric": "cityblock"}, cdist)
+    every = slice(None), slice(None)
+    top = bound.cell[every][bound.meets[0]].max()
+    bound.best[:] = top
+    live, pairs = bound._live(*every)
+    assert (live == (pairs & (bound.cell == top))).all() and live.any()
+    bound.best[:] = np.nextafter(top, np.inf)
+    assert not bound._live(*every)[0].any()
+
+
+def test_a_pair_whose_bound_equals_the_best_is_not_ruled_out():
+    # where the cells' bounds rule out part of a tile, each pair's bound
+    # decides, and that skip is strict too
+    from scipy.spatial.distance import cdist
+
+    K, w = _banded(700, False)
+    bound = contraction._Bound(K, w, [None], {"metric": "minkowski", "p": 1, "w": w}, cdist)
+    for tile in contraction._tiles(700):
+        a, b = bound._cells(*tile)
+        top = bound._pairs(tile, a, b)[bound.meets[0, a, b]].max()
+        if (bound.cell[a, b][bound.meets[0, a, b]] < top).any():
+            break  # the cells' bounds alone rule out part of this tile
+    else:
+        pytest.fail("no tile whose cells' bounds rule out part of it")
+    bound.best[:] = top
+    live, _ = bound._live(a, b, tile)
+    assert live.any() and (live <= (bound._pairs(tile, a, b) == top)).all()
+    bound.best[:] = np.nextafter(top, np.inf)
+    assert not bound._live(a, b, tile)[0].any()
+
+
+def test_live_blocks_cover_the_pairs_of_the_live_cells():
+    # the blocks of a tile that is scanned in part are its live cells, runs
+    # of them in one row of cells joined into one rectangle, a diagonal
+    # cell a triangle of its own
+    from scipy.spatial.distance import cdist
+
+    n = 700
+    K, _ = _banded(n, False)
+    bound = contraction._Bound(K, None, [None], {"metric": "cityblock"}, cdist)
+    cuts, upper = bound.cuts, np.triu(np.ones((n, n), bool), 1)
+    joined = 0
+    for tile in contraction._tiles(n):
+        a, b = bound._cells(*tile)
+        live, _ = bound._live(a, b, tile)
+        want = np.zeros((n, n), bool)
+        for i, j in zip(*np.nonzero(live)):
+            want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True
+        got = np.zeros((n, n), bool)
+        blocks = bound.live(tile)
+        for r0, r1, c0, c1 in blocks:
+            got[r0:r1, c0:(r1 if r0 == c0 else c1)] = True  # as the scan reads them
+        assert (got & upper == want & upper).all(), tile
+        joined += blocks != [tile] and len(blocks) < live.sum()
+    assert joined  # some row of cells was joined
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pruned_pair_scan_memory_is_one_tile(monkeypatch, weighted):
+    # the bound takes a few rows of n entries and, for a tile that it rules
+    # out in part, the bound of each of its pairs: the scan stays within the
+    # bound of test_pair_scan_memory_is_one_tile while it skips most pairs
+    n = 2000
+    K, w = _banded(n, False)
+    w = w if weighted else None
+    _pair_scan(K[:300, :300], None if w is None else w[:300])  # imports first
+    record = _scanned(monkeypatch)
+    tracemalloc.start()
+    try:
+        _pair_scan(K, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["pairs"] < n * (n - 1) // 2
+    assert peak <= 8 * n * (n - 1) // 2 // 16
+
+
 @pytest.mark.parametrize("n", [20, 300])
 def test_minorization_levels_equal_the_scans_one_mask_at_a_time(n):
     rng = np.random.default_rng(n)
