@@ -10,21 +10,20 @@ takes each block to every row set's maximum and first witness.  The
 triangles' row layout is one cached np.triu_indices per size.  Memory is
 one tile at a time, not the n(n-1)/2 condensed distances.
 
-A scan of more than one tile skips the pairs that a metric bound proves
-cannot hold a maximum.  The weighted L1 distance is a metric, so
-d(i, j) <= d(i, p) + d(p, j) for any pivot row p; the zero row as a pivot
-gives the row-mass bound.  The pivots are the zero row and up to _PIVOTS
-rows picked farthest-first, one cdist each, until one rules out no more
-cells than those before it.  Each pair of _CELL-row cells is
-bounded by its blocks' largest pivot distances (and least weights), and
-each tile by its largest cell bound, times a rounding slack of
-1 + 16 m eps.  Each set's best starts at the values of its pivot pairs.
-Tiles are visited in descending order of bound; a cell is skipped only
-when its bound is strictly below the best of every set with a pair in it,
-and a tile whose cell bounds rule out part of it bounds each pair.  A pair
-that ties a maximum is never skipped, every scanned pair keeps its bits,
-and ties are broken toward the smallest index pair, making every report
-deterministic.
+A scan of more than one tile skips the cells of _CELL rows a side that a
+metric bound proves cannot hold a maximum.  The weighted L1 distance is a
+metric, so d(i, j) <= d(i, p) + d(p, j) for any pivot row p; the zero row
+as a pivot gives the row-mass bound.  The pivots are the zero row and up
+to _PIVOTS rows picked farthest-first, one cdist each, until one rules out
+no more cells than those before it.  A cell's bound is its blocks' largest
+pivot distances (over their least weights) times a rounding slack of
+1 + 16 m eps, and a tile's is the largest of its cells'; no pair has a
+bound of its own.  Each set's best starts at the values of its pivot
+pairs.  Tiles are visited in descending order of bound, and a cell is
+skipped only when its bound is strictly below the best of every set with
+a pair in it, so a pair that ties a maximum is never skipped.  Every
+scanned pair keeps its bits, and ties are broken toward the smallest index
+pair, making every report deterministic.
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ def _tiles(n: int) -> list:
 
 
 class _Bound:
-    """Upper bounds on the pair values of one scan, and each set's best value.
+    """One upper bound per pair of cells on the pair values of a scan, and
+    each set's best value.
 
     d(i, j) <= d(i, p) + d(p, j) for every pivot row p: the zero row, whose
     distance to row i is the row mass sum_k w_k |K_ik|, and rows of the
@@ -115,103 +115,78 @@ class _Bound:
     _PIVOTS of them and no more once one rules out no more cells than the
     pivots before it.  A cell's bound is the smallest over the pivots of the
     sum of the pivot's largest distances to its two row blocks, over the sum
-    of the blocks' least weights for a ratio; a tile's bound is the largest
-    of its cells'.  Each set's best value starts at its largest pair value
-    with a pivot: it seeds the value only, and the witness comes from a
-    scanned block.  `ruled_out` counts the cells that the bounds rule out at
-    the seeds; when it is 0, the scan needs no bound.
+    of the blocks' least weights for a ratio, times 1 + _SLACK m; it bounds
+    every pair of the cell.  Each set's best value starts at its largest
+    pair value with a pivot: it seeds the value only, and the witness comes
+    from a scanned block.  `ruled_out` counts the cells that the bounds rule
+    out at the seeds; when it is 0, the scan needs no bound.
     """
 
     @np.errstate(over="ignore")  # a bound that overflows is inf and rules out nothing
     def __init__(self, K, weights, sets, metric, cdist):
         n, m = K.shape
-        self.masks = masks = np.array([np.ones(n, bool) if s is None else s for s in sets])
-        self.weights = weights
-        self.slack = (1.0 + _SLACK * m, 2 * m * np.finfo(float).smallest_subnormal)
-        self.cuts = _cuts(n, _CELL)
-        self.index = {cut: k for k, cut in enumerate(self.cuts)}
-        self.lo = None if weights is None else np.minimum.reduceat(weights, self.cuts[:-1])
+        masks = np.array([np.ones(n, bool) if s is None else s for s in sets])
+        self.cuts = cuts = _cuts(n, _CELL)
+        self.index = {cut: k for k, cut in enumerate(cuts)}
+        c = len(cuts) - 1  # cells a side
+        # meets[s, a, b]: set s has a pair in cell (a, b), a <= b; a pair in
+        # a diagonal cell takes two of its rows
+        rows = np.add.reduceat(masks.astype(np.intp), cuts[:-1], axis=1)
+        self.meets = (rows[:, :, None] > 0) & (rows[:, None, :] > np.eye(c, dtype=bool))
+        self.meets &= ~np.tri(c, k=-1, dtype=bool)
+        if weights is not None:  # each cell's sum of its blocks' least weights
+            lo = np.minimum.reduceat(weights, cuts[:-1])
+            lo = lo[:, None] + lo[None, :]
+        scale, tiny = 1.0 + _SLACK * m, 2 * m * np.finfo(float).smallest_subnormal
+        self.cell = np.full((c, c), np.inf)
+        cell = np.empty_like(self.cell)  # one pivot's bounds, in place
         self.best = np.full(len(masks), -np.inf)
-        self.D, self.cell = [], np.inf
-        self._add(cdist(np.zeros((1, m)), K, **metric)[0])
-        near = np.where(masks.any(axis=0), np.inf, -np.inf)  # to the nearest pivot
         self.ruled_out = 0  # cells that the bounds rule out at the seeds
-        for _ in range(_PIVOTS):
+        near = np.where(masks.any(axis=0), np.inf, -np.inf)  # to the nearest pivot
+        p = None  # the zero row, then rows picked farthest-first
+        for _ in range(_PIVOTS + 1):
+            d = cdist(np.zeros((1, m)) if p is None else K[p:p + 1], K, **metric)[0]
+            hi = np.maximum.reduceat(d, cuts[:-1])
+            cell[:] = hi  # hi[:, None] + hi[None, :] without numpy's broadcast buffers
+            cell += hi[:, None]
+            cell *= scale
+            cell += tiny
+            if weights is not None:
+                cell /= lo
+            np.minimum(self.cell, cell, out=self.cell)
+            if p is not None:
+                np.minimum(near, d, out=near)
+                value = d if weights is None else d / (weights[p] + weights)
+                seed = np.where(masks, value, -np.inf).max(axis=1)
+                np.maximum(self.best, np.where(masks[:, p], seed, -np.inf), out=self.best)
+                if self.cell.min() >= self.best.max():
+                    break  # no cell is below a best, so none is ruled out
+                live, pairs = self._live(slice(None), slice(None))
+                if (ruled_out := int((pairs > live).sum())) <= self.ruled_out:
+                    break  # a pivot that rules out no more cells is the last
+                self.ruled_out = ruled_out
             p = int(near.argmax())
-            d = self._add(cdist(K[p:p + 1], K, **metric)[0])
-            np.minimum(near, d, out=near)
-            value = d if weights is None else d / (weights[p] + weights)
-            seed = np.where(masks, value, -np.inf).max(axis=1)
-            np.maximum(self.best, np.where(masks[:, p], seed, -np.inf), out=self.best)
-            if (ruled_out := self._ruled_out()) <= self.ruled_out:
-                break  # a pivot that rules out no more cells is the last
-            self.ruled_out = ruled_out
-        self.D = np.array(self.D)
-
-    @functools.cached_property
-    def meets(self):
-        """meets[s, a, b]: set s has a pair in cell (a, b), a <= b."""
-        rows = np.add.reduceat(self.masks.astype(np.intp), self.cuts[:-1], axis=1)
-        meets = (rows[:, :, None] > 0) & (rows[:, None, :] > 0)
-        meets &= ~np.tri(rows.shape[1], k=-1, dtype=bool)
-        diagonal = np.arange(rows.shape[1])
-        meets[:, diagonal, diagonal] = rows > 1
-        return meets
-
-    def _add(self, d):
-        """Take the distances d of a pivot to every row into the bounds."""
-        self.D.append(d)
-        hi = np.maximum.reduceat(d, self.cuts[:-1])
-        self.cell = np.minimum(self.cell, self._ratio(hi[:, None] + hi[None, :], self.lo, self.lo))
-        return d
-
-    def _ratio(self, d, wr, wc):
-        """Bound, in place, on the computed value of each pair whose distance
-        is at most d, with row and column weights at least wr and wc (None
-        for distances)."""
-        scale, tiny = self.slack
-        d *= scale
-        d += tiny
-        if wr is not None:
-            d /= wr[:, None] + wc[None, :]
-        return d
 
     def _cells(self, r0, r1, c0, c1):
         """The rows and columns of cells that make up the block."""
         index = self.index
         return slice(index[r0], index[r1]), slice(index[c0], index[c1])
 
-    def _live(self, a, b, tile=None):
+    def _live(self, a, b):
         """Of the cells a x b, which are live and which hold a pair of some
         set.  A cell with a pair is ruled out when its bound is below the
-        best value of every set with a pair in it, and live otherwise.  With
-        the tile of the cells, where their bounds rule out some of them but
-        not all, the bound of each pair decides."""
+        best value of every set with a pair in it, and live otherwise."""
         meets = self.meets[:, a, b]
         floor = np.where(meets, self.best[:, None, None], np.inf).min(axis=0)
         pairs = meets.any(axis=0)
-        live = pairs & (self.cell[a, b] >= floor)
-        if tile is not None and live.any() and (pairs > live).any():
-            live &= self._pairs(tile, a, b) >= floor
-        return live, pairs
-
-    def _ruled_out(self) -> int:
-        """How many cells with a pair the bounds rule out at the bests."""
-        if self.cell.min() >= self.best.max():  # no cell is below a best
-            return 0
-        live, pairs = self._live(slice(None), slice(None))
-        return int((pairs > live).sum())
-
-    def of_tile(self, tile) -> float:
-        """The tile's bound, the largest bound of its cells."""
-        return float(self.cell[self._cells(*tile)].max())
+        return pairs & (self.cell[a, b] >= floor), pairs
 
     def live(self, tile) -> list:
         """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
         when none of its cells with a pair is ruled out, or else its live
         cells."""
         a, b = self._cells(*tile)
-        live, pairs = self._live(a, b, tile)
+        live, pairs = self._live(a, b)
         if not live.any() or (live == pairs).all():
             return [tile] if live.any() else []
         cuts, blocks = self.cuts, []
@@ -225,21 +200,6 @@ class _Bound:
             else:
                 blocks.append((r0, r1, c0, c1))
         return blocks
-
-    @np.errstate(over="ignore")
-    def _pairs(self, tile, a, b):
-        """The largest bound of a pair in each cell of the tile, from the
-        bound of each pair: the smallest sum over the pivots."""
-        r0, r1, c0, c1 = tile
-        d = self.D[0, r0:r1, None] + self.D[0, None, c0:c1]
-        pivot = np.empty_like(d)
-        for row in self.D[1:]:
-            np.minimum(d, np.add(row[r0:r1, None], row[None, c0:c1], out=pivot), out=d)
-        w = self.weights
-        self._ratio(d, None if w is None else w[r0:r1], None if w is None else w[c0:c1])
-        rows = np.asarray(self.cuts[a]) - r0
-        cols = np.asarray(self.cuts[b]) - c0
-        return np.maximum.reduceat(np.maximum.reduceat(d, rows, axis=0), cols, axis=1)
 
 
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
@@ -266,7 +226,7 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
     tiles = _tiles(K.shape[0])
     bound = _Bound(K, weights, sets, metric, cdist) if len(tiles) > 1 else None
     if bound and bound.ruled_out:
-        tiles.sort(key=bound.of_tile, reverse=True)
+        tiles.sort(key=lambda tile: bound.cell[bound._cells(*tile)].max(), reverse=True)
     else:
         bound = None
     tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)

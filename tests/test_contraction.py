@@ -420,6 +420,9 @@ def test_tiles_cover_each_pair_once_and_every_diagonal_tile_holds_a_pair():
                 i, j = np.divmod(np.arange((r1 - r0) * (c1 - c0)), c1 - c0)
             np.add.at(pairs, (r0 + i, c0 + j), 1)
         assert (pairs == np.triu(np.ones((n, n), dtype=int), 1)).all(), n
+        # a tile's cells are looked up by its edges among the cell edges
+        assert set(contraction._cuts(n, contraction._TILE)) <= set(
+            contraction._cuts(n, contraction._CELL)), n
 
 
 def test_cached_triangles_are_read_only():
@@ -553,6 +556,24 @@ def test_pruned_pair_scan_keeps_the_one_pdist_bits(monkeypatch, n, dyadic, weigh
         assert record["pairs"] < n * (n - 1) // 2
 
 
+def test_pruned_weighted_scan_on_the_harmonic_h_transform(monkeypatch):
+    # the V-Dobrushin scan of the Doob h-transform of the harmonic model at
+    # 700 points on [-8, 8], V = 1 + x^2: weighted pruning on a model operator
+    m = HarmonicOscillator()
+    g = GridDomain.uniform_closed(-8.0, 8.0, 700)
+    P = doob_h_transform(discretize(m, g, 1.0), FunctionVec(m.exact_h(g.points), g),
+                         m.exact_rho)
+    K, vals = P.matrix, LyapunovSpec.poly(2)(g.points)
+    n = g.size
+    record = _scanned(monkeypatch)
+    rep = v_dobrushin(P, LyapunovSpec.poly(2))
+    assert record["pairs"] < n * (n - 1) // 2
+    assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
+    best, pair = _one_pdist_scan(K, vals)
+    assert rep.witness_pair == pair and rep.beta == pytest.approx(best, rel=1e-12, abs=0)
+    assert _pair_scan(K, vals) == [(best, pair)]
+
+
 @pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted):
@@ -614,27 +635,6 @@ def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
     assert not bound._live(*every)[0].any()
 
 
-def test_a_pair_whose_bound_equals_the_best_is_not_ruled_out():
-    # where the cells' bounds rule out part of a tile, each pair's bound
-    # decides, and that skip is strict too
-    from scipy.spatial.distance import cdist
-
-    K, w = _banded(700, False)
-    bound = contraction._Bound(K, w, [None], {"metric": "minkowski", "p": 1, "w": w}, cdist)
-    for tile in contraction._tiles(700):
-        a, b = bound._cells(*tile)
-        top = bound._pairs(tile, a, b)[bound.meets[0, a, b]].max()
-        if (bound.cell[a, b][bound.meets[0, a, b]] < top).any():
-            break  # the cells' bounds alone rule out part of this tile
-    else:
-        pytest.fail("no tile whose cells' bounds rule out part of it")
-    bound.best[:] = top
-    live, _ = bound._live(a, b, tile)
-    assert live.any() and (live <= (bound._pairs(tile, a, b) == top)).all()
-    bound.best[:] = np.nextafter(top, np.inf)
-    assert not bound._live(a, b, tile)[0].any()
-
-
 def test_live_blocks_cover_the_pairs_of_the_live_cells():
     # the blocks of a tile that is scanned in part are its live cells, runs
     # of them in one row of cells joined into one rectangle, a diagonal
@@ -648,7 +648,7 @@ def test_live_blocks_cover_the_pairs_of_the_live_cells():
     joined = 0
     for tile in contraction._tiles(n):
         a, b = bound._cells(*tile)
-        live, _ = bound._live(a, b, tile)
+        live, _ = bound._live(a, b)
         want = np.zeros((n, n), bool)
         for i, j in zip(*np.nonzero(live)):
             want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True
@@ -663,9 +663,9 @@ def test_live_blocks_cover_the_pairs_of_the_live_cells():
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pruned_pair_scan_memory_is_one_tile(monkeypatch, weighted):
-    # the bound takes a few rows of n entries and, for a tile that it rules
-    # out in part, the bound of each of its pairs: the scan stays within the
-    # bound of test_pair_scan_memory_is_one_tile while it skips most pairs
+    # the bound takes a few rows of n entries and a few matrices of cell
+    # bounds: the scan stays within the bound of
+    # test_pair_scan_memory_is_one_tile while it skips most pairs
     n = 2000
     K, w = _banded(n, False)
     w = w if weighted else None
