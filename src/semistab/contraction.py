@@ -10,20 +10,22 @@ takes each block to every row set's maximum and first witness.  The
 triangles' row layout is one cached np.triu_indices per size.  Memory is
 one tile at a time, not the n(n-1)/2 condensed distances.
 
-A scan of more than one tile skips the cells of _CELL rows a side that a
-metric bound proves cannot hold a maximum.  The weighted L1 distance is a
-metric, so d(i, j) <= d(i, p) + d(p, j) for any pivot row p; the zero row
-as a pivot gives the row-mass bound.  The pivots are the zero row and up
-to _PIVOTS rows picked farthest-first, one cdist each, until one rules out
-no more cells than those before it.  A cell's bound is its blocks' largest
+A full-row scan (every row of K as its one set) of more than one tile skips
+the cells of _CELL rows a side that a metric bound proves cannot hold the
+maximum.  The weighted L1 distance is a metric, so d(i, j) <= d(i, p) +
+d(p, j) for any pivot row p; the zero row as a pivot gives the row-mass
+bound.  The pivots are the zero row and _PIVOTS rows picked
+farthest-first, one cdist each.  A cell's bound is its blocks' largest
 pivot distances (over their least weights) times a rounding slack of
 1 + 16 m eps, and a tile's is the largest of its cells'; no pair has a
-bound of its own.  Each set's best starts at the values of its pivot
-pairs.  Tiles are visited in descending order of bound, and a cell is
-skipped only when its bound is strictly below the best of every set with
-a pair in it, so a pair that ties a maximum is never skipped.  Every
-scanned pair keeps its bits, and ties are broken toward the smallest index
-pair, making every report deterministic.
+bound of its own.  The best value starts at the largest pivot pair.
+Tiles are visited in descending order of bound, and a cell is skipped
+only when its bound is strictly below the best, so a pair that ties the
+maximum is never skipped.  A scan of several row sets has no bound: on
+the sub-level set families of polynomial_rate_check, its one caller, a
+bound ruled out no cell, so it cost time and saved none.  Every scanned
+pair keeps its bits, and ties are broken toward the smallest index pair,
+making every report deterministic.
 """
 
 from __future__ import annotations
@@ -106,43 +108,35 @@ def _tiles(n: int) -> list:
 
 
 class _Bound:
-    """One upper bound per pair of cells on the pair values of a scan, and
-    each set's best value.
+    """One upper bound per pair of cells on the pair values of a full-row
+    scan, and the best value found.
 
     d(i, j) <= d(i, p) + d(p, j) for every pivot row p: the zero row, whose
-    distance to row i is the row mass sum_k w_k |K_ik|, and rows of the
-    scanned sets picked farthest-first from the first scanned row, up to
-    _PIVOTS of them and no more once one rules out no more cells than the
-    pivots before it.  A cell's bound is the smallest over the pivots of the
-    sum of the pivot's largest distances to its two row blocks, over the sum
-    of the blocks' least weights for a ratio, times 1 + _SLACK m; it bounds
-    every pair of the cell.  Each set's best value starts at its largest
-    pair value with a pivot: it seeds the value only, and the witness comes
-    from a scanned block.  `ruled_out` counts the cells that the bounds rule
-    out at the seeds; when it is 0, the scan needs no bound.
+    distance to row i is the row mass sum_k w_k |K_ik|, and _PIVOTS rows
+    picked farthest-first, row 0 the first.  A cell's bound is the smallest
+    over the pivots of the sum of the pivot's largest distances to its two
+    row blocks, over the sum of the blocks' least weights for a ratio,
+    times 1 + _SLACK m; it bounds every pair of the cell.  The best value
+    starts at the largest pair value with a pivot: it seeds the value
+    only, and the witness comes from a scanned block.
     """
 
     @np.errstate(over="ignore")  # a bound that overflows is inf and rules out nothing
-    def __init__(self, K, weights, sets, metric, cdist):
+    def __init__(self, K, weights, metric, cdist):
         n, m = K.shape
-        masks = np.array([np.ones(n, bool) if s is None else s for s in sets])
         self.cuts = cuts = _cuts(n, _CELL)
         self.index = {cut: k for k, cut in enumerate(cuts)}
         c = len(cuts) - 1  # cells a side
-        # meets[s, a, b]: set s has a pair in cell (a, b), a <= b; a pair in
-        # a diagonal cell takes two of its rows
-        rows = np.add.reduceat(masks.astype(np.intp), cuts[:-1], axis=1)
-        self.meets = (rows[:, :, None] > 0) & (rows[:, None, :] > np.eye(c, dtype=bool))
-        self.meets &= ~np.tri(c, k=-1, dtype=bool)
+        # the cells (a, b), a <= b, that hold a pair: every cell holds two rows
+        self.pairs = ~np.tri(c, k=-1, dtype=bool)
         if weights is not None:  # each cell's sum of its blocks' least weights
             lo = np.minimum.reduceat(weights, cuts[:-1])
             lo = lo[:, None] + lo[None, :]
         scale, tiny = 1.0 + _SLACK * m, 2 * m * np.finfo(float).smallest_subnormal
         self.cell = np.full((c, c), np.inf)
         cell = np.empty_like(self.cell)  # one pivot's bounds, in place
-        self.best = np.full(len(masks), -np.inf)
-        self.ruled_out = 0  # cells that the bounds rule out at the seeds
-        near = np.where(masks.any(axis=0), np.inf, -np.inf)  # to the nearest pivot
+        self.best = -math.inf
+        near = np.full(n, np.inf)  # to the nearest pivot
         p = None  # the zero row, then rows picked farthest-first
         for _ in range(_PIVOTS + 1):
             d = cdist(np.zeros((1, m)) if p is None else K[p:p + 1], K, **metric)[0]
@@ -157,14 +151,7 @@ class _Bound:
             if p is not None:
                 np.minimum(near, d, out=near)
                 value = d if weights is None else d / (weights[p] + weights)
-                seed = np.where(masks, value, -np.inf).max(axis=1)
-                np.maximum(self.best, np.where(masks[:, p], seed, -np.inf), out=self.best)
-                if self.cell.min() >= self.best.max():
-                    break  # no cell is below a best, so none is ruled out
-                live, pairs = self._live(slice(None), slice(None))
-                if (ruled_out := int((pairs > live).sum())) <= self.ruled_out:
-                    break  # a pivot that rules out no more cells is the last
-                self.ruled_out = ruled_out
+                self.best = max(self.best, value.max())
             p = int(near.argmax())
 
     def _cells(self, r0, r1, c0, c1):
@@ -172,21 +159,14 @@ class _Bound:
         index = self.index
         return slice(index[r0], index[r1]), slice(index[c0], index[c1])
 
-    def _live(self, a, b):
-        """Of the cells a x b, which are live and which hold a pair of some
-        set.  A cell with a pair is ruled out when its bound is below the
-        best value of every set with a pair in it, and live otherwise."""
-        meets = self.meets[:, a, b]
-        floor = np.where(meets, self.best[:, None, None], np.inf).min(axis=0)
-        pairs = meets.any(axis=0)
-        return pairs & (self.cell[a, b] >= floor), pairs
-
     def live(self, tile) -> list:
         """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
         when none of its cells with a pair is ruled out, or else its live
-        cells."""
+        cells.  A cell with a pair is ruled out when its bound is below the
+        best value."""
         a, b = self._cells(*tile)
-        live, pairs = self._live(a, b)
+        pairs = self.pairs[a, b]
+        live = pairs & (self.cell[a, b] >= self.best)
         if not live.any() or (live == pairs).all():
             return [tile] if live.any() else []
         cuts, blocks = self.cuts, []
@@ -210,25 +190,25 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
     over the rows of K or None for all of them, and (0.0, (0, 0)) for a
     set without a pair.  K and the weights must be finite.
 
-    With more than one tile and a `_Bound` that rules out a cell, the tiles
-    are visited in descending order of bound, and a tile or cell is skipped
-    when its bound is below the best value of every set with a pair in it:
-    it holds no pair that ties a maximum.  A diagonal block (r0 == c0) is
-    pdist's condensed triangle, rows (i, j) from `_triangle`, and any other
-    is cdist's rectangle, its rows and columns broadcast; both give each
-    pair the bits of one pdist over all rows of K.  Each block is reduced
-    to the maximum and first witness of every set with a pair in it.
+    A full-row scan (`sets` the one set None) of more than one tile has a
+    `_Bound`: its tiles are visited in descending order of bound, and a
+    tile or cell is skipped when its bound is below the best value, so it
+    holds no pair that ties the maximum.  Any other scan visits every tile
+    in layout order.  A diagonal block (r0 == c0) is pdist's condensed
+    triangle, rows (i, j) from `_triangle`, and any other is cdist's
+    rectangle, its rows and columns broadcast; both give each pair the
+    bits of one pdist over all rows of K.  Each block is reduced to the
+    maximum and first witness of every set with a pair in it.
     """
     from scipy.spatial.distance import cdist, pdist
 
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
     tiles = _tiles(K.shape[0])
-    bound = _Bound(K, weights, sets, metric, cdist) if len(tiles) > 1 else None
-    if bound and bound.ruled_out:
+    bound = None
+    if len(tiles) > 1 and len(sets) == 1 and sets[0] is None:
+        bound = _Bound(K, weights, metric, cdist)
         tiles.sort(key=lambda tile: bound.cell[bound._cells(*tile)].max(), reverse=True)
-    else:
-        bound = None
     tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)
     for tile in tiles:
         for r0, r1, c0, c1 in bound.live(tile) if bound else [tile]:
@@ -253,7 +233,7 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
                     # the largest value, and of its pairs the smallest
                     tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
                     if bound:
-                        bound.best[k] = max(bound.best[k], value)
+                        bound.best = max(bound.best, value)
     return [(-top, pair) if top < math.inf else (0.0, (0, 0)) for top, pair in tops]
 
 
@@ -263,7 +243,9 @@ def _minorization_levels(K: np.ndarray, masks: list) -> list:
     union = np.logical_or.reduce(masks)
     rows = np.count_nonzero(union)
     sizes = [np.count_nonzero(m) for m in masks]
-    # a mask that holds every scanned row needs no mask
+    # a mask that holds every scanned row needs no mask; a lone mask, as
+    # local_minorization and nonexpansive_check pass, becomes the one set
+    # None over K[union], the full-row scan that _pair_scan bounds
     scans = _pair_scan(K[union], None, [None if size == rows else m[union]
                                         for m, size in zip(masks, sizes)])
     return [1.0 - 0.5 * top if size else None for size, (top, _) in zip(sizes, scans)]

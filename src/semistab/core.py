@@ -79,6 +79,8 @@ class GridDomain:
         """Uniform grid on [a, b] with trapezoid weights (endpoints included)."""
         if n < 2:
             raise GridError(f"a closed grid needs n >= 2 points, got {n}")
+        if not a < b:
+            raise GridError(f"a closed grid needs min < max, got [{a:g}, {b:g}]")
         pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
         w = np.full(n, h)
@@ -90,6 +92,8 @@ class GridDomain:
         """Midpoint grid on (a, b): cell centers, endpoints excluded."""
         if n < 1:
             raise GridError(f"an open grid needs n >= 1 points, got {n}")
+        if not a < b:
+            raise GridError(f"an open grid needs min < max, got ({a:g}, {b:g})")
         h = (b - a) / n
         pts = a + (np.arange(n) + 0.5) * h
         return cls(pts, np.full(n, h), ((a, b),))

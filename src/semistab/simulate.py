@@ -5,7 +5,7 @@ instead of Bernoulli killing.  Hard killing on intervals multiplies in the
 exact Brownian-bridge crossing survival for each barrier, which removes the
 sqrt(dt) discrete-monitoring bias; it is evaluated only on live rows near a
 finite barrier, and log-weight increments below 7.83e-22 a step are dropped.
-General indicator domains fall back to exit checks at grid times only.
+Hard domains are intervals only.
 
 Each Feynman-Kac partition and each quasi-stationary resampling period is
 one call of one particle propagator, `_propagate`.
@@ -64,23 +64,16 @@ class SDEModel:
 
 @dataclass(frozen=True)
 class AbsorptionSpec:
-    """Soft potential and/or hard domain.
+    """Soft potential and/or hard interval.
 
     hard_interval is an (a, b) pair (either side may be infinite); the
     Brownian-bridge crossing correction applies to finite barriers of 1D
     models, on the live particles near one (increments below 7.83e-22 a
-    step are dropped).  hard_indicator is a vectorized inside-test used
-    when the domain is not an interval (grid-time checks only,
-    O(sqrt(dt)) bias).
+    step are dropped).
     """
 
     soft_potential: Optional[Callable] = None
     hard_interval: Optional[tuple] = None
-    hard_indicator: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.hard_interval is not None and self.hard_indicator is not None:
-            raise ValueError("give either an interval or an indicator, not both")
 
 
 def _bridge_log_survival(x_old, x_new, alive, interval, sigma, dt):
@@ -136,8 +129,6 @@ def _propagate(model, absorb, x, n_steps, dt, rng):
             rows, term = _bridge_log_survival(x_old, x, alive, absorb.hard_interval,
                                               model.diffusion, dt)
             log_w[rows] += term
-        elif absorb.hard_indicator is not None:
-            alive &= np.asarray(absorb.hard_indicator(x), dtype=bool)
     return x, np.where(alive, np.exp(log_w), 0.0)
 
 

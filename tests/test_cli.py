@@ -535,6 +535,10 @@ _CONFIG_CASES = [
                "grid": {"min": 0, "max": 5, "n": 20}}, 2,
      "numerical failure: the kernel mass underflowed to zero in 5 of 20 grid columns, "
      "the first at x=3.875"),
+    # a zero-length interval is named, not reported as nonpositive weights
+    ("cfg56", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": 2, "max": 2, "n": 50}}, 1,
+     "config error: a closed grid needs min < max, got [2, 2]"),
 ]
 
 

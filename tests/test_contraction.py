@@ -498,8 +498,8 @@ def _banded(n, dyadic):
 
 def _scanned(monkeypatch):
     """Counts, as a scan runs, the pairs that its pdist and cdist calls
-    compute and the tiles of it that are scanned; a scan that rules out no
-    cell at its seeds scans every tile and records none."""
+    compute and the tiles of it that are scanned; a scan without a bound
+    (several row sets, or one tile) scans every tile and records none."""
     import scipy.spatial.distance as distance
 
     record = {"pairs": 0, "tiles": []}
@@ -586,7 +586,7 @@ def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted)
              idx < 0, idx == n - 1]                           # empty, one row
     record = _scanned(monkeypatch)
     scans = _pair_scan(K, w, masks)
-    assert record["pairs"] < n * (n - 1) // 2
+    assert record["pairs"] == n * (n - 1) // 2  # several sets: no bound, every pair
     for m, scan in zip(masks, scans):
         rows = idx if m is None else np.flatnonzero(m)
         if len(rows) < 2:
@@ -599,6 +599,69 @@ def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted)
             d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
         k = int(np.argmax(d))
         assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_scans_of_several_row_sets_build_no_bound(monkeypatch, weighted):
+    # only a full-row scan is bounded: a scan of several sets over more than
+    # one tile visits every tile, and each set keeps the maximum and witness
+    # of one pdist over its own rows
+    def no_bound(*args):
+        raise AssertionError("a scan of several row sets built a bound")
+
+    monkeypatch.setattr(contraction, "_Bound", no_bound)
+    n = 300
+    K, w = _banded(n, False)
+    w = w if weighted else None
+    idx = np.arange(n)
+    masks = [idx < 200, idx % 2 == 0, None]
+    for m, scan in zip(masks, _pair_scan(K, w, masks)):
+        rows = idx if m is None else np.flatnonzero(m)
+        i, j = np.triu_indices(len(rows), 1)
+        if w is None:
+            d = pdist(K[rows], "cityblock")
+        else:
+            d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
+        k = int(np.argmax(d))
+        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
+
+
+def test_a_full_row_scan_takes_every_pivot(monkeypatch):
+    # the bound has no stop rule: the V-Dobrushin scan of the harmonic
+    # h-transform (700 rows, V = 1 + x^2) makes one one-row cdist for the
+    # zero row and one for each of the _PIVOTS pivot rows, and no other
+    import scipy.spatial.distance as distance
+
+    m = HarmonicOscillator()
+    g = GridDomain.uniform_closed(-8.0, 8.0, 700)
+    P = doob_h_transform(discretize(m, g, 1.0), FunctionVec(m.exact_h(g.points), g),
+                         m.exact_rho)
+    K, vals = P.matrix, LyapunovSpec.poly(2)(g.points)
+    rows, cdist = [], distance.cdist
+
+    def counting_cdist(XA, XB, **kw):
+        rows.append(len(XA))
+        return cdist(XA, XB, **kw)
+
+    monkeypatch.setattr(distance, "cdist", counting_cdist)
+    assert _pair_scan(K, vals) == [_one_pdist_scan(K, vals)]
+    assert rows.count(1) == contraction._PIVOTS + 1
+
+
+def test_local_minorization_on_one_sub_level_set_is_bounded(monkeypatch):
+    # the one mask of local_minorization becomes the full-row set None over
+    # its 560 scanned rows, the scan that the bound prunes
+    P = discretize(HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
+    V = LyapunovSpec.poly(2)
+    vals = V(P.grid.points)
+    r = float(np.quantile(vals, 0.8))
+    K = P.matrix[vals <= r]
+    n = K.shape[0]
+    assert n == 560
+    record = _scanned(monkeypatch)
+    assert local_minorization(P, V, r) == 1.0 - 0.5 * _one_pdist_scan(K)[0]
+    assert record["pairs"] < n * (n - 1) // 2
+    assert record["tiles"]
 
 
 @pytest.mark.parametrize("p, q", [
@@ -624,15 +687,24 @@ def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
     # is scanned
     from scipy.spatial.distance import cdist
 
-    K, _ = _banded(300, False)
-    bound = contraction._Bound(K, None, [None], {"metric": "cityblock"}, cdist)
-    every = slice(None), slice(None)
-    top = bound.cell[every][bound.meets[0]].max()
-    bound.best[:] = top
-    live, pairs = bound._live(*every)
-    assert (live == (pairs & (bound.cell == top))).all() and live.any()
-    bound.best[:] = np.nextafter(top, np.inf)
-    assert not bound._live(*every)[0].any()
+    n = 300
+    K, _ = _banded(n, False)
+    bound = contraction._Bound(K, None, {"metric": "cityblock"}, cdist)
+    top = bound.cell[bound.pairs].max()
+
+    def live_cells():
+        # the cells with a pair that the live blocks of the tiles cover
+        cells = np.zeros_like(bound.pairs)
+        for tile in contraction._tiles(n):
+            for block in bound.live(tile):
+                cells[bound._cells(*block)] = True
+        return cells & bound.pairs
+
+    bound.best = top
+    assert (live_cells() == (bound.pairs & (bound.cell == top))).all()
+    assert live_cells().any()
+    bound.best = np.nextafter(top, np.inf)
+    assert not live_cells().any()
 
 
 def test_live_blocks_cover_the_pairs_of_the_live_cells():
@@ -643,12 +715,12 @@ def test_live_blocks_cover_the_pairs_of_the_live_cells():
 
     n = 700
     K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None, [None], {"metric": "cityblock"}, cdist)
+    bound = contraction._Bound(K, None, {"metric": "cityblock"}, cdist)
     cuts, upper = bound.cuts, np.triu(np.ones((n, n), bool), 1)
     joined = 0
     for tile in contraction._tiles(n):
         a, b = bound._cells(*tile)
-        live, _ = bound._live(a, b)
+        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best)
         want = np.zeros((n, n), bool)
         for i, j in zip(*np.nonzero(live)):
             want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True

@@ -7,6 +7,7 @@ from semistab.core import (
     DegenerateNormalizationError,
     FunctionVec,
     GridDomain,
+    GridError,
     LyapunovSpec,
     MeasureVec,
     boltzmann_gibbs,
@@ -230,6 +231,17 @@ def test_table_family_accepts_points_within_1e_12_of_its_grid():
 def test_grid_rejections_keep_their_messages(points, weights, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         GridDomain(np.array(points), np.array(weights), ((0.0, 1.0),))
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 2.0), (1.0, -1.0), (0.0, np.nan)])
+def test_uniform_grids_name_an_empty_interval(a, b):
+    # a zero-length or reversed interval would otherwise fail on its
+    # nonpositive weights, a message that does not name the interval
+    interval = rf"{a:g}, {b:g}"
+    with pytest.raises(GridError, match=rf"^a closed grid needs min < max, got \[{interval}\]$"):
+        GridDomain.uniform_closed(a, b, 5)
+    with pytest.raises(GridError, match=rf"^an open grid needs min < max, got \({interval}\)$"):
+        GridDomain.uniform_open(a, b, 5)
 
 
 def test_lyapunov_divergence_surrogate():
