@@ -3,7 +3,8 @@
 A single JSON document describes one experiment: which command to run, the
 model and grid, the Lyapunov spelling, time parameters, and the output
 artifact.  `_SCHEMA` declares each command's keys, types and defaults;
-any other key or a mistyped value is rejected with its path.  Exit codes:
+any other key, unknown name or mistyped value is rejected with its path
+before the command starts.  Exit codes:
 0 success, 1 usage or config error, 2 an asserted inequality failed or a
 numerical failure (reported on one stderr line, without a traceback).
 
@@ -15,6 +16,7 @@ so identical configs and seeds yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -71,9 +73,22 @@ def _at_least(kind, low):
 
 
 def _case_names(value, path: str):
-    if value == "all" or isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, list):
+        return [_typed(tuple(simulate.list_cases()), v, f"{path}[{i}]")
+                for i, v in enumerate(value)]
+    if value == "all":
         return value
     raise ConfigError(f'{path} must be "all" or a list of case names')
+
+
+def _model(value, path: str):
+    """A model section: `name` a key of `kernels.MODELS`, and `params` the
+    model's constructor fields, each of the kind its annotation names
+    (int or float), defaults filled in from the fields."""
+    model = _resolve({"name": (tuple(kernels.MODELS),), "params": (dict, {})}, value, path)
+    spec = {f.name: ({"int": int, "float": float}[f.type], f.default)
+            for f in dataclasses.fields(kernels.MODELS[model["name"]]) if f.init}
+    return {**model, "params": _resolve(spec, model["params"], f"{path}.params")}
 
 
 def _resolve(spec: dict, given, path: str) -> dict:
@@ -155,10 +170,7 @@ def _assertions_block(pairs):
 
 def _discretize(cfg):
     """Model, grid and discretized operator of a grid command."""
-    try:
-        model = kernels.make_model(cfg["model"]["name"], **cfg["model"]["params"])
-    except TypeError as exc:
-        raise ConfigError(f"model.params: {exc}") from None
+    model = kernels.MODELS[cfg["model"]["name"]](**cfg["model"]["params"])
     g = cfg["grid"]
     grid = (GridDomain.uniform_open if model.open_grid
             else GridDomain.uniform_closed)(g["min"], g["max"], g["n"])
@@ -359,14 +371,15 @@ def _cmd_validate(cfg):
 # float, str or dict: a number given as a bool or a string, a non-integer
 # count and a non-finite float are rejected, and counts and numbers come
 # back as int and float; `_at_least` adds a lower bound to int or float.
+# A model, surface or case name is one of its registry's keys, and `_model`
+# reads a model's parameters from its fields.
 # Every command takes the keys of _COMMON; a `time` or `extra` section that
 # it does not read must be empty.
 _COMMON = {"command": (None,), "seed": (int, 0), "threads": (_at_least(int, 1), 1),
            "output": {"path": (str, None), "format": (("json", "csv"), "json")},
            "time": {}, "extra": {}}
 _MONTE_CARLO = {**_COMMON, "seed": (int, 20240)}  # mc_validate's default seed
-_GRID = {"model": {"name": (str,), "params": (dict, {})},
-         "grid": {"min": (float,), "max": (float,), "n": (int,)}}
+_GRID = {"model": (_model,), "grid": {"min": (float,), "max": (float,), "n": (int,)}}
 _SCHEMA = {
     "eigen": {**_COMMON, **_GRID, "time": {"tau": (float, 0.5)}},
     "contract": {**_COMMON, **_GRID, "lyapunov": (None, "poly:2"),
@@ -384,10 +397,10 @@ _SCHEMA = {
         "z0": (float, 0.0), "t": (float, 10.0)}},
     "geometry": {**_COMMON, "extra": {
         "op": (("shape", "frame", "offset", "weingarten_residual"), "shape"),
-        "surface": (str, "parabola"), "theta": (_numbers, 0.0),
+        "surface": (tuple(geometry.SURFACES), "parabola"), "theta": (_numbers, 0.0),
         "u": (float, 0.1), "epsilon": (int, 1)}},
-    "simulate": {**_MONTE_CARLO, "extra": {"case": (str, "harmonic_mass_t1"),
-                                           "budget": (float, 1.0)}},
+    "simulate": {**_MONTE_CARLO, "extra": {
+        "case": (tuple(simulate.list_cases()), "harmonic_mass_t1"), "budget": (float, 1.0)}},
     "validate": {**_MONTE_CARLO, "extra": {"cases": (_case_names, "all"),
                                            "budget": (float, 1.0)}},
 }
@@ -402,11 +415,12 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
 
     Returns the process exit code (0 ok, 1 config error, an unwritable
     output path included, 2 assertion failure or numerical failure: an
-    ArithmeticError, a flow or particle extinction or a non-finite artifact
-    value).  Every nonzero exit prints exactly one stderr line.  The
-    artifact's `inputs` is the resolved config without `output` and
-    `threads`, which changes no result; with no wall-clock data in it,
-    reruns with the same config and seed are byte-identical.
+    ArithmeticError, an allocation too large for memory, a flow or particle
+    extinction or a non-finite artifact value).  Every nonzero exit prints
+    exactly one stderr line.  The artifact's `inputs` is the resolved
+    config without `output` and `threads`, which changes no result; with no
+    wall-clock data in it, reruns with the same config and seed are
+    byte-identical.
     """
     t0 = time.perf_counter()
     try:
@@ -441,7 +455,7 @@ def run_experiment(config: dict, out_dir=None, seed=None, threads=None) -> int:
     except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
-    except (ArithmeticError, spectral.FlowExtinctionError,
+    except (ArithmeticError, MemoryError, spectral.FlowExtinctionError,
             simulate.ExtinctionError) as exc:
         print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
         return 2

@@ -492,10 +492,9 @@ def nonexpansive_check(P: DiscreteOperator, V: LyapunovSpec,
     with np.errstate(over="ignore"):  # an overflowed weight fails in _norm_path
         weights = 1.0 + rho * vals
     rng = np.random.default_rng(seed)
-    ones = np.ones(P.grid.size)
-    # one trial per row, drawn in the order of the per-trial stream
-    mu = np.array([rng.dirichlet(ones) - rng.dirichlet(ones)
-                   for _ in range(trials)]).reshape(trials, ones.size)
+    # one trial per row: the difference of two consecutive draws
+    draws = rng.dirichlet(np.ones(P.grid.size), size=2 * trials)
+    mu = draws[0::2] - draws[1::2]
     path = _norm_path(mu, P.matrix, weights, T)
     inc = np.diff(path, axis=0)
     worst_inc = float(inc[inc > 1e-12 * np.maximum(path[:-1], 1.0)].max(initial=0.0))

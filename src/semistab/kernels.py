@@ -43,7 +43,6 @@ __all__ = [
     "generator_apply",
     "domination_transfer",
     "MODELS",
-    "make_model",
 ]
 
 _SUB_MARKOV_SLACK = 1e-9
@@ -548,19 +547,8 @@ class HalfHarmonicOscillator(HalfHarmonicLinear):
         return -((2 * n - 1) + 0.5)
 
 
-MODELS = {
-    "harmonic": HarmonicOscillator,
-    "half_harmonic": HalfHarmonicOscillator,
-    "dirichlet_heat": DirichletHeat,
-    "gauss_ou": GaussOU,
-    "half_harmonic_linear": HalfHarmonicLinear,
-}
-
-
-def make_model(name: str, **params):
-    if name not in MODELS:
-        raise ValueError(f"unknown model {name!r}; known: {sorted(MODELS)}")
-    return MODELS[name](**params)
+MODELS = {m.name: m for m in (HarmonicOscillator, HalfHarmonicOscillator, DirichletHeat,
+                               GaussOU, HalfHarmonicLinear)}
 
 
 # ---------------------------------------------------------------------------

@@ -292,44 +292,37 @@ def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
     x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))  # (paths, d)
     d = x.shape[1]
     V0 = float(np.sum(x0))
+    # every clock runs from 0 past T, so each path records every checkpoint;
+    # an infinite clock marks a finished path
     t = np.zeros(n_paths)
-    # every clock runs from 0 past T, so each path records every checkpoint
     records = np.full((10, n_paths), np.nan)
     truncated = False
-    active = np.ones(n_paths, dtype=bool)
-    while active.any():
+    while np.isfinite(t).any():
         xf = x.astype(float)
         up, dn = spec.birth_rates(xf), spec.death_rates(xf)
         total = up.sum(axis=1) + dn.sum(axis=1)
-        parked = active & (total <= 0)
-        t_new = t.copy()
-        if parked.any():
-            t_new[parked] = np.inf
-        moving = active & (total > 0)
-        if moving.any():
-            t_new[moving] = t[moving] + rng.exponential(1.0, size=int(moving.sum())) / total[moving]
+        moving = np.isfinite(t) & (total > 0)  # a path with no rate left parks
+        t_new = np.full(n_paths, np.inf)
+        t_new[moving] = t[moving] + rng.exponential(1.0, size=int(moving.sum())) / total[moving]
         newly = (t <= checkpoints[:, None]) & (t_new > checkpoints[:, None])
         records[newly] = np.broadcast_to(xf.sum(axis=1), records.shape)[newly]
-        if moving.any():
-            apply = moving & (t_new <= T)
-            if apply.any():
-                u = rng.uniform(size=n_paths)
-                rows = np.flatnonzero(apply)
-                # Gillespie's direct method: the move is the first rate column
-                # whose running sum, added in column order, reaches u * total
-                target = u[rows] * total[rows]
-                running = np.zeros(len(rows))
-                pick = np.zeros(len(rows), dtype=np.intp)
-                for rate in np.concatenate([up[rows], dn[rows]], axis=1).T:
-                    running += rate
-                    pick += target > running
-                x[rows, pick % d] += np.where(pick < d, 1, -1)
-                if np.any(x >= state_cap):
-                    truncated = True
-                    np.minimum(x, state_cap, out=x)
-        done = t_new > T
-        t = np.where(done, np.inf, t_new)
-        active = active & ~done
+        apply = moving & (t_new <= T)
+        if apply.any():
+            u = rng.uniform(size=n_paths)
+            rows = np.flatnonzero(apply)
+            # Gillespie's direct method: the move is the first rate column
+            # whose running sum, added in column order, reaches u * total
+            target = u[rows] * total[rows]
+            running = np.zeros(len(rows))
+            pick = np.zeros(len(rows), dtype=np.intp)
+            for rate in np.concatenate([up[rows], dn[rows]], axis=1).T:
+                running += rate
+                pick += target > running
+            x[rows, pick % d] += np.where(pick < d, 1, -1)
+            if np.any(x >= state_cap):
+                truncated = True
+                np.minimum(x, state_cap, out=x)
+        t = np.where(t_new > T, np.inf, t_new)
     means = records.mean(axis=1)
     stderrs = records.std(axis=1, ddof=1) / math.sqrt(n_paths)
     maj = bd_riccati_majorant(spec)

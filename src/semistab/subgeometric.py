@@ -300,13 +300,10 @@ def build_subgeo_chain(n: int = 200):
     if g.max() > 1:
         raise ValueError(f"n = {n} too large: the downward bias reaches {g.max():.4g} > 1")
     P = np.zeros((n, n))
-    for i in range(n):
-        x = i + 1
-        for s in range(1, L + 1):
-            up = min(x + s, n)
-            dn = max(x - s, 1)
-            P[i, up - 1] += (1 - g[i]) / (2 * L)
-            P[i, dn - 1] += (1 + g[i]) / (2 * L)
+    rows, up, dn = np.arange(n), (1 - g) / (2 * L), (1 + g) / (2 * L)
+    for s in range(1, L + 1):  # each row meets each column at most once per call
+        P[rows, np.minimum(rows + s, n - 1)] += up
+        P[rows, np.maximum(rows - s, 0)] += dn
     return _chain(P, delta, kappa0)
 
 
@@ -320,14 +317,10 @@ def build_certified_chain():
     kappa0 = 0.4 and theta = 0.3, s peaks at 0.87 at x = 2.
     """
     n, kappa0, theta = 500, 0.4, 0.3
-    xs = np.arange(1, n + 1, dtype=float)
-    P = np.zeros((n, n))
-    P[0, 0] = 1.0
-    for i in range(1, n):
-        x = xs[i]
-        s = kappa0 * math.sqrt(x) / (x - 1) + theta
-        P[i, i] = 1 - s
-        P[i, 0] = s
+    xs = np.arange(2, n + 1, dtype=float)
+    s = np.concatenate(([0.0], kappa0 * np.sqrt(xs) / (xs - 1) + theta))
+    P = np.diag(1 - s)
+    P[:, 0] += s
     return _chain(P, 0.5, kappa0)
 
 

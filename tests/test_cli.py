@@ -200,7 +200,7 @@ def test_main_subcommands(tmp_path, capsys):
     assert main(["list-models"]) == 0
     out = capsys.readouterr().out
     assert "dirichlet_heat" in out and "surface:parabola" in out
-    # the model names come from the registry that make_model reads
+    # the model names come from the registry that the config schema reads
     assert out.split()[:len(cli.kernels.MODELS)] == list(cli.kernels.MODELS)
     assert main(["list-cases"]) == 0
     assert "harmonic_mass_t1" in capsys.readouterr().out
@@ -506,8 +506,7 @@ _CONFIG_CASES = [
     # a model constant is not a parameter
     *[(label, {"command": "eigen", "model": {"name": "harmonic", "params": {key: value}},
                "grid": _HARMONIC["grid"]}, 1,
-       "config error: model.params: HarmonicOscillator.__init__() got an "
-       f"unexpected keyword argument '{key}'")
+       f"config error: unknown key model.params.{key}")
       for label, key, value in [("cfg44", "exact_rho", 7.0), ("cfg45", "is_markov", True),
                                 ("cfg46", "self_adjoint", False)]],
     # V overflows, or underflows to zero, on the grid
@@ -528,8 +527,7 @@ _CONFIG_CASES = [
      "numerical failure: offset Jacobian at depth u = 1e+308 is inf"),
     ("cfg54", {"command": "eigen", "model": {"name": "harmonic", "params": {"open_grid": True}},
                "grid": _HARMONIC["grid"]}, 1,
-     "config error: model.params: HarmonicOscillator.__init__() got an "
-     "unexpected keyword argument 'open_grid'"),
+     "config error: unknown key model.params.open_grid"),
     # no row reaches the grid columns past x = 3.75, where the kernel underflowed
     ("cfg55", {"command": "eigen", "model": {"name": "half_harmonic_linear", "params": {"a": -50}},
                "grid": {"min": 0, "max": 5, "n": 20}}, 2,
@@ -539,6 +537,30 @@ _CONFIG_CASES = [
     ("cfg56", {"command": "eigen", "model": {"name": "harmonic"},
                "grid": {"min": 2, "max": 2, "n": 50}}, 1,
      "config error: a closed grid needs min < max, got [2, 2]"),
+    # a model parameter has the kind of its field, so a bad one never reaches the kernel
+    *[(label, {"command": "contract", "model": {"name": name, "params": {key: value}},
+               "grid": grid}, 1, f"config error: model.params.{key} must be {what}, not ")
+      for label, name, key, value, what, grid in [
+          ("cfg57", "gauss_ou", "a", "x", "a finite number", _HARMONIC["grid"]),
+          ("cfg58", "gauss_ou", "a", None, "a finite number", _HARMONIC["grid"]),
+          ("cfg59", "half_harmonic_linear", "varsigma", True, "a finite number",
+           {"min": 0, "max": 5, "n": 20}),
+          ("cfg60", "dirichlet_heat", "n_terms", 1.5, "an integer", {"min": 0, "max": 1, "n": 20}),
+          ("cfg61", "dirichlet_heat", "n_terms", True, "an integer", {"min": 0, "max": 1, "n": 20})]],
+    ("cfg62", {"command": "eigen", **_HARMONIC, "model": {"name": "nope"}}, 1,
+     "config error: model.name must be one of harmonic, half_harmonic, dirichlet_heat, "
+     "gauss_ou, half_harmonic_linear, not 'nope'"),
+    ("cfg63", {"command": "geometry", "extra": {"surface": "nope"}}, 1,
+     "config error: extra.surface must be one of flat, parabola, paraboloid, "
+     "graph_example_8_4, not 'nope'"),
+    ("cfg64", {"command": "simulate", "extra": {"case": "nope"}}, 1,
+     "config error: extra.case must be one of dirichlet_survival_t03, harmonic_mass_t1, "),
+    ("cfg65", {"command": "validate", "extra": {"cases": ["harmonic_mass_t1", 5]}}, 1,
+     "config error: extra.cases[1] must be one of dirichlet_survival_t03, "),
+    # the n x n kernel matrix (728 TiB) fails to allocate at once, touching no memory
+    ("cfg66", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": -8.0, "max": 8.0, "n": 10**7}}, 2,
+     "numerical failure: Unable to allocate 728. TiB"),
 ]
 
 
@@ -588,6 +610,25 @@ def test_inputs_hold_the_resolved_config(tmp_path):
         "command": "eigen", "extra": {}, "grid": _HARMONIC["grid"],
         "model": {"name": "harmonic", "params": {}}, "seed": 0,
         "time": {"tau": 0.5}}
+
+
+def test_inputs_hold_the_model_defaults(tmp_path):
+    out = tmp_path / "contract.json"
+    cfg = {"command": "contract", "model": {"name": "gauss_ou", "params": {"sigma": 0.5}},
+           "grid": {"min": -4.0, "max": 4.0, "n": 60}, "output": {"path": str(out)}}
+    assert run_experiment(cfg) == 0
+    assert json.loads(out.read_text())["inputs"]["model"] == {
+        "name": "gauss_ou", "params": {"a": -1.0, "sigma": 0.5}}
+
+
+def test_validate_checks_every_case_name_before_running_any(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.simulate, "mc_validate", lambda *a, **k: calls.append(a))
+    cfg = {"command": "validate", "extra": {"cases": ["harmonic_mass_t1", "nope"]}}
+    assert run_experiment(cfg) == 1
+    assert _one_line_error(capsys).startswith(
+        "config error: extra.cases[1] must be one of dirichlet_survival_t03, ")
+    assert calls == []
 
 
 def test_decay_without_a_fitted_rate_keeps_null(tmp_path):
@@ -647,6 +688,8 @@ def _schema_paths(spec, prefix=()):
     for key, rule in spec.items():
         if isinstance(rule, dict):
             yield from _schema_paths(rule, prefix + (key,))
+        elif rule[0] is cli._model:  # a model section: its name and its params
+            yield from (prefix + (key, sub) for sub in ("name", "params"))
         else:
             yield prefix + (key,)
 
