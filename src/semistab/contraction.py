@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -345,8 +345,7 @@ def decay_envelope_constant(eps: float, r: float, alpha_r: float) -> float:
     return 1.0 + 2.0 * r * (1.0 + eps) / alpha_r
 
 
-@dataclass(frozen=True)
-class DriftCertificate:
+class DriftCertificate(NamedTuple):
     """Drift data (eps, c) with a minorization level on a sub-level set.
 
     ok is False when no eps < 1 is achievable (the drift ratio never dips
@@ -414,8 +413,7 @@ def foster_lyapunov_verify(P: DiscreteOperator, V: LyapunovSpec) -> DriftCertifi
     return cert
 
 
-@dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(NamedTuple):
     times: np.ndarray
     values: np.ndarray
     fitted_rate: Optional[float]       # per unit time, from the tail half
@@ -446,8 +444,7 @@ def geometric_decay_curve(P: DiscreteOperator, V: LyapunovSpec,
     return DecayCurve(times, norms, fitted, envelope_ok, envelope)
 
 
-@dataclass(frozen=True)
-class NonExpansiveReport:
+class NonExpansiveReport(NamedTuple):
     ok: bool
     c: float
     alpha1_r: float

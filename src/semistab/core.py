@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,8 +154,7 @@ def _require_same_grid(g1: GridDomain, g2: GridDomain):
 #   "product:[poly:2,boundary:0.5]"
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LyapunovSpec:
+class LyapunovSpec(NamedTuple):
     family: str
     params: dict
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -223,8 +223,7 @@ def offset_jacobian(surface: MongeSurface, theta, u: float) -> float:
     return jac
 
 
-@dataclass(frozen=True)
-class SignedDistanceResult:
+class SignedDistanceResult(NamedTuple):
     d: float
     foot_theta: np.ndarray
     roundtrip_error: float
@@ -308,8 +307,7 @@ def signed_distance(surface: MongeSurface, x, tube_alpha: float) -> SignedDistan
     return SignedDistanceResult(dist, foot, rt)
 
 
-@dataclass(frozen=True)
-class CoareaReport:
+class CoareaReport(NamedTuple):
     tube_integral: float
     iterated_integral: float
     rel_gap: float
@@ -371,8 +369,7 @@ def coarea_check(surface: MongeSurface, f: Callable, alpha: float,
     return CoareaReport(route1, route2, gap, a, bool(gap <= 1e-3))
 
 
-@dataclass(frozen=True)
-class LevelSetDensity:
+class LevelSetDensity(NamedTuple):
     value: float
     bound: float
     ok: bool

@@ -670,8 +670,7 @@ def generator_apply(drift, diffusion, V, x, fd_step: float = 1e-4) -> GeneratorV
 # Domination transfer via Hoelder.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     holder_max: float
     theta: FunctionVec          # transferred drift ratio Q(V^{1/p}) / V^{1/p}
     excluded: np.ndarray        # grid indices where Q(1) vanished

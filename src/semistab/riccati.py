@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,7 @@ def algebraic_residual(spec: MatrixRiccati, p: np.ndarray) -> float:
     return float(np.linalg.norm(spec.rhs(p)))
 
 
-@dataclass(frozen=True)
-class CoupledOscillator:
+class CoupledOscillator(NamedTuple):
     m_t: np.ndarray
     p_t: np.ndarray
     log_mass: float          # log Q_t(1)(x)
@@ -268,8 +268,7 @@ def bd_riccati_majorant(spec) -> ScalarRiccati:
     return ScalarRiccati(a0=a0_plus, a1=a1, b=bmin / d)
 
 
-@dataclass(frozen=True)
-class MomentBoundReport:
+class MomentBoundReport(NamedTuple):
     checkpoints: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray

@@ -28,7 +28,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class SDEModel:
             raise ValueError("only constant scalar diffusion is supported")
 
 
-@dataclass(frozen=True)
-class AbsorptionSpec:
+class AbsorptionSpec(NamedTuple):
     """Soft potential and/or hard interval.
 
     hard_interval is an (a, b) pair (either side may be infinite); the
@@ -140,8 +139,7 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class FKResult:
+class FKResult(NamedTuple):
     q1_hat: float
     stderr: float
     qf_hat: dict
@@ -195,8 +193,7 @@ def feynman_kac_estimate(model: SDEModel, absorb: AbsorptionSpec, x0, t: float,
                     dict(zip(observables, stderrs[1:].tolist())))
 
 
-@dataclass(frozen=True)
-class QSDResult:
+class QSDResult(NamedTuple):
     positions: np.ndarray
     rho_hat: float
     rho_stderr: float
@@ -264,15 +261,14 @@ def qsd_particle_estimate(model: SDEModel, absorb: AbsorptionSpec,
 # Named validation cases.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     case: str
     estimate: float
     oracle: float
     stderr: float
     z: float
     ok: bool
-    band: Optional[float] = None
+    tol: float  # the largest |estimate - oracle| that passes
 
 
 _BROWNIAN = SDEModel(drift=lambda x: np.zeros_like(x), diffusion=1.0)
@@ -335,7 +331,7 @@ def _fk_case(name, budget, seed, threads):
                                1e-3, seed, observables=_MOMENTS, threads=threads)
     est, se = statistic(res)
     z = (est - oracle) / se
-    return ValidationReport(name, est, oracle, se, z, abs(z) <= 3.0)
+    return ValidationReport(name, est, oracle, se, z, abs(z) <= 3.0, 3.0 * se)
 
 
 def _qsd_case(name, budget, seed):
@@ -344,7 +340,7 @@ def _qsd_case(name, budget, seed):
                                 _particles(full, budget, name, 1), period, 1e-3, seed)
     z = (res.rho_hat - oracle) / max(res.rho_stderr, 1e-12)
     return ValidationReport(name, res.rho_hat, oracle, res.rho_stderr, z,
-                            abs(res.rho_hat - oracle) <= band, band=band)
+                            abs(res.rho_hat - oracle) <= band, band)
 
 
 def list_cases():

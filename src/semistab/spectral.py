@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +153,7 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
     )
 
 
-@dataclass(frozen=True)
-class GroundStateProduct:
+class GroundStateProduct(NamedTuple):
     partials: np.ndarray   # running partial products
     value: float           # last partial
     factors: np.ndarray
@@ -203,8 +203,7 @@ def finite_rank_gap(Q: DiscreteOperator, mu: MeasureVec, H: FunctionVec,
     return DecayCurve(times, out, _tail_rate(times, out, 1e-250))
 
 
-@dataclass(frozen=True)
-class SpectralDecayReport:
+class SpectralDecayReport(NamedTuple):
     lhs: float
     rhs: float
     ok: bool

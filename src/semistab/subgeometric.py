@@ -210,8 +210,7 @@ def general_rate_bound(psi: Callable, rho: float, iota: float,
     return RateBound(_invert_log_integral(psi_rho, iota, t), False)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     times: np.ndarray
     values: np.ndarray              # |mu P^t|_{1 + rho phi1(V)}
     certified: bool

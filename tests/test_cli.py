@@ -265,6 +265,9 @@ def test_output_and_time_checked_before_the_command_runs(tmp_path, capsys,
         ({"output": {"path": str(tmp_path / "e.json"), "fmt": "json"}}, "output.fmt"),
         ({"output": {"path": str(tmp_path / "e.json"), "format": "xml"}},
          "output.format"),
+        # only the curve commands, decay and rate, write CSV
+        ({"output": {"path": str(tmp_path / "e.csv"), "format": "csv"}},
+         "output.format must be one of json, not 'csv'"),
         ({"time": {"tua": 0.5}}, "time.tua"),
         ({"time": {"tau": 0.5, "t_max": 3}}, "time.t_max"),
     ]
@@ -561,6 +564,12 @@ _CONFIG_CASES = [
     ("cfg66", {"command": "eigen", "model": {"name": "harmonic"},
                "grid": {"min": -8.0, "max": 8.0, "n": 10**7}}, 2,
      "numerical failure: Unable to allocate 728. TiB"),
+    # a validate case list names each case once, and at least one
+    ("cfg67", {"command": "validate", "extra": {"cases": []}}, 1,
+     "config error: extra.cases must name at least one case"),
+    ("cfg68", {"command": "validate",
+               "extra": {"cases": ["harmonic_mass_t1", "harmonic_mass_t1"], "budget": 0.05}},
+     1, "config error: extra.cases[1] repeats case 'harmonic_mass_t1'"),
 ]
 
 

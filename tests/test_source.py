@@ -67,29 +67,54 @@ def _set_by(call):
     return (math.inf if starred else len(call.args)), {k.arg for k in call.keywords}
 
 
-def _defaulted_fields():
-    """(where, class name, positional index, field) of every dataclass field
-    with a default that the generated __init__ takes (init=False excluded)."""
-    out = []
+def _classes():
+    """(file name, class) of every class that a package module defines."""
     for path in sorted(SRC.glob("[!_]*.py")):
         mod = importlib.import_module(f"semistab.{path.stem}")
         for cls in vars(mod).values():
-            if not (inspect.isclass(cls) and cls.__module__ == mod.__name__
-                    and dataclasses.is_dataclass(cls)):
-                continue
+            if inspect.isclass(cls) and cls.__module__ == mod.__name__:
+                yield path.name, cls
+
+
+def _defaulted_fields():
+    """(where, class name, positional index, field) of every field with a
+    default that a class's constructor takes: a dataclass field (init=False
+    excluded) or a NamedTuple field."""
+    out = []
+    for where, cls in _classes():
+        if dataclasses.is_dataclass(cls):
             fields = [f for f in dataclasses.fields(cls) if f.init]
-            out += [(f"{path.name} {cls.__name__}", cls.__name__, i, f.name)
-                    for i, f in enumerate(fields)
-                    if f.default is not dataclasses.MISSING
-                    or f.default_factory is not dataclasses.MISSING]
+            positions = [f.name for f in fields]
+            defaulted = [f.name for f in fields if f.default is not dataclasses.MISSING
+                         or f.default_factory is not dataclasses.MISSING]
+        elif issubclass(cls, tuple) and hasattr(cls, "_field_defaults"):
+            positions, defaulted = cls._fields, cls._field_defaults
+        else:
+            continue
+        out += [(f"{where} {cls.__name__}", cls.__name__, positions.index(name), name)
+                for name in defaulted]
     return out
+
+
+def test_every_dataclass_checks_its_fields():
+    # a dataclass is a value with a checked invariant, so it has a
+    # __post_init__ (its own or inherited); a plain record is a NamedTuple.
+    # The models stay dataclasses: the CLI reads their parameters through
+    # dataclasses.fields
+    from semistab.kernels import MODELS
+
+    unchecked = [f"{where} {cls.__name__}" for where, cls in _classes()
+                 if dataclasses.is_dataclass(cls) and not hasattr(cls, "__post_init__")
+                 and cls not in MODELS.values()]
+    assert not unchecked, f"dataclasses with no __post_init__: {unchecked}"
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     # a default that no call in src/, tests/ or bench/ overrides, positionally
     # or by keyword, is a constant in disguise; calls match a def by its bare
     # or attribute name, and a method's positions start after `self`; a
-    # dataclass field with a default counts as a parameter of its class
+    # dataclass or NamedTuple field with a default counts as a parameter of
+    # its class
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
