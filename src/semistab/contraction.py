@@ -10,22 +10,11 @@ takes each block to every row set's maximum and first witness.  The
 triangles' row layout is one cached np.triu_indices per size.  Memory is
 one tile at a time, not the n(n-1)/2 condensed distances.
 
-A full-row scan (every row of K as its one set) of more than one tile skips
-the cells of _CELL rows a side that a metric bound proves cannot hold the
-maximum.  The weighted L1 distance is a metric, so d(i, j) <= d(i, p) +
-d(p, j) for any pivot row p; the zero row as a pivot gives the row-mass
-bound.  The pivots are the zero row and _PIVOTS rows picked
-farthest-first, one cdist each.  A cell's bound is its blocks' largest
-pivot distances (over their least weights) times a rounding slack of
-1 + 16 m eps, and a tile's is the largest of its cells'; no pair has a
-bound of its own.  The best value starts at the largest pivot pair.
-Tiles are visited in descending order of bound, and a cell is skipped
-only when its bound is strictly below the best, so a pair that ties the
-maximum is never skipped.  A scan of several row sets has no bound: on
-the sub-level set families of polynomial_rate_check, its one caller, a
-bound ruled out no cell, so it cost time and saved none.  Every scanned
-pair keeps its bits, and ties are broken toward the smallest index pair,
-making every report deterministic.
+A scan of more than one tile skips the cells of _CELL rows a side that
+`_Bound`, the coupling form of the total-variation distance (two rows'
+masses less twice their overlap), proves cannot hold a set's maximum.
+Every scanned pair keeps its bits, and ties are broken toward the smallest
+index pair, making every report deterministic.
 """
 
 from __future__ import annotations
@@ -69,16 +58,12 @@ class ContractionReport:
 # Rows per side of a pair-scan tile: a tile's distances take about 128 kB,
 # and a 700-row scan has 21 tiles.
 _TILE = 128
-# Rows per side of a cell, the unit a tile's bound is refined to: a tile
-# that the bound rules out in part is scanned as its live cells, a run of
-# them in one row of cells as one cdist.
+# Rows per side of a cell, the unit of the scan's bound: a tile that the
+# bound rules out in part is scanned as its live cells, a run of them in one
+# row of cells as one cdist.
 _CELL = 16
-# Most rows picked farthest-first as pivots of the triangle-inequality bound.
-_PIVOTS = 8
-# A bound times 1 + _SLACK m, plus 2m subnormals, is at least the computed
-# value of each pair it bounds and of each set's seed: it covers the
-# rounding of the m-term sums of the scan, of the pivot distances and of the
-# row masses, with a margin of four.
+# A bound plus _SLACK m times its cells' largest row masses (and 2m
+# subnormals) covers the rounding of each pair value it bounds; see _Bound.
 _SLACK = 16 * np.finfo(float).eps
 
 
@@ -108,51 +93,64 @@ def _tiles(n: int) -> list:
 
 
 class _Bound:
-    """One upper bound per pair of cells on the pair values of a full-row
-    scan, and the best value found.
+    """One upper bound per pair of cells on the pair values of a scan, the
+    cells that hold a pair of each row set, and each set's best value found.
 
-    d(i, j) <= d(i, p) + d(p, j) for every pivot row p: the zero row, whose
-    distance to row i is the row mass sum_k w_k |K_ik|, and _PIVOTS rows
-    picked farthest-first, row 0 the first.  A cell's bound is the smallest
-    over the pivots of the sum of the pivot's largest distances to its two
-    row blocks, over the sum of the blocks' least weights for a ratio,
-    times 1 + _SLACK m; it bounds every pair of the cell.  The best value
-    starts at the largest pair value with a pivot: it seeds the value
-    only, and the witness comes from a scanned block.
+    With column weights w >= 0 (ones for the L1 distance) and row masses
+    s_i = sum_k w_k K_ik, the identity |a - b| = a + b - 2 min(a, b) gives
+    d(i, j) = s_i + s_j - 2 sum_k w_k min(K_ik, K_jk).  For i in cell A and
+    j in cell B, min(K_ik, K_jk) >= min(lo_Ak, lo_Bk), lo_Ak the least K_.k
+    over the rows of A.  So d(i, j) <= hi_A + hi_B - 2 o_AB, hi_A the
+    largest s_i over A and o_AB = sum_k w_k min(lo_Ak, lo_Bk) the cells'
+    overlap.  A ratio divides by the cells' least w_i + w_j.
+
+    Rounding, with u = eps / 2 and K >= 0: the computed pair value is
+    within (m + 1) u sum_k w_k |K_ik - K_jk| of d(i, j), and that sum is at
+    most s_i + s_j because K >= 0 (checked on the column minima).  Each
+    computed s_i is within m u s_i, and the computed overlap within
+    m u o_AB, where 2 o_AB <= hi_A + hi_B.  With the bound's own two
+    additions, the errors add up to at most (3m + 3) u (hi_A + hi_B)
+    <= 3 m eps (hi_A + hi_B), which a slack of _SLACK m (hi_A + hi_B)
+    covers more than five times over; 2m subnormals cover the terms that
+    underflow.  A ratio divides by (v_A + v_B)(1 - 4 eps), v_A the least
+    weight over A, which covers the roundings of both divisions.
     """
 
-    @np.errstate(over="ignore")  # a bound that overflows is inf and rules out nothing
-    def __init__(self, K, weights, metric, cdist):
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def __init__(self, K, weights, sets):
         n, m = K.shape
         self.cuts = cuts = _cuts(n, _CELL)
         self.index = {cut: k for k, cut in enumerate(cuts)}
         c = len(cuts) - 1  # cells a side
-        # the cells (a, b), a <= b, that hold a pair: every cell holds two rows
-        self.pairs = ~np.tri(c, k=-1, dtype=bool)
-        if weights is not None:  # each cell's sum of its blocks' least weights
-            lo = np.minimum.reduceat(weights, cuts[:-1])
-            lo = lo[:, None] + lo[None, :]
-        scale, tiny = 1.0 + _SLACK * m, 2 * m * np.finfo(float).smallest_subnormal
-        self.cell = np.full((c, c), np.inf)
-        cell = np.empty_like(self.cell)  # one pivot's bounds, in place
-        self.best = -math.inf
-        near = np.full(n, np.inf)  # to the nearest pivot
-        p = None  # the zero row, then rows picked farthest-first
-        for _ in range(_PIVOTS + 1):
-            d = cdist(np.zeros((1, m)) if p is None else K[p:p + 1], K, **metric)[0]
-            hi = np.maximum.reduceat(d, cuts[:-1])
-            cell[:] = hi  # hi[:, None] + hi[None, :] without numpy's broadcast buffers
-            cell += hi[:, None]
-            cell *= scale
-            cell += tiny
-            if weights is not None:
-                cell /= lo
-            np.minimum(self.cell, cell, out=self.cell)
-            if p is not None:
-                np.minimum(near, d, out=near)
-                value = d if weights is None else d / (weights[p] + weights)
-                self.best = max(self.best, value.max())
-            p = int(near.argmax())
+        w = np.ones(m) if weights is None else weights
+        hi = np.maximum.reduceat(K @ w, cuts[:-1])
+        overlap = np.zeros((c, c))
+        step = max(1, _TILE * _TILE // c)  # columns a pass, so that their minima fill a tile
+        for k in range(0, m, step):
+            lo = np.array([K[a:b, k:k + step].min(axis=0) for a, b in zip(cuts, cuts[1:])])
+            if lo.min() < 0:
+                raise ValueError(f"a pair scan needs K >= 0; K has the entry {lo.min():.17g}")
+            for a in range(c):
+                overlap[a, a:] += np.minimum(lo[a], lo[a:]) @ w[k:k + step]
+        overlap += np.triu(overlap, 1).T
+        mass = hi[:, None] + hi
+        self.cell = mass - 2 * overlap + (_SLACK * m * mass
+                                          + 2 * m * np.finfo(float).smallest_subnormal)
+        if weights is not None:
+            least = np.minimum.reduceat(weights, cuts[:-1])
+            self.cell /= (least[:, None] + least) * (1 - 4 * np.finfo(float).eps)
+        self.cell[np.isnan(self.cell)] = np.inf  # an overflowed mass rules out nothing
+        # the cells (a, b), a <= b, that hold a pair of each set: a set row in
+        # each block, two in a diagonal cell
+        rows = [np.diff(cuts) if s is None else np.add.reduceat(s.astype(int), cuts[:-1])
+                for s in sets]
+        self.sets = np.triu([np.outer(r, r) > np.diag(r) for r in rows])
+        self.pairs = self.sets.any(axis=0)
+        self.best = np.full(len(sets), -np.inf)
+        # each set's cell of largest bound, a block scanned first to seed its best
+        tops = (divmod(int(np.where(held, self.cell, -np.inf).argmax()), c)
+                for held in self.sets if held.any())
+        self.seeds = [(cuts[a], cuts[a + 1], cuts[b], cuts[b + 1]) for a, b in dict.fromkeys(tops)]
 
     def _cells(self, r0, r1, c0, c1):
         """The rows and columns of cells that make up the block."""
@@ -162,11 +160,11 @@ class _Bound:
     def live(self, tile) -> list:
         """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
         when none of its cells with a pair is ruled out, or else its live
-        cells.  A cell with a pair is ruled out when its bound is below the
-        best value."""
+        cells.  A cell is ruled out when its bound is below the best value of
+        every set with a pair in it."""
         a, b = self._cells(*tile)
         pairs = self.pairs[a, b]
-        live = pairs & (self.cell[a, b] >= self.best)
+        live = (self.sets[:, a, b] & (self.cell[a, b] >= self.best[:, None, None])).any(axis=0)
         if not live.any() or (live == pairs).all():
             return [tile] if live.any() else []
         cuts, blocks = self.cuts, []
@@ -188,13 +186,14 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
     when weights are given (K square), with its lexicographically first
     argmax witness (i, j): one (max, witness) per row set, a boolean mask
     over the rows of K or None for all of them, and (0.0, (0, 0)) for a
-    set without a pair.  K and the weights must be finite.
+    set without a pair.  K and the weights must be finite and nonnegative;
+    a scan of more than one tile raises ValueError on a negative entry of K.
 
-    A full-row scan (`sets` the one set None) of more than one tile has a
-    `_Bound`: its tiles are visited in descending order of bound, and a
-    tile or cell is skipped when its bound is below the best value, so it
-    holds no pair that ties the maximum.  Any other scan visits every tile
-    in layout order.  A diagonal block (r0 == c0) is pdist's condensed
+    A scan of more than one tile has a `_Bound`: each set's cell of
+    largest bound is scanned first, then the tiles in descending order of
+    bound, and a tile or cell is skipped when its bound is below the best
+    value of every set with a pair in it, so it holds no pair that ties a
+    set's maximum.  A diagonal block (r0 == c0) is pdist's condensed
     triangle, rows (i, j) from `_triangle`, and any other is cdist's
     rectangle, its rows and columns broadcast; both give each pair the
     bits of one pdist over all rows of K.  Each block is reduced to the
@@ -206,9 +205,10 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
               else {"metric": "minkowski", "p": 1, "w": weights})
     tiles = _tiles(K.shape[0])
     bound = None
-    if len(tiles) > 1 and len(sets) == 1 and sets[0] is None:
-        bound = _Bound(K, weights, metric, cdist)
-        tiles.sort(key=lambda tile: bound.cell[bound._cells(*tile)].max(), reverse=True)
+    if len(tiles) > 1:
+        bound = _Bound(K, weights, sets)
+        tiles = bound.seeds + sorted(
+            tiles, key=lambda tile: bound.cell[bound._cells(*tile)].max(), reverse=True)
     tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)
     for tile in tiles:
         for r0, r1, c0, c1 in bound.live(tile) if bound else [tile]:
@@ -233,7 +233,7 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
                     # the largest value, and of its pairs the smallest
                     tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
                     if bound:
-                        bound.best = max(bound.best, value)
+                        bound.best[k] = max(bound.best[k], value)
     return [(-top, pair) if top < math.inf else (0.0, (0, 0)) for top, pair in tops]
 
 
@@ -243,9 +243,8 @@ def _minorization_levels(K: np.ndarray, masks: list) -> list:
     union = np.logical_or.reduce(masks)
     rows = np.count_nonzero(union)
     sizes = [np.count_nonzero(m) for m in masks]
-    # a mask that holds every scanned row needs no mask; a lone mask, as
-    # local_minorization and nonexpansive_check pass, becomes the one set
-    # None over K[union], the full-row scan that _pair_scan bounds
+    # a mask that holds every scanned row needs no mask, so a lone mask, as
+    # local_minorization and nonexpansive_check pass, becomes the set None
     scans = _pair_scan(K[union], None, [None if size == rows else m[union]
                                         for m, size in zip(masks, sizes)])
     return [1.0 - 0.5 * top if size else None for size, (top, _) in zip(sizes, scans)]

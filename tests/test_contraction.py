@@ -498,16 +498,15 @@ def _banded(n, dyadic):
 
 def _scanned(monkeypatch):
     """Counts, as a scan runs, the pairs that its pdist and cdist calls
-    compute and the tiles of it that are scanned; a scan without a bound
-    (several row sets, or one tile) scans every tile and records none."""
+    compute and the tiles and seed cells of it that are scanned; a scan
+    without a bound (one tile) scans its tile and records none."""
     import scipy.spatial.distance as distance
 
     record = {"pairs": 0, "tiles": []}
     cdist, pdist, live = distance.cdist, distance.pdist, contraction._Bound.live
 
     def counting_cdist(XA, XB, **kw):
-        if len(XA) > 1:  # not a pivot's distances to every row
-            record["pairs"] += len(XA) * len(XB)
+        record["pairs"] += len(XA) * len(XB)
         return cdist(XA, XB, **kw)
 
     def counting_pdist(X, **kw):
@@ -556,6 +555,37 @@ def test_pruned_pair_scan_keeps_the_one_pdist_bits(monkeypatch, n, dyadic, weigh
         assert record["pairs"] < n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", [n for n in SCAN_SIZES if n > 1])
+@pytest.mark.parametrize("matrix", [_banded, _scan_matrix])
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_every_pair_value_is_within_its_cell_bound(n, matrix, dyadic, weighted):
+    # the rounding slack covers the computed value of every pair, exact ties
+    # and duplicated rows included, not just each set's maximum
+    K, w = matrix(n, dyadic)
+    w = w if weighted else None
+    bound = contraction._Bound(K, w, [None])
+    i, j = np.triu_indices(n, 1)
+    if w is None:
+        d = pdist(K, "cityblock")
+    else:
+        d = pdist(K, "minkowski", p=1, w=w) / (w[i] + w[j])
+    cell = np.searchsorted(bound.cuts, np.arange(n), side="right") - 1
+    assert (d <= bound.cell[cell[i], cell[j]]).all()
+
+
+def test_a_negative_entry_is_rejected_by_the_bound():
+    # the slack needs K >= 0: a scan with a bound reads the sign from the
+    # cells' column minima
+    K, w = _banded(300, False)
+    K[200, 7] = -1e-300
+    for weights in (None, w):
+        with pytest.raises(ValueError, match="K >= 0"):
+            _pair_scan(K, weights)
+        with pytest.raises(ValueError, match="K >= 0"):
+            _pair_scan(K, weights, [np.arange(300) < 150, None])
+
+
 def test_pruned_weighted_scan_on_the_harmonic_h_transform(monkeypatch):
     # the V-Dobrushin scan of the Doob h-transform of the harmonic model at
     # 700 points on [-8, 8], V = 1 + x^2: weighted pruning on a model operator
@@ -586,7 +616,7 @@ def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted)
              idx < 0, idx == n - 1]                           # empty, one row
     record = _scanned(monkeypatch)
     scans = _pair_scan(K, w, masks)
-    assert record["pairs"] == n * (n - 1) // 2  # several sets: no bound, every pair
+    assert record["pairs"] < n * (n - 1) // 2  # several sets share one bound
     for m, scan in zip(masks, scans):
         rows = idx if m is None else np.flatnonzero(m)
         if len(rows) < 2:
@@ -601,51 +631,34 @@ def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted)
         assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_scans_of_several_row_sets_build_no_bound(monkeypatch, weighted):
-    # only a full-row scan is bounded: a scan of several sets over more than
-    # one tile visits every tile, and each set keeps the maximum and witness
-    # of one pdist over its own rows
-    def no_bound(*args):
-        raise AssertionError("a scan of several row sets built a bound")
+def _own_rows_scan(K, w, m):
+    # the maximum and witness of one pdist over the rows of mask m (None for
+    # all rows), named in the rows of K
+    rows = np.arange(len(K)) if m is None else np.flatnonzero(m)
+    i, j = np.triu_indices(len(rows), 1)
+    if w is None:
+        d = pdist(K[rows], "cityblock")
+    else:
+        d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
+    k = int(np.argmax(d))
+    return float(d[k]), (int(rows[i[k]]), int(rows[j[k]]))
 
-    monkeypatch.setattr(contraction, "_Bound", no_bound)
-    n = 300
-    K, w = _banded(n, False)
+
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_nested_row_sets_share_one_bound(monkeypatch, dyadic, weighted):
+    # the eight nested sub-level sets that polynomial_rate_check passes (the
+    # largest is every row): one bound rules out pairs of all of them, and
+    # each set keeps the maximum and witness of one pdist over its own rows
+    n = 700
+    K, w = _banded(n, dyadic)
     w = w if weighted else None
     idx = np.arange(n)
-    masks = [idx < 200, idx % 2 == 0, None]
-    for m, scan in zip(masks, _pair_scan(K, w, masks)):
-        rows = idx if m is None else np.flatnonzero(m)
-        i, j = np.triu_indices(len(rows), 1)
-        if w is None:
-            d = pdist(K[rows], "cityblock")
-        else:
-            d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
-        k = int(np.argmax(d))
-        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
-
-
-def test_a_full_row_scan_takes_every_pivot(monkeypatch):
-    # the bound has no stop rule: the V-Dobrushin scan of the harmonic
-    # h-transform (700 rows, V = 1 + x^2) makes one one-row cdist for the
-    # zero row and one for each of the _PIVOTS pivot rows, and no other
-    import scipy.spatial.distance as distance
-
-    m = HarmonicOscillator()
-    g = GridDomain.uniform_closed(-8.0, 8.0, 700)
-    P = doob_h_transform(discretize(m, g, 1.0), FunctionVec(m.exact_h(g.points), g),
-                         m.exact_rho)
-    K, vals = P.matrix, LyapunovSpec.poly(2)(g.points)
-    rows, cdist = [], distance.cdist
-
-    def counting_cdist(XA, XB, **kw):
-        rows.append(len(XA))
-        return cdist(XA, XB, **kw)
-
-    monkeypatch.setattr(distance, "cdist", counting_cdist)
-    assert _pair_scan(K, vals) == [_one_pdist_scan(K, vals)]
-    assert rows.count(1) == contraction._PIVOTS + 1
+    masks = [idx < n * k // 8 for k in range(1, 8)] + [None]
+    record = _scanned(monkeypatch)
+    scans = _pair_scan(K, w, masks)
+    assert record["pairs"] < n * (n - 1) // 2
+    assert scans == [_own_rows_scan(K, w, m) for m in masks]
 
 
 def test_local_minorization_on_one_sub_level_set_is_bounded(monkeypatch):
@@ -682,45 +695,60 @@ def test_tied_pairs_across_skipped_tiles_take_the_smallest_index_pair(monkeypatc
     assert 0 < len(record["tiles"]) < len(contraction._tiles(600))
 
 
+def _live_cells(bound, n):
+    # the cells with a pair that the live blocks of the tiles cover
+    cells = np.zeros_like(bound.pairs)
+    for tile in contraction._tiles(n):
+        for block in bound.live(tile):
+            cells[bound._cells(*block)] = True
+    return cells & bound.pairs
+
+
 def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
     # the skip is strict, so a pair whose value ties the bound of its cell
     # is scanned
-    from scipy.spatial.distance import cdist
-
     n = 300
     K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None, {"metric": "cityblock"}, cdist)
+    bound = contraction._Bound(K, None, [None])
     top = bound.cell[bound.pairs].max()
+    bound.best[0] = top
+    assert (_live_cells(bound, n) == (bound.pairs & (bound.cell == top))).all()
+    assert _live_cells(bound, n).any()
+    bound.best[0] = np.nextafter(top, np.inf)
+    assert not _live_cells(bound, n).any()
 
-    def live_cells():
-        # the cells with a pair that the live blocks of the tiles cover
-        cells = np.zeros_like(bound.pairs)
-        for tile in contraction._tiles(n):
-            for block in bound.live(tile):
-                cells[bound._cells(*block)] = True
-        return cells & bound.pairs
 
-    bound.best = top
-    assert (live_cells() == (bound.pairs & (bound.cell == top))).all()
-    assert live_cells().any()
-    bound.best = np.nextafter(top, np.inf)
-    assert not live_cells().any()
+def test_a_cell_is_ruled_out_only_below_the_best_of_every_set_in_it():
+    # the first 100 rows hold pairs of both sets; a best that rules out
+    # every cell for the set of all rows leaves the first set's cells live
+    n = 300
+    K, _ = _banded(n, False)
+    first = np.arange(n) < 100
+    bound = contraction._Bound(K, None, [first, None])
+    cells = np.arange(len(bound.cuts) - 1)
+    held = np.triu(np.outer(cells < 7, cells < 7))  # rows 0-99 lie in cells 0-6
+    assert (bound.sets[0] == held).all() and (bound.pairs == bound.sets[1]).all()
+    bound.best[:] = [-np.inf, np.inf]
+    assert (_live_cells(bound, n) == held).all()
+    bound.best[:] = [np.inf, -np.inf]
+    assert (_live_cells(bound, n) == bound.pairs).all()
+    bound.best[:] = np.inf
+    assert not _live_cells(bound, n).any()
 
 
 def test_live_blocks_cover_the_pairs_of_the_live_cells():
     # the blocks of a tile that is scanned in part are its live cells, runs
     # of them in one row of cells joined into one rectangle, a diagonal
     # cell a triangle of its own
-    from scipy.spatial.distance import cdist
-
     n = 700
     K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None, {"metric": "cityblock"}, cdist)
+    bound = contraction._Bound(K, None, [None])
+    bound.best[0] = np.median(bound.cell[bound.pairs])  # rules out half the cells
     cuts, upper = bound.cuts, np.triu(np.ones((n, n), bool), 1)
     joined = 0
     for tile in contraction._tiles(n):
         a, b = bound._cells(*tile)
-        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best)
+        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best[0])
         want = np.zeros((n, n), bool)
         for i, j in zip(*np.nonzero(live)):
             want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True
@@ -746,6 +774,26 @@ def test_pruned_pair_scan_memory_is_one_tile(monkeypatch, weighted):
     tracemalloc.start()
     try:
         _pair_scan(K, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["pairs"] < n * (n - 1) // 2
+    assert peak <= 8 * n * (n - 1) // 2 // 16
+
+
+def test_nested_row_set_scan_memory_is_one_tile(monkeypatch):
+    # eight nested sets, as polynomial_rate_check passes them: the per-set
+    # cells of the bound stay within the bound of
+    # test_pair_scan_memory_is_one_tile while the scan skips most pairs
+    n = 2000
+    K, _ = _banded(n, False)
+    idx = np.arange(n)
+    masks = [idx < n * k // 8 for k in range(1, 8)] + [None]
+    _pair_scan(K[:300, :300], None, [None if m is None else m[:300] for m in masks])  # imports first
+    record = _scanned(monkeypatch)
+    tracemalloc.start()
+    try:
+        _pair_scan(K, None, masks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
