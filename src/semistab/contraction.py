@@ -20,6 +20,7 @@ index pair, making every report deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -94,7 +95,8 @@ def _tiles(n: int) -> list:
 
 class _Bound:
     """One upper bound per pair of cells on the pair values of a scan, the
-    cells that hold a pair of each row set, and each set's best value found.
+    cells that hold a pair of each row set, each set's best value found and
+    the cells scanned already.
 
     With column weights w >= 0 (ones for the L1 distance) and row masses
     s_i = sum_k w_k K_ik, the identity |a - b| = a + b - 2 min(a, b) gives
@@ -151,32 +153,64 @@ class _Bound:
         tops = (divmod(int(np.where(held, self.cell, -np.inf).argmax()), c)
                 for held in self.sets if held.any())
         self.seeds = [(cuts[a], cuts[a + 1], cuts[b], cuts[b + 1]) for a, b in dict.fromkeys(tops)]
+        self.done = np.zeros((c, c), dtype=bool)  # cells scanned already, the seeds
 
     def _cells(self, r0, r1, c0, c1):
         """The rows and columns of cells that make up the block."""
         index = self.index
         return slice(index[r0], index[r1]), slice(index[c0], index[c1])
 
+    def blocks(self, tiles):
+        """The blocks to scan: the seeds, then the live blocks of the tiles
+        in descending order of bound.  A tile's blocks are found once the
+        blocks before them are reduced, and no tile scans a seed again."""
+        yield from self.seeds
+        for seed in self.seeds:
+            self.done[self._cells(*seed)] = True
+        for tile in sorted(tiles, key=lambda tile: self.cell[self._cells(*tile)].max(),
+                           reverse=True):
+            yield from self.live(tile)
+
     def live(self, tile) -> list:
         """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
-        when none of its cells with a pair is ruled out, or else its live
-        cells.  A cell is ruled out when its bound is below the best value of
-        every set with a pair in it."""
+        when none of its cells with a pair is ruled out or done, or else its
+        live cells.  A cell is ruled out when its bound is below the best
+        value of every set with a pair in it.  Of the live cells, a run of
+        diagonal cells whose every cell is live is one triangle, and the rest
+        are rectangles: a run of cells in one row of cells, joined with the
+        same run in the rows of cells below it."""
         a, b = self._cells(*tile)
         pairs = self.pairs[a, b]
         live = (self.sets[:, a, b] & (self.cell[a, b] >= self.best[:, None, None])).any(axis=0)
+        live &= ~self.done[a, b]
         if not live.any() or (live == pairs).all():
             return [tile] if live.any() else []
-        cuts, blocks = self.cuts, []
-        for i, j in zip(*np.nonzero(live)):
-            r0, r1, c0, c1 = (cuts[a.start + i], cuts[a.start + i + 1],
-                              cuts[b.start + j], cuts[b.start + j + 1])
-            last = blocks[-1] if blocks else ()
-            # rectangles side by side in one row of cells are one rectangle
-            if last[:2] == (r0, r1) and last[3] == c0 and r0 not in (c0, last[2]):
-                blocks[-1] = (r0, r1, last[2], c1)
-            else:
-                blocks.append((r0, r1, c0, c1))
+        rows, cols = self.cuts[a.start:a.stop + 1], self.cuts[b.start:b.stop + 1]
+        live = live.tolist()  # at most 8 x 8 cells: plain lists beat numpy calls
+        blocks, p = [], 0
+        while tile[0] == tile[2] and p < len(live):  # a diagonal tile's triangles
+            q = p + 1
+            if live[p][p]:
+                while q < len(live) and all(row[q] for row in live[p:q + 1]):
+                    q += 1
+                blocks.append((rows[p], rows[q], rows[p], rows[q]))
+                for row in live[p:q]:
+                    row[p:q] = [False] * (q - p)
+            p = q
+        above = {}  # (c0, c1) -> index of the rectangle that ends on this row of cells
+        for i, row in enumerate(live):
+            here, j = {}, 0
+            for on, run in itertools.groupby(row):
+                end = j + len(list(run))
+                if on:
+                    span = (cols[j], cols[end])
+                    k = here[span] = above.get(span, len(blocks))
+                    if k < len(blocks):
+                        blocks[k] = (blocks[k][0], rows[i + 1], *span)
+                    else:
+                        blocks.append((rows[i], rows[i + 1], *span))
+                j = end
+            above = here
         return blocks
 
 
@@ -190,50 +224,48 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
     a scan of more than one tile raises ValueError on a negative entry of K.
 
     A scan of more than one tile has a `_Bound`: each set's cell of
-    largest bound is scanned first, then the tiles in descending order of
-    bound, and a tile or cell is skipped when its bound is below the best
-    value of every set with a pair in it, so it holds no pair that ties a
-    set's maximum.  A diagonal block (r0 == c0) is pdist's condensed
-    triangle, rows (i, j) from `_triangle`, and any other is cdist's
-    rectangle, its rows and columns broadcast; both give each pair the
-    bits of one pdist over all rows of K.  Each block is reduced to the
-    maximum and first witness of every set with a pair in it.
+    largest bound is scanned first, then the rest of the tiles in
+    descending order of bound, and a tile or cell is skipped when its bound
+    is below the best value of every set with a pair in it, so it holds no
+    pair that ties a set's maximum.  No pair is computed twice.  A diagonal
+    block (r0 == c0) is pdist's condensed triangle, rows (i, j) from
+    `_triangle`, and any other is cdist's rectangle, its rows and columns
+    broadcast; both give each pair the bits of one pdist over all rows of K.  Each block is reduced to the
+    maximum and first witness of every set with a pair in it; the sets
+    that hold all of its rows share one argmax.
     """
     from scipy.spatial.distance import cdist, pdist
 
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
     tiles = _tiles(K.shape[0])
-    bound = None
-    if len(tiles) > 1:
-        bound = _Bound(K, weights, sets)
-        tiles = bound.seeds + sorted(
-            tiles, key=lambda tile: bound.cell[bound._cells(*tile)].max(), reverse=True)
+    bound = _Bound(K, weights, sets) if len(tiles) > 1 else None
     tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)
-    for tile in tiles:
-        for r0, r1, c0, c1 in bound.live(tile) if bound else [tile]:
-            if r0 == c0:
-                d = pdist(K[r0:r1], **metric)
-                i, j = _triangle(r1 - r0)
-            else:
-                d = cdist(K[r0:r1], K[c0:c1], **metric)
-                i, j = np.s_[:, None], np.s_[None, :]
-            if weights is not None:
-                d /= weights[r0:r1][i] + weights[c0:c1][j]
-            for k, s in enumerate(sets):
-                if s is None or s[r0:r1].all() and s[c0:c1].all():
-                    e = d
-                elif s[r0:r1].any() and s[c0:c1].any():
-                    e = np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
-                else:
-                    continue
+    for r0, r1, c0, c1 in bound.blocks(tiles) if bound else tiles:
+        if r0 == c0:
+            d = pdist(K[r0:r1], **metric)
+            i, j = _triangle(r1 - r0)
+        else:
+            d = cdist(K[r0:r1], K[c0:c1], **metric)
+            i, j = np.s_[:, None], np.s_[None, :]
+        if weights is not None:
+            d /= weights[r0:r1][i] + weights[c0:c1][j]
+        whole = None  # the first argmax of d, shared by the sets that hold all its rows
+        for k, s in enumerate(sets):
+            if s is None or s[r0:r1].all() and s[c0:c1].all():
+                e = d
+                first = whole = int(d.argmax()) if whole is None else whole
+            elif s[r0:r1].any() and s[c0:c1].any():
+                e = np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
                 first = int(e.argmax())  # first maximum in row-major pair order
-                if (value := e.item(first)) > -math.inf:
-                    a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
-                    # the largest value, and of its pairs the smallest
-                    tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
-                    if bound:
-                        bound.best[k] = max(bound.best[k], value)
+            else:
+                continue
+            if (value := e.item(first)) > -math.inf:
+                a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
+                # the largest value, and of its pairs the smallest
+                tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
+                if bound:
+                    bound.best[k] = max(bound.best[k], value)
     return [(-top, pair) if top < math.inf else (0.0, (0, 0)) for top, pair in tops]
 
 

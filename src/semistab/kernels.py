@@ -53,13 +53,19 @@ _DENSITY_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Kernel mass between grid cells: entry (i, j) = q_tau(x_i, x_j) w_j."""
+    """Kernel mass between grid cells: entry (i, j) = q_tau(x_i, x_j) w_j.
+
+    `self_adjoint` declares w_i K_ij = w_j K_ji (w the cell weights), which a
+    symmetric density q gives; `discretize` copies it from the model and
+    nothing checks it.  `leading_eigentriple` then iterates one side only.
+    """
 
     matrix: np.ndarray
     grid: GridDomain
     time_step: float
     is_markov: bool = False
     quad_tol: float = 1e-6
+    self_adjoint: bool = False
 
     def __post_init__(self):
         K = np.asarray(self.matrix, dtype=float)
@@ -594,7 +600,7 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
                               f"{n} grid rows, the first at x={float(pts[live.argmin()])!r}")
     try:
         return DiscreteOperator(K, grid, t, is_markov=model.is_markov,
-                                quad_tol=1e-6)
+                                quad_tol=1e-6, self_adjoint=model.self_adjoint)
     except ValueError as exc:  # rows off by more than a quadrature error
         raise ArithmeticError(f"{n}-point grid quadrature failed: {exc}") from exc
 

@@ -1,8 +1,9 @@
 """Normalized semigroup flows, leading eigen-triples and spectral gaps.
 
-The leading eigenvalue is extracted from the mass of the normalized flow
-(Collatz-Wielandt style), not from a dense eigensolver: rho = log(mass)/tau
-where mass is the one-step normalization of the fixed-point measure.
+The leading eigenvalue is extracted by power iteration, not from a dense
+eigensolver: rho = log(lam)/tau, lam the one-step normalization of the
+fixed-point measure (Collatz-Wielandt style), or for a self-adjoint
+operator the Rayleigh quotient of the ground state in L2(w).
 """
 
 from __future__ import annotations
@@ -90,10 +91,16 @@ def normalized_flow(Q: DiscreteOperator, eta0: MeasureVec, n: int):
     return measures, masses
 
 
-def _connected(K: np.ndarray) -> bool:
+# Rounds of power iteration before leading_eigentriple gives up.
+_ROUNDS = 1000
+
+
+def _connected(K: np.ndarray, symmetric: bool = False) -> bool:
     """Whether state 0 reaches every state and back, by a breadth-first walk each
-    way: the next frontier is where K (>= 0) summed over the last is positive."""
-    for step in (lambda front: front @ K, lambda front: K @ front):
+    way: the next frontier is where K (>= 0) summed over the last is positive.
+    A symmetric support needs the forward walk only."""
+    walks = (lambda front: front @ K, lambda front: K @ front)
+    for step in walks[:1] if symmetric else walks:
         seen = np.zeros(len(K), dtype=bool)
         seen[0] = True
         front = seen
@@ -106,8 +113,16 @@ def _connected(K: np.ndarray) -> bool:
 
 
 def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
-    """Leading (rho, h, eta_inf) by simultaneous left/right power iteration,
-    at most 1000 rounds.
+    """Leading (rho, h, eta_inf) by power iteration, at most _ROUNDS rounds.
+
+    In general a left and a right vector are iterated together, and the
+    eigenvalue is the left iterate's one-step mass.  A `Q.self_adjoint`
+    operator (w_i K_ij = w_j K_ji, w the cell weights) iterates h alone: the
+    eigenvalue is the Rayleigh quotient <h, K h>_w / <h, h>_w, which
+    converges at the square of h's rate, and eta_inf is h w normalised.
+    Its left residual costs one product eta @ K, made once the right
+    residual is within tol, and the loop goes on while it is not; so an
+    operator declared self-adjoint that is not ends with converged=False.
 
     Residuals: sup-norm eigen-relation defect for h, total-variation defect
     for the fixed-point measure.  On non-convergence the best iterate is
@@ -116,27 +131,10 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
     """
     K = Q.matrix
     n = K.shape[0]
-    if not _connected(K):
+    if not _connected(K, Q.self_adjoint):
         raise ValueError("operator support graph is not strongly connected")
-    eta = np.full(n, 1.0 / n)
-    h = np.ones(n)
-    Kh = K @ h
-    lam = 1.0
-    res_r = res_l = math.inf
-    it = 0
-    for it in range(1, 1001):
-        eta_raw = eta @ K
-        lam = float(eta_raw.sum())
-        if lam <= 0:
-            raise FlowExtinctionError(it)
-        eta_new = eta_raw / lam
-        h_new = Kh / Kh.max()
-        Kh = K @ h_new  # the residual's product is the next iteration's K @ h
-        res_l = 0.5 * np.abs(eta_new - eta).sum()
-        res_r = float(np.abs(Kh - lam * h_new).max() / np.abs(h_new).max())
-        eta, h = eta_new, h_new
-        if res_l <= tol and res_r <= tol:
-            break
+    step = _self_adjoint_rounds if Q.self_adjoint else _two_sided_rounds
+    lam, h, eta, res_r, res_l, it = step(Q, tol)
     h = h / float(eta @ h)  # pairing normalization eta_inf(h) = 1
     if not (h > 0).all():
         raise ArithmeticError(f"the ground state underflowed to zero at {(h <= 0).sum()} of {n} "
@@ -151,6 +149,59 @@ def leading_eigentriple(Q: DiscreteOperator, tol: float = 1e-12) -> EigenTriple:
         res_l,
         it,
     )
+
+
+def _two_sided_rounds(Q: DiscreteOperator, tol: float) -> tuple:
+    """(lam, h, eta, res_r, res_l, rounds) of the simultaneous left/right
+    iteration, lam the left iterate's one-step mass."""
+    K = Q.matrix
+    n = K.shape[0]
+    eta = np.full(n, 1.0 / n)
+    h = np.ones(n)
+    Kh = K @ h
+    lam = 1.0
+    res_r = res_l = math.inf
+    it = 0
+    for it in range(1, _ROUNDS + 1):
+        eta_raw = eta @ K
+        lam = float(eta_raw.sum())
+        if lam <= 0:
+            raise FlowExtinctionError(it)
+        eta_new = eta_raw / lam
+        h_new = Kh / Kh.max()
+        Kh = K @ h_new  # the residual's product is the next iteration's K @ h
+        res_l = 0.5 * np.abs(eta_new - eta).sum()
+        res_r = float(np.abs(Kh - lam * h_new).max() / np.abs(h_new).max())
+        eta, h = eta_new, h_new
+        if res_l <= tol and res_r <= tol:
+            break
+    return lam, h, eta, res_r, res_l, it
+
+
+def _self_adjoint_rounds(Q: DiscreteOperator, tol: float) -> tuple:
+    """(lam, h, eta, res_r, res_l, rounds) of the right iteration alone,
+    lam the Rayleigh quotient in L2(w) and eta = h w normalised.  The left
+    residual is the total-variation change of eta under one normalised
+    step, computed for the last h and for every h within tol on the right."""
+    K = Q.matrix
+    w = Q.grid.cell_weights
+    Kh = K @ np.ones(K.shape[0])
+    for it in range(1, _ROUNDS + 1):
+        top = Kh.max()
+        if top <= 0:
+            raise FlowExtinctionError(it)
+        h = Kh / top
+        Kh = K @ h
+        hw = h * w
+        lam = float(hw @ Kh) / float(hw @ h)
+        res_r = float(np.abs(Kh - lam * h).max() / np.abs(h).max())
+        if res_r <= tol or it == _ROUNDS:
+            eta = hw / hw.sum()
+            eta_raw = eta @ K
+            res_l = 0.5 * np.abs(eta_raw / eta_raw.sum() - eta).sum()
+            if res_r <= tol and res_l <= tol:
+                break
+    return lam, h, eta, res_r, res_l, it
 
 
 class GroundStateProduct(NamedTuple):

@@ -24,6 +24,7 @@ from semistab.contraction import (
 )
 from semistab.kernels import (
     DiscreteOperator,
+    GaussOU,
     HarmonicOscillator,
     discretize,
     doob_h_transform,
@@ -538,6 +539,62 @@ def test_pair_scan_skips_tiles_on_the_harmonic_contract_set(monkeypatch):
     assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
 
 
+def test_a_seed_cell_is_scanned_once(monkeypatch):
+    # the 560 rows {V <= r} that `contract` scans on gauss_ou at 700 grid
+    # points: the seed cell holds the maximum, the bound rules out every
+    # other cell, and no tile scans the seed again
+    P = discretize(GaussOU(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
+    vals = LyapunovSpec.poly(2)(P.grid.points)
+    K = P.matrix[vals <= np.quantile(vals, 0.8)]
+    assert K.shape[0] == 560
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K) == [_one_pdist_scan(K)]
+    assert record["pairs"] == 16 * 16  # 512 when the seed's tile scanned it again
+    assert record["tiles"] == []
+
+
+def _coverage(monkeypatch, n):
+    """How often the scan computes each pair (i, j), i < j, from the seeds
+    and the blocks of `live` it scans."""
+    count = np.zeros((n, n), int)
+    init, live = contraction._Bound.__init__, contraction._Bound.live
+
+    def add(r0, r1, c0, c1):
+        block = count[r0:r1, c0:c1]
+        block += np.triu(np.ones_like(block), 1) if r0 == c0 else 1
+
+    def recording_init(self, *args):
+        init(self, *args)
+        for seed in self.seeds:
+            add(*seed)
+
+    def recording_live(self, tile):
+        blocks = live(self, tile)
+        for block in blocks:
+            add(*block)
+        return blocks
+
+    monkeypatch.setattr(contraction._Bound, "__init__", recording_init)
+    monkeypatch.setattr(contraction._Bound, "live", recording_live)
+    return count
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_every_pair_is_scanned_at_most_once(monkeypatch, nested, dyadic):
+    # seeds, triangles and joined rectangles never overlap, whether the
+    # bound rules out much (one set) or little (eight nested sets)
+    n = 700
+    K, _ = _banded(n, dyadic)
+    idx = np.arange(n)
+    masks = [idx < n * k // 8 for k in range(1, 8)] + [None] if nested else [None]
+    count = _coverage(monkeypatch, n)
+    record = _scanned(monkeypatch)
+    scans = _pair_scan(K, None, masks)
+    assert count.max() == 1 and count.sum() == record["pairs"]
+    assert scans == [_own_rows_scan(K, None, m) for m in masks]
+
+
 # sizes from one row to several tiles a side: cell and tile edges, an exact
 # fit, and a last row over
 SCAN_SIZES = [1, 2, 3, 7, 16, 17, 33, 39, 100, 127, 128, 129, 200, 256, 257, 300, 700]
@@ -737,9 +794,10 @@ def test_a_cell_is_ruled_out_only_below_the_best_of_every_set_in_it():
 
 
 def test_live_blocks_cover_the_pairs_of_the_live_cells():
-    # the blocks of a tile that is scanned in part are its live cells, runs
-    # of them in one row of cells joined into one rectangle, a diagonal
-    # cell a triangle of its own
+    # the blocks of a tile that is scanned in part are its live cells: runs
+    # of diagonal cells whose every cell is live as one triangle, and runs
+    # of the rest in one row of cells, joined with the same run in the rows
+    # below, as one rectangle
     n = 700
     K, _ = _banded(n, False)
     bound = contraction._Bound(K, None, [None])

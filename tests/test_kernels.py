@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, v_operator_norm
 from semistab.kernels import (
+    MODELS,
     DirichletHeat,
     GaussOU,
     HalfHarmonicLinear,
@@ -566,3 +567,21 @@ def test_hermite_series_matches_the_plain_sum():
     assert np.abs(out - ref).max() <= 2e-15 * np.abs(ref).max()  # rounding only
     assert hermite_series_kernel(0.7, xs[0], ys, 30).shape == (11,)
     assert isinstance(hermite_series_kernel(0.7, 0.1, 0.2, 30), float)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_self_adjoint_models_are_w_symmetric_on_the_grid(name):
+    # leading_eigentriple trusts the flag to set eta = h w: a model that
+    # declares it has w_i K_ij = w_j K_ji to rounding, and one that does
+    # not is clearly asymmetric (half_harmonic_linear only away from a = 0,
+    # where it is the absorbed oscillator)
+    cls = MODELS[name]
+    m = cls(a=0.3, varsigma=2.0) if cls is HalfHarmonicLinear else cls()
+    grid = m.default_grid(40) if hasattr(m, "default_grid") \
+        else GridDomain.uniform_closed(-6.0, 6.0, 40)
+    wK = grid.cell_weights[:, None] * discretize(m, grid, 0.5).matrix
+    asymmetry = np.abs(wK - wK.T).max() / np.abs(wK).max()
+    if m.self_adjoint:
+        assert asymmetry <= 1e-14
+    else:
+        assert asymmetry > 1e-2

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -5,12 +7,16 @@ import pytest
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, MeasureVec, boltzmann_gibbs
 from semistab.kernels import (
+    MODELS,
     DirichletHeat,
     DiscreteOperator,
+    GaussOU,
+    HalfHarmonicLinear,
     HalfHarmonicOscillator,
     HarmonicOscillator,
     discretize,
     doob_h_transform,
+    undo_h_transform,
 )
 from semistab.spectral import (
     EigenTriple,
@@ -307,3 +313,82 @@ def test_h_transform_commute_steps_match_separate_flows(dirichlet_op):
         lhs = boltzmann_gibbs(triple.h, normalized_flow(Q, eta, n)[0][-1]).masses
         rhs = boltzmann_gibbs(triple.h, eta).masses @ np.linalg.matrix_power(P.matrix, n)
         assert dist == pytest.approx(0.5 * np.abs(lhs - rhs).sum(), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_discretize_stamps_self_adjoint_from_the_model(name):
+    m = MODELS[name]()
+    grid = m.default_grid(60) if hasattr(m, "default_grid") else GridDomain.uniform_closed(-6, 6, 60)
+    Q = discretize(m, grid, 0.5)
+    assert Q.self_adjoint is m.self_adjoint
+    # nothing else sets it: products and conjugations are not w-symmetric
+    t = leading_eigentriple(Q)
+    P = doob_h_transform(Q, t.h, t.rho)
+    for derived in (Q.compose(Q), P, undo_h_transform(P, t.h, t.rho)):
+        assert derived.self_adjoint is False
+
+
+def _two_sided(Q):
+    return leading_eigentriple(dataclasses.replace(Q, self_adjoint=False), tol=1e-12)
+
+
+@pytest.mark.parametrize("model, grid", [
+    (HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 400)),
+    (HalfHarmonicOscillator(), GridDomain.uniform_open(0.0, 8.0, 400)),
+    (DirichletHeat(50), GridDomain.uniform_open(0.0, 1.0, 200)),
+])
+def test_self_adjoint_iteration_matches_the_two_sided_loop(model, grid):
+    # eta = h w, normalised, is the two-sided loop's eta within tol; the
+    # Rayleigh quotient's rho is no farther from the exact value
+    Q = discretize(model, grid, 0.5)
+    one, two = leading_eigentriple(Q, tol=1e-12), _two_sided(Q)
+    assert one.converged and two.converged
+    assert one.residual_right <= 1e-12 and one.residual_left <= 1e-12
+    assert 0.5 * np.abs(one.eta_inf.masses - two.eta_inf.masses).sum() <= 1e-12
+    assert abs(one.rho - model.exact_rho) <= abs(two.rho - model.exact_rho)
+    assert one.iterations <= two.iterations
+    eta = one.h.values / one.h.values.max() * grid.cell_weights
+    np.testing.assert_allclose(one.eta_inf.masses, eta / eta.sum(), rtol=1e-14, atol=0)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# (rho.hex(), sha256 of h, sha256 of eta_inf, rounds) of the two-sided loop
+# on operators that do not declare self_adjoint: they keep these bits
+_PINNED_TWO_SIDED = {
+    "half_harmonic_linear": ("-0x1.28c56c0da5284p+1", "61dd718ce34daf25", "aaaec6206600ae52", 19),
+    "gauss_ou": ("-0x1.0000000000000p-52", "ba25ce8bdedecca2", "9549c329f7d0aa0a", 31),
+}
+
+
+@pytest.mark.parametrize("model, grid", [
+    (HalfHarmonicLinear(a=0.3, varsigma=2.0), GridDomain.uniform_open(0.0, 5.0, 10)),
+    (GaussOU(), GaussOU().default_grid(60)),
+])
+def test_operators_not_declared_self_adjoint_keep_their_bits(model, grid):
+    Q = discretize(model, grid, 0.5)
+    assert not Q.self_adjoint
+    t = leading_eigentriple(Q, tol=1e-12)
+    got = (t.rho.hex(), _digest(t.h.values), _digest(t.eta_inf.masses), t.iterations)
+    assert got == _PINNED_TWO_SIDED[model.name]
+
+
+def test_a_mis_declared_operator_does_not_converge():
+    # gauss_ou is not w-symmetric: h converges, eta = h w does not
+    # satisfy the left relation, so the loop runs out of rounds
+    m = GaussOU()
+    Q = dataclasses.replace(discretize(m, m.default_grid(60), 0.5), self_adjoint=True)
+    t = leading_eigentriple(Q, tol=1e-12)
+    assert not t.converged
+    assert t.residual_right <= 1e-12 < t.residual_left
+    assert t.iterations == 1000
+
+
+def test_a_reducible_self_adjoint_operator_is_rejected():
+    # two blocks that never meet: symmetric, w-symmetric on a uniform grid
+    K = np.array([[0.5, 0.3, 0.0], [0.3, 0.5, 0.0], [0.0, 0.0, 0.6]])
+    Q = DiscreteOperator(K, GridDomain.uniform_open(0.0, 1.0, 3), 1.0, self_adjoint=True)
+    with pytest.raises(ValueError, match="not strongly connected"):
+        leading_eigentriple(Q)
