@@ -3,18 +3,20 @@
 All suprema over pairs of states are exact maxima over the grid pairs (the
 continuum supremum is attained on point masses, so grid exhaustion is the
 faithful finite analogue).  One scan serves the V-Dobrushin coefficient
-and every minorization level: it covers the pair triangle with fixed tiles
-of 128 rows a side (a last row over joins the block before it), pdist
-triangles on the diagonal and cdist rectangles above it, and one reducer
-takes each block to every row set's maximum and first witness.  The
-triangles' row layout is one cached np.triu_indices per size.  Memory is
-one tile at a time, not the n(n-1)/2 condensed distances.
+and every minorization level: it covers the pair triangle of the rows it
+is given with fixed tiles of 128 rows a side (a last row over joins the
+block before it), pdist triangles on the diagonal and cdist rectangles
+above it, and one reducer takes each block to its maximum and first
+witness.  The triangles' row layout is one cached np.triu_indices per
+size.  Memory is one tile at a time, not the n(n-1)/2 condensed distances.
+A sub-level set is scanned on its own rows, unless a larger scanned set
+holds it and its witness pair.
 
 A scan of more than one tile skips the cells of _CELL rows a side that
 `_Bound`, the coupling form of the total-variation distance (two rows'
-masses less twice their overlap), proves cannot hold a set's maximum.
-Every scanned pair keeps its bits, and ties are broken toward the smallest
-index pair, making every report deterministic.
+masses less twice their overlap), proves cannot hold the maximum.  Every
+scanned pair keeps its bits, and ties are broken toward the smallest index
+pair, making every report deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -95,8 +97,7 @@ def _tiles(n: int) -> list:
 
 class _Bound:
     """One upper bound per pair of cells on the pair values of a scan, the
-    cells that hold a pair of each row set, each set's best value found and
-    the cells scanned already.
+    best value found and the cells scanned already.
 
     With column weights w >= 0 (ones for the L1 distance) and row masses
     s_i = sum_k w_k K_ik, the identity |a - b| = a + b - 2 min(a, b) gives
@@ -119,7 +120,7 @@ class _Bound:
     """
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def __init__(self, K, weights, sets):
+    def __init__(self, K, weights):
         n, m = K.shape
         self.cuts = cuts = _cuts(n, _CELL)
         self.index = {cut: k for k, cut in enumerate(cuts)}
@@ -142,18 +143,13 @@ class _Bound:
             least = np.minimum.reduceat(weights, cuts[:-1])
             self.cell /= (least[:, None] + least) * (1 - 4 * np.finfo(float).eps)
         self.cell[np.isnan(self.cell)] = np.inf  # an overflowed mass rules out nothing
-        # the cells (a, b), a <= b, that hold a pair of each set: a set row in
-        # each block, two in a diagonal cell
-        rows = [np.diff(cuts) if s is None else np.add.reduceat(s.astype(int), cuts[:-1])
-                for s in sets]
-        self.sets = np.triu([np.outer(r, r) > np.diag(r) for r in rows])
-        self.pairs = self.sets.any(axis=0)
-        self.best = np.full(len(sets), -np.inf)
-        # each set's cell of largest bound, a block scanned first to seed its best
-        tops = (divmod(int(np.where(held, self.cell, -np.inf).argmax()), c)
-                for held in self.sets if held.any())
-        self.seeds = [(cuts[a], cuts[a + 1], cuts[b], cuts[b + 1]) for a, b in dict.fromkeys(tops)]
-        self.done = np.zeros((c, c), dtype=bool)  # cells scanned already, the seeds
+        # the cells (a, b), a <= b, that hold a pair: every cell holds two rows
+        self.pairs = np.triu(np.ones((c, c), dtype=bool))
+        self.best = -np.inf
+        # the cell of largest bound, a block scanned first to seed the best
+        a, b = divmod(int(np.where(self.pairs, self.cell, -np.inf).argmax()), c)
+        self.seed = (cuts[a], cuts[a + 1], cuts[b], cuts[b + 1])
+        self.done = np.zeros((c, c), dtype=bool)  # cells scanned already, the seed
 
     def _cells(self, r0, r1, c0, c1):
         """The rows and columns of cells that make up the block."""
@@ -161,12 +157,11 @@ class _Bound:
         return slice(index[r0], index[r1]), slice(index[c0], index[c1])
 
     def blocks(self, tiles):
-        """The blocks to scan: the seeds, then the live blocks of the tiles
+        """The blocks to scan: the seed, then the live blocks of the tiles
         in descending order of bound.  A tile's blocks are found once the
-        blocks before them are reduced, and no tile scans a seed again."""
-        yield from self.seeds
-        for seed in self.seeds:
-            self.done[self._cells(*seed)] = True
+        blocks before them are reduced, and no tile scans the seed again."""
+        yield self.seed
+        self.done[self._cells(*self.seed)] = True
         for tile in sorted(tiles, key=lambda tile: self.cell[self._cells(*tile)].max(),
                            reverse=True):
             yield from self.live(tile)
@@ -175,72 +170,52 @@ class _Bound:
         """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
         when none of its cells with a pair is ruled out or done, or else its
         live cells.  A cell is ruled out when its bound is below the best
-        value of every set with a pair in it.  Of the live cells, a run of
-        diagonal cells whose every cell is live is one triangle, and the rest
-        are rectangles: a run of cells in one row of cells, joined with the
-        same run in the rows of cells below it."""
+        value.  Of the live cells, each diagonal cell is one triangle, and
+        each run of the rest in one row of cells is one rectangle."""
         a, b = self._cells(*tile)
         pairs = self.pairs[a, b]
-        live = (self.sets[:, a, b] & (self.cell[a, b] >= self.best[:, None, None])).any(axis=0)
-        live &= ~self.done[a, b]
+        live = pairs & (self.cell[a, b] >= self.best) & ~self.done[a, b]
         if not live.any() or (live == pairs).all():
             return [tile] if live.any() else []
         rows, cols = self.cuts[a.start:a.stop + 1], self.cuts[b.start:b.stop + 1]
-        live = live.tolist()  # at most 8 x 8 cells: plain lists beat numpy calls
-        blocks, p = [], 0
-        while tile[0] == tile[2] and p < len(live):  # a diagonal tile's triangles
-            q = p + 1
-            if live[p][p]:
-                while q < len(live) and all(row[q] for row in live[p:q + 1]):
-                    q += 1
-                blocks.append((rows[p], rows[q], rows[p], rows[q]))
-                for row in live[p:q]:
-                    row[p:q] = [False] * (q - p)
-            p = q
-        above = {}  # (c0, c1) -> index of the rectangle that ends on this row of cells
-        for i, row in enumerate(live):
-            here, j = {}, 0
+        blocks = []
+        for i, row in enumerate(live.tolist()):  # at most 8 x 8 cells: plain lists beat numpy calls
+            if tile[0] == tile[2] and row[i]:
+                blocks.append((rows[i], rows[i + 1], rows[i], rows[i + 1]))
+                row[i] = False
+            j = 0
             for on, run in itertools.groupby(row):
                 end = j + len(list(run))
                 if on:
-                    span = (cols[j], cols[end])
-                    k = here[span] = above.get(span, len(blocks))
-                    if k < len(blocks):
-                        blocks[k] = (blocks[k][0], rows[i + 1], *span)
-                    else:
-                        blocks.append((rows[i], rows[i + 1], *span))
+                    blocks.append((rows[i], rows[i + 1], cols[j], cols[end]))
                 j = end
-            above = here
         return blocks
 
 
-def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
-               sets: Sequence = (None,)) -> list:
+def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None) -> tuple:
     """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
     when weights are given (K square), with its lexicographically first
-    argmax witness (i, j): one (max, witness) per row set, a boolean mask
-    over the rows of K or None for all of them, and (0.0, (0, 0)) for a
-    set without a pair.  K and the weights must be finite and nonnegative;
-    a scan of more than one tile raises ValueError on a negative entry of K.
+    argmax witness (i, j); (0.0, (0, 0)) when K has fewer than two rows.  K
+    and the weights must be finite and nonnegative; a scan of more than one
+    tile raises ValueError on a negative entry of K.
 
-    A scan of more than one tile has a `_Bound`: each set's cell of
-    largest bound is scanned first, then the rest of the tiles in
-    descending order of bound, and a tile or cell is skipped when its bound
-    is below the best value of every set with a pair in it, so it holds no
-    pair that ties a set's maximum.  No pair is computed twice.  A diagonal
-    block (r0 == c0) is pdist's condensed triangle, rows (i, j) from
-    `_triangle`, and any other is cdist's rectangle, its rows and columns
-    broadcast; both give each pair the bits of one pdist over all rows of K.  Each block is reduced to the
-    maximum and first witness of every set with a pair in it; the sets
-    that hold all of its rows share one argmax.
+    A scan of more than one tile has a `_Bound`: the cell of largest bound
+    is scanned first, then the rest of the tiles in descending order of
+    bound, and a tile or cell is skipped when its bound is below the best
+    value found, so it holds no pair that ties the maximum.  No pair is
+    computed twice.  A diagonal block (r0 == c0) is pdist's condensed
+    triangle, rows (i, j) from `_triangle`, and any other is cdist's
+    rectangle, its rows and columns broadcast; both give each pair the bits
+    of one pdist over all rows of K.  Each block is reduced to its maximum
+    and first witness.
     """
     from scipy.spatial.distance import cdist, pdist
 
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
     tiles = _tiles(K.shape[0])
-    bound = _Bound(K, weights, sets) if len(tiles) > 1 else None
-    tops = [(math.inf, (0, 0))] * len(sets)  # per set, (-max, first witness)
+    bound = _Bound(K, weights) if len(tiles) > 1 else None
+    top = (math.inf, (0, 0))  # (-max, first witness)
     for r0, r1, c0, c1 in bound.blocks(tiles) if bound else tiles:
         if r0 == c0:
             d = pdist(K[r0:r1], **metric)
@@ -250,36 +225,36 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None,
             i, j = np.s_[:, None], np.s_[None, :]
         if weights is not None:
             d /= weights[r0:r1][i] + weights[c0:c1][j]
-        whole = None  # the first argmax of d, shared by the sets that hold all its rows
-        for k, s in enumerate(sets):
-            if s is None or s[r0:r1].all() and s[c0:c1].all():
-                e = d
-                first = whole = int(d.argmax()) if whole is None else whole
-            elif s[r0:r1].any() and s[c0:c1].any():
-                e = np.where(s[r0:r1][i] & s[c0:c1][j], d, -np.inf)
-                first = int(e.argmax())  # first maximum in row-major pair order
-            else:
-                continue
-            if (value := e.item(first)) > -math.inf:
-                a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
-                # the largest value, and of its pairs the smallest
-                tops[k] = min(tops[k], (-value, (r0 + int(a), c0 + int(b))))
-                if bound:
-                    bound.best[k] = max(bound.best[k], value)
-    return [(-top, pair) if top < math.inf else (0.0, (0, 0)) for top, pair in tops]
+        first = int(d.argmax())  # first maximum in row-major pair order
+        value = d.item(first)
+        a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
+        # the largest value, and of its pairs the smallest
+        top = min(top, (-value, (r0 + int(a), c0 + int(b))))
+        if bound:
+            bound.best = max(bound.best, value)
+    return (-top[0], top[1]) if top[0] < math.inf else (0.0, (0, 0))
 
 
 def _minorization_levels(K: np.ndarray, masks: list) -> list:
     """1 - max total-variation distance between the rows of K inside each
-    mask (None for an empty mask), from one scan of the rows in any mask."""
-    union = np.logical_or.reduce(masks)
-    rows = np.count_nonzero(union)
-    sizes = [np.count_nonzero(m) for m in masks]
-    # a mask that holds every scanned row needs no mask, so a lone mask, as
-    # local_minorization and nonexpansive_check pass, becomes the set None
-    scans = _pair_scan(K[union], None, [None if size == rows else m[union]
-                                        for m, size in zip(masks, sizes)])
-    return [1.0 - 0.5 * top if size else None for size, (top, _) in zip(sizes, scans)]
+    mask (None for an empty mask).  Each mask is scanned on its own rows,
+    the largest first, except a mask inside a scanned one that holds its
+    witness pair: the pair attains the larger set's maximum, which bounds
+    the smaller set's, so the two maxima are equal."""
+    sizes = [np.count_nonzero(mask) for mask in masks]
+    tops = [None] * len(masks)
+    scanned = []  # (mask, its maximum, its witness rows)
+    for k in sorted(range(len(masks)), key=lambda k: -sizes[k]):
+        mask = masks[k]
+        if not sizes[k]:
+            continue
+        tops[k] = next((top for big, top, (i, j) in scanned
+                        if mask[i] and mask[j] and not (mask & ~big).any()), None)
+        if tops[k] is None:
+            rows = np.flatnonzero(mask)
+            tops[k], (i, j) = _pair_scan(K[rows])
+            scanned.append((mask, tops[k], (rows[i], rows[j])))
+    return [None if top is None else 1.0 - 0.5 * top for top in tops]
 
 
 def _drift_constant(K: np.ndarray, vals: np.ndarray, phi: Callable) -> float:
@@ -314,7 +289,7 @@ def v_dobrushin(P: DiscreteOperator, V: LyapunovSpec) -> ContractionReport:
     """Exhaustive sup over grid pairs of |delta_x P - delta_y P|_V / (V(x)+V(y))."""
     K = P.matrix
     vals = V(P.grid.points)
-    [(best, pair)] = _pair_scan(K, vals)
+    best, pair = _pair_scan(K, vals)
     # recompute at the witness so the reported value is exact, not a
     # vectorized intermediate
     i, j = pair

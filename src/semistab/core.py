@@ -81,8 +81,11 @@ class GridDomain:
             raise GridError(f"a closed grid needs n >= 2 points, got {n}")
         if not a < b:
             raise GridError(f"a closed grid needs min < max, got [{a:g}, {b:g}]")
-        pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
+        if not 0 < h < np.inf:
+            raise GridError(f"a closed grid on [{a:g}, {b:g}] with n = {n} has spacing {h:g}, "
+                            "not a positive finite number")
+        pts = np.linspace(a, b, n)
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
         return cls(pts, w, ((a, b),))
@@ -95,6 +98,9 @@ class GridDomain:
         if not a < b:
             raise GridError(f"an open grid needs min < max, got ({a:g}, {b:g})")
         h = (b - a) / n
+        if not 0 < h < np.inf:
+            raise GridError(f"an open grid on ({a:g}, {b:g}) with n = {n} has spacing {h:g}, "
+                            "not a positive finite number")
         pts = a + (np.arange(n) + 0.5) * h
         return cls(pts, np.full(n, h), ((a, b),))
 

@@ -182,9 +182,12 @@ def gram_det_two_ways(surface: MongeSurface, theta):
 
 def weingarten_identity_check(surface: MongeSurface, theta) -> float:
     """Residual of dN/dtheta_i = -sum_k W_{k,i} dpsi/dtheta_k (central
-    differences at step 1e-5)."""
+    differences at step 1e-5, so theta must lie 1e-5 inside the chart)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     ff, d = fundamental_forms(surface, theta), surface.chart_dim
+    if not surface.in_chart(theta, margin=1e-5):
+        raise ValueError(f"theta {theta} lies within 1e-05 of the chart edge, so the "
+                         "central-difference step leaves the chart domain")
     e = 1e-5 * np.eye(d)
     N = _frame_parts(surface, np.concatenate([theta + e, theta - e]))[2]
     dN = (N[:d] - N[d:]) / 2e-5

@@ -230,8 +230,8 @@ def polynomial_rate_check(P: DiscreteOperator, V: LyapunovSpec,
     The hypotheses are re-certified from scratch: the phi1 drift transfer
     and minorization over the sub-level sets of phi(V) and phi2(V), scanning
     candidate radii for a nonempty admissibility window at the given rho.
-    One pair scan over the union of the eight sub-level sets gives every
-    minorization level.
+    Each of the eight sub-level sets gets its minorization level from a
+    pair scan of its own rows, or from a larger set that holds its witness.
     When no radius qualifies, the curve is returned without assertion.
     Needs T >= 1 steps and rho >= 0, which keeps the weights positive.
     """

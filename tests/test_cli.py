@@ -570,6 +570,20 @@ _CONFIG_CASES = [
     ("cfg68", {"command": "validate",
                "extra": {"cases": ["harmonic_mass_t1", "harmonic_mass_t1"], "budget": 0.05}},
      1, "config error: extra.cases[1] repeats case 'harmonic_mass_t1'"),
+    # a grid spacing that overflows or underflows is named with its interval
+    ("cfg69", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": -1e308, "max": 1e308, "n": 10}}, 1,
+     "config error: a closed grid on [-1e+308, 1e+308] with n = 10 has spacing inf, "
+     "not a positive finite number"),
+    ("cfg70", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": 0, "max": 1e-322, "n": 50}}, 1,
+     "config error: a closed grid on [0, 9.88131e-323] with n = 50 has spacing 0, "
+     "not a positive finite number"),
+    # theta = 8 is inside the flat chart [-8, 8], but its difference step is not
+    ("cfg71", {"command": "geometry",
+               "extra": {"op": "weingarten_residual", "surface": "flat", "theta": 8.0}}, 1,
+     "config error: theta [8.] lies within 1e-05 of the chart edge, so the "
+     "central-difference step leaves the chart domain"),
 ]
 
 

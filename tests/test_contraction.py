@@ -289,7 +289,7 @@ def scan_inputs(draw):
 def test_pair_scan_matches_brute_force(inputs, weighted):
     K, w = inputs
     w = w if weighted else None
-    [(value, pair)] = _pair_scan(K, w)
+    value, pair = _pair_scan(K, w)
     ref_value, ref_pair = brute_pair_scan(K, w)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     assert pair == ref_pair
@@ -298,11 +298,11 @@ def test_pair_scan_matches_brute_force(inputs, weighted):
 def test_pair_scan_exact_ties_take_the_smallest_index_pair():
     # every pair of point masses is at L1 distance 2 and weighted ratio 1
     K = np.eye(5)
-    assert _pair_scan(K) == [(2.0, (0, 1))]
-    assert _pair_scan(K, np.array([3.0, 0.5, 1.0, 2.0, 0.25])) == [(1.0, (0, 1))]
+    assert _pair_scan(K) == (2.0, (0, 1))
+    assert _pair_scan(K, np.array([3.0, 0.5, 1.0, 2.0, 0.25])) == (1.0, (0, 1))
     # rows 1 and 3 equal: (1, 2) and (2, 3) tie at the maximum
     K = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert _pair_scan(K) == [(2.0, (1, 2))]
+    assert _pair_scan(K) == (2.0, (1, 2))
 
 
 def _row_loop_weighted_scan(K, w):
@@ -329,7 +329,7 @@ def test_weighted_pair_scan_keeps_the_row_loop_bits(n, dyadic):
     else:
         K = rng.dirichlet(np.ones(n), size=n)
         w = rng.uniform(0.5, 40.0, size=n)
-    assert _pair_scan(K, w) == [_row_loop_weighted_scan(K, w)]
+    assert _pair_scan(K, w) == _row_loop_weighted_scan(K, w)
 
 
 def test_weighted_pair_scan_memory_is_the_condensed_array():
@@ -405,7 +405,7 @@ def _scan_matrix(n, dyadic):
 def test_tiled_pair_scan_keeps_the_one_pdist_bits(n, dyadic, weighted):
     K, w = _scan_matrix(n, dyadic)
     w = w if weighted else None
-    assert _pair_scan(K, w) == [_one_pdist_scan(K, w)]
+    assert _pair_scan(K, w) == _one_pdist_scan(K, w)
 
 
 def test_tiles_cover_each_pair_once_and_every_diagonal_tile_holds_a_pair():
@@ -452,12 +452,12 @@ def _two_tied_pairs(n, p, q):
     ((3, 590), (300, 599)),
 ])
 def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
-    assert _pair_scan(np.eye(600)) == [(2.0, (0, 1))]
-    assert _pair_scan(np.eye(600), np.ones(600)) == [(1.0, (0, 1))]
+    assert _pair_scan(np.eye(600)) == (2.0, (0, 1))
+    assert _pair_scan(np.eye(600), np.ones(600)) == (1.0, (0, 1))
     K = _two_tied_pairs(600, p, q)
-    assert _pair_scan(K) == [(2.0, min(p, q))] == [_one_pdist_scan(K)]
+    assert _pair_scan(K) == (2.0, min(p, q)) == _one_pdist_scan(K)
     w = np.ones(600)
-    assert _pair_scan(K, w) == [(1.0, min(p, q))] == [_one_pdist_scan(K, w)]
+    assert _pair_scan(K, w) == (1.0, min(p, q)) == _one_pdist_scan(K, w)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -534,7 +534,7 @@ def test_pair_scan_skips_tiles_on_the_harmonic_contract_set(monkeypatch):
     n = K.shape[0]
     assert n == 560
     record = _scanned(monkeypatch)
-    assert _pair_scan(K) == [_one_pdist_scan(K)]
+    assert _pair_scan(K) == _one_pdist_scan(K)
     assert record["pairs"] < n * (n - 1) // 2 // 4
     assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
 
@@ -548,13 +548,13 @@ def test_a_seed_cell_is_scanned_once(monkeypatch):
     K = P.matrix[vals <= np.quantile(vals, 0.8)]
     assert K.shape[0] == 560
     record = _scanned(monkeypatch)
-    assert _pair_scan(K) == [_one_pdist_scan(K)]
+    assert _pair_scan(K) == _one_pdist_scan(K)
     assert record["pairs"] == 16 * 16  # 512 when the seed's tile scanned it again
     assert record["tiles"] == []
 
 
 def _coverage(monkeypatch, n):
-    """How often the scan computes each pair (i, j), i < j, from the seeds
+    """How often the scan computes each pair (i, j), i < j, from the seed
     and the blocks of `live` it scans."""
     count = np.zeros((n, n), int)
     init, live = contraction._Bound.__init__, contraction._Bound.live
@@ -565,8 +565,7 @@ def _coverage(monkeypatch, n):
 
     def recording_init(self, *args):
         init(self, *args)
-        for seed in self.seeds:
-            add(*seed)
+        add(*self.seed)
 
     def recording_live(self, tile):
         blocks = live(self, tile)
@@ -579,20 +578,15 @@ def _coverage(monkeypatch, n):
     return count
 
 
-@pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("dyadic", [False, True])
-def test_every_pair_is_scanned_at_most_once(monkeypatch, nested, dyadic):
-    # seeds, triangles and joined rectangles never overlap, whether the
-    # bound rules out much (one set) or little (eight nested sets)
+def test_every_pair_is_scanned_at_most_once(monkeypatch, dyadic):
+    # the seed, the diagonal cells and the runs of cells never overlap
     n = 700
     K, _ = _banded(n, dyadic)
-    idx = np.arange(n)
-    masks = [idx < n * k // 8 for k in range(1, 8)] + [None] if nested else [None]
     count = _coverage(monkeypatch, n)
     record = _scanned(monkeypatch)
-    scans = _pair_scan(K, None, masks)
+    assert _pair_scan(K) == _one_pdist_scan(K)
     assert count.max() == 1 and count.sum() == record["pairs"]
-    assert scans == [_own_rows_scan(K, None, m) for m in masks]
 
 
 # sizes from one row to several tiles a side: cell and tile edges, an exact
@@ -607,7 +601,7 @@ def test_pruned_pair_scan_keeps_the_one_pdist_bits(monkeypatch, n, dyadic, weigh
     K, w = _banded(n, dyadic)
     w = w if weighted else None
     record = _scanned(monkeypatch)
-    assert _pair_scan(K, w) == ([_one_pdist_scan(K, w)] if n > 1 else [(0.0, (0, 0))])
+    assert _pair_scan(K, w) == (_one_pdist_scan(K, w) if n > 1 else (0.0, (0, 0)))
     if n == 700:  # the bound rules out part of the largest scan
         assert record["pairs"] < n * (n - 1) // 2
 
@@ -618,10 +612,10 @@ def test_pruned_pair_scan_keeps_the_one_pdist_bits(monkeypatch, n, dyadic, weigh
 @pytest.mark.parametrize("weighted", [False, True])
 def test_every_pair_value_is_within_its_cell_bound(n, matrix, dyadic, weighted):
     # the rounding slack covers the computed value of every pair, exact ties
-    # and duplicated rows included, not just each set's maximum
+    # and duplicated rows included, not just the maximum
     K, w = matrix(n, dyadic)
     w = w if weighted else None
-    bound = contraction._Bound(K, w, [None])
+    bound = contraction._Bound(K, w)
     i, j = np.triu_indices(n, 1)
     if w is None:
         d = pdist(K, "cityblock")
@@ -639,8 +633,8 @@ def test_a_negative_entry_is_rejected_by_the_bound():
     for weights in (None, w):
         with pytest.raises(ValueError, match="K >= 0"):
             _pair_scan(K, weights)
-        with pytest.raises(ValueError, match="K >= 0"):
-            _pair_scan(K, weights, [np.arange(300) < 150, None])
+    with pytest.raises(ValueError, match="K >= 0"):
+        _minorization_levels(K, [np.arange(300) < 150, np.arange(300) >= 0])
 
 
 def test_pruned_weighted_scan_on_the_harmonic_h_transform(monkeypatch):
@@ -658,7 +652,16 @@ def test_pruned_weighted_scan_on_the_harmonic_h_transform(monkeypatch):
     assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
     best, pair = _one_pdist_scan(K, vals)
     assert rep.witness_pair == pair and rep.beta == pytest.approx(best, rel=1e-12, abs=0)
-    assert _pair_scan(K, vals) == [(best, pair)]
+    assert _pair_scan(K, vals) == (best, pair)
+
+
+def _row_set_scan_keeps_the_one_pdist_bits(K, w, m):
+    # the scan of the rows of mask m over every column, as a minorization
+    # level scans them, or with weights w over the rows and columns of m, as
+    # the V-Dobrushin scan of the chain restricted to m reads them
+    rows = np.flatnonzero(m)
+    K, w = (K[rows], None) if w is None else (K[np.ix_(rows, rows)], w[rows])
+    assert _pair_scan(K, w) == (_one_pdist_scan(K, w) if len(rows) > 1 else (0.0, (0, 0)))
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
@@ -668,59 +671,42 @@ def test_pruned_row_sets_scan_like_their_own_rows(monkeypatch, dyadic, weighted)
     K, w = _banded(n, dyadic)
     w = w if weighted else None
     idx = np.arange(n)
-    masks = [idx < n // 3, idx < n // 2, None,                # nested
+    masks = [idx < n // 3, idx < n // 2, idx >= 0,            # nested
              idx % 2 == 0, (idx > n // 4) & (idx % 3 > 0),    # not nested
              idx < 0, idx == n - 1]                           # empty, one row
     record = _scanned(monkeypatch)
-    scans = _pair_scan(K, w, masks)
-    assert record["pairs"] < n * (n - 1) // 2  # several sets share one bound
-    for m, scan in zip(masks, scans):
-        rows = idx if m is None else np.flatnonzero(m)
-        if len(rows) < 2:
-            assert scan == (0.0, (0, 0))
-            continue
-        i, j = np.triu_indices(len(rows), 1)
-        if w is None:
-            d = pdist(K[rows], "cityblock")
-        else:
-            d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
-        k = int(np.argmax(d))
-        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
-
-
-def _own_rows_scan(K, w, m):
-    # the maximum and witness of one pdist over the rows of mask m (None for
-    # all rows), named in the rows of K
-    rows = np.arange(len(K)) if m is None else np.flatnonzero(m)
-    i, j = np.triu_indices(len(rows), 1)
-    if w is None:
-        d = pdist(K[rows], "cityblock")
-    else:
-        d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
-    k = int(np.argmax(d))
-    return float(d[k]), (int(rows[i[k]]), int(rows[j[k]]))
+    levels = _minorization_levels(K, masks)
+    assert record["pairs"] < n * (n - 1) // 2  # the bound prunes the scans
+    assert levels[5:] == [None, 1.0]
+    for m, level in zip(masks[:5], levels):
+        assert level == 1.0 - 0.5 * _one_pdist_scan(K[m])[0]
+        _row_set_scan_keeps_the_one_pdist_bits(K, w, m)
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_nested_row_sets_share_one_bound(monkeypatch, dyadic, weighted):
     # the eight nested sub-level sets that polynomial_rate_check passes (the
-    # largest is every row): one bound rules out pairs of all of them, and
-    # each set keeps the maximum and witness of one pdist over its own rows
+    # largest is every row): each is scanned on its own rows or takes the
+    # maximum of a larger set that holds its witness pair, the bound rules
+    # out pairs of every scan, and each level is that of one pdist over the
+    # set's own rows
     n = 700
     K, w = _banded(n, dyadic)
     w = w if weighted else None
     idx = np.arange(n)
-    masks = [idx < n * k // 8 for k in range(1, 8)] + [None]
+    masks = [idx < n * k // 8 for k in range(1, 9)]
     record = _scanned(monkeypatch)
-    scans = _pair_scan(K, w, masks)
+    levels = _minorization_levels(K, masks)
     assert record["pairs"] < n * (n - 1) // 2
-    assert scans == [_own_rows_scan(K, w, m) for m in masks]
+    assert levels == [1.0 - 0.5 * _one_pdist_scan(K[m])[0] for m in masks]
+    for m in masks:
+        _row_set_scan_keeps_the_one_pdist_bits(K, w, m)
 
 
 def test_local_minorization_on_one_sub_level_set_is_bounded(monkeypatch):
-    # the one mask of local_minorization becomes the full-row set None over
-    # its 560 scanned rows, the scan that the bound prunes
+    # local_minorization scans the 560 rows of its one mask, a scan that
+    # the bound prunes
     P = discretize(HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
     V = LyapunovSpec.poly(2)
     vals = V(P.grid.points)
@@ -748,7 +734,7 @@ def test_tied_pairs_across_skipped_tiles_take_the_smallest_index_pair(monkeypatc
     K = _two_tied_pairs(600, p, q)
     w = np.ones(600) if weighted else None
     record = _scanned(monkeypatch)
-    assert _pair_scan(K, w) == [(1.0 if weighted else 2.0, min(p, q))] == [_one_pdist_scan(K, w)]
+    assert _pair_scan(K, w) == (1.0 if weighted else 2.0, min(p, q)) == _one_pdist_scan(K, w)
     assert 0 < len(record["tiles"]) < len(contraction._tiles(600))
 
 
@@ -766,57 +752,41 @@ def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
     # is scanned
     n = 300
     K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None, [None])
+    bound = contraction._Bound(K, None)
     top = bound.cell[bound.pairs].max()
-    bound.best[0] = top
+    bound.best = top
     assert (_live_cells(bound, n) == (bound.pairs & (bound.cell == top))).all()
     assert _live_cells(bound, n).any()
-    bound.best[0] = np.nextafter(top, np.inf)
-    assert not _live_cells(bound, n).any()
-
-
-def test_a_cell_is_ruled_out_only_below_the_best_of_every_set_in_it():
-    # the first 100 rows hold pairs of both sets; a best that rules out
-    # every cell for the set of all rows leaves the first set's cells live
-    n = 300
-    K, _ = _banded(n, False)
-    first = np.arange(n) < 100
-    bound = contraction._Bound(K, None, [first, None])
-    cells = np.arange(len(bound.cuts) - 1)
-    held = np.triu(np.outer(cells < 7, cells < 7))  # rows 0-99 lie in cells 0-6
-    assert (bound.sets[0] == held).all() and (bound.pairs == bound.sets[1]).all()
-    bound.best[:] = [-np.inf, np.inf]
-    assert (_live_cells(bound, n) == held).all()
-    bound.best[:] = [np.inf, -np.inf]
-    assert (_live_cells(bound, n) == bound.pairs).all()
-    bound.best[:] = np.inf
+    bound.best = np.nextafter(top, np.inf)
     assert not _live_cells(bound, n).any()
 
 
 def test_live_blocks_cover_the_pairs_of_the_live_cells():
-    # the blocks of a tile that is scanned in part are its live cells: runs
-    # of diagonal cells whose every cell is live as one triangle, and runs
-    # of the rest in one row of cells, joined with the same run in the rows
-    # below, as one rectangle
+    # the blocks of a tile that is scanned in part are its live cells: each
+    # diagonal cell as one triangle, and each run of the rest in one row of
+    # cells as one rectangle
     n = 700
     K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None, [None])
-    bound.best[0] = np.median(bound.cell[bound.pairs])  # rules out half the cells
+    bound = contraction._Bound(K, None)
+    bound.best = np.median(bound.cell[bound.pairs])  # rules out half the cells
     cuts, upper = bound.cuts, np.triu(np.ones((n, n), bool), 1)
-    joined = 0
+    split = 0
     for tile in contraction._tiles(n):
         a, b = bound._cells(*tile)
-        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best[0])
+        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best)
         want = np.zeros((n, n), bool)
         for i, j in zip(*np.nonzero(live)):
             want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True
         got = np.zeros((n, n), bool)
         blocks = bound.live(tile)
         for r0, r1, c0, c1 in blocks:
-            got[r0:r1, c0:(r1 if r0 == c0 else c1)] = True  # as the scan reads them
+            if blocks != [tile]:
+                assert cuts.index(r1) == cuts.index(r0) + 1, (tile, r0, r1)  # one row of cells
+                assert r0 != c0 or c1 == r1, (tile, c0, c1)  # a diagonal block is one cell
+            got[r0:r1, c0:c1] = True  # as the scan reads them
         assert (got & upper == want & upper).all(), tile
-        joined += blocks != [tile] and len(blocks) < live.sum()
-    assert joined  # some row of cells was joined
+        split += blocks not in ([], [tile])
+    assert split  # some tile was scanned in part
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -832,26 +802,6 @@ def test_pruned_pair_scan_memory_is_one_tile(monkeypatch, weighted):
     tracemalloc.start()
     try:
         _pair_scan(K, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert record["pairs"] < n * (n - 1) // 2
-    assert peak <= 8 * n * (n - 1) // 2 // 16
-
-
-def test_nested_row_set_scan_memory_is_one_tile(monkeypatch):
-    # eight nested sets, as polynomial_rate_check passes them: the per-set
-    # cells of the bound stay within the bound of
-    # test_pair_scan_memory_is_one_tile while the scan skips most pairs
-    n = 2000
-    K, _ = _banded(n, False)
-    idx = np.arange(n)
-    masks = [idx < n * k // 8 for k in range(1, 8)] + [None]
-    _pair_scan(K[:300, :300], None, [None if m is None else m[:300] for m in masks])  # imports first
-    record = _scanned(monkeypatch)
-    tracemalloc.start()
-    try:
-        _pair_scan(K, None, masks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -876,23 +826,69 @@ def test_minorization_levels_equal_the_scans_one_mask_at_a_time(n):
     assert _minorization_levels(K, [idx < 0, idx == 3]) == [None, 1.0]
 
 
+def _scan_rows(monkeypatch):
+    """The number of rows of each `_pair_scan` call, in call order."""
+    rows, scan = [], contraction._pair_scan
+
+    def recording_scan(K, weights=None):
+        rows.append(K.shape[0])
+        return scan(K, weights)
+
+    monkeypatch.setattr(contraction, "_pair_scan", recording_scan)
+    return rows
+
+
+def test_a_row_set_inside_a_scanned_set_that_holds_its_witness_takes_its_maximum(monkeypatch):
+    # the eight sub-level sets of phi(V) and phi2(V) that polynomial_rate_check
+    # builds on the canonical chain: the 180-, 150- and 100-row sets hold the
+    # witness of the 200-row set, and the second 7-row set is the first
+    from semistab.subgeometric import build_subgeo_chain
+
+    P, V, drift, c = build_subgeo_chain()
+    K, vals = P.matrix, V(P.grid.points)
+    phiv, phi2v = drift.phi(vals), drift.phi2(vals)
+    radii = [float(np.quantile(phi2v, q)) for q in (1.0, 0.9, 0.75, 0.5)]
+    masks = [f <= r for r in radii for f in (phiv, phi2v)]
+    assert [int(m.sum()) for m in masks] == [7, 200, 7, 180, 6, 150, 5, 100]
+    assert (masks[0] == masks[2]).all()
+    rows = _scan_rows(monkeypatch)
+    levels = _minorization_levels(K, masks)
+    assert rows == [200, 7, 6, 5]
+    assert levels == [1.0 - 0.5 * _one_pdist_scan(K[m])[0] for m in masks]
+
+
+def test_a_row_set_is_scanned_unless_a_scanned_set_holds_it_and_its_witness(monkeypatch):
+    n = 40
+    K, _ = _scan_matrix(n, False)
+    idx = np.arange(n)
+    big = idx < 30
+    _, (i, j) = _one_pdist_scan(K[big])  # rows of K, as big is its first rows
+    pair = np.isin(idx, [i, j])
+    masks = [pair | (idx < 5),       # inside big, with its witness: not scanned
+             big, big.copy(),        # repeated: scanned once
+             big & (idx != i),       # inside big, without its witness
+             pair | (idx >= 30)]     # not inside a scanned set, with big's witness
+    rows = _scan_rows(monkeypatch)
+    levels = _minorization_levels(K, masks)
+    assert rows == [30, 29, 12]
+    assert levels == [1.0 - 0.5 * _one_pdist_scan(K[m])[0] for m in masks]
+    assert levels[0] == levels[1]
+
+
 @pytest.mark.parametrize("n", [7, 300])
 @pytest.mark.parametrize("dyadic", [False, True])
 def test_row_sets_scan_like_their_own_rows(n, dyadic):
-    # each set's maximum and witness are those of one pdist over its rows,
-    # the witness named in the rows of K
+    # each set's level is that of one pdist over its rows, and the weighted
+    # scan of its rows keeps that pdist's maximum and witness, named in the
+    # rows of K
     K, w = _scan_matrix(n, dyadic)
     idx = np.arange(n)
-    masks = [idx % 2 == 1, idx > n // 2, idx == 3, idx < 0]
-    scans = _pair_scan(K, w, [None, *masks])
-    assert scans[0] == _pair_scan(K, w)[0]
-    for m, scan in zip(masks[:2], scans[1:3]):
-        rows = np.flatnonzero(m)
-        i, j = np.triu_indices(len(rows), 1)
-        d = pdist(K[rows], "minkowski", p=1, w=w) / (w[rows][i] + w[rows][j])
-        k = int(np.argmax(d))
-        assert scan == (float(d[k]), (int(rows[i[k]]), int(rows[j[k]])))
-    assert scans[3:] == [(0.0, (0, 0))] * 2  # no pair in the set
+    masks = [idx >= 0, idx % 2 == 1, idx > n // 2, idx == 3, idx < 0]
+    levels = _minorization_levels(K, masks)
+    for m, level in zip(masks[:3], levels):
+        assert level == 1.0 - 0.5 * _one_pdist_scan(K[m])[0]
+        _row_set_scan_keeps_the_one_pdist_bits(K, w, m)
+    assert levels[3:] == [1.0, None]  # no pair in the set
 
 
 @pytest.mark.parametrize("rows", [129, 257])

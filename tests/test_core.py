@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -242,6 +243,20 @@ def test_uniform_grids_name_an_empty_interval(a, b):
         GridDomain.uniform_closed(a, b, 5)
     with pytest.raises(GridError, match=rf"^an open grid needs min < max, got \({interval}\)$"):
         GridDomain.uniform_open(a, b, 5)
+
+
+@pytest.mark.parametrize("a, b, n, spacing", [(-1e308, 1e308, 10, "inf"),
+                                              (0.0, 1e-322, 50, "0")])
+def test_uniform_grids_name_a_spacing_that_is_not_a_float(a, b, n, spacing):
+    # a width that overflows or a spacing that underflows would otherwise
+    # fail on unordered points or nonpositive weights
+    interval = re.escape(f"{a:g}, {b:g}")
+    with pytest.raises(GridError, match=rf"^a closed grid on \[{interval}\] with n = {n} "
+                                        rf"has spacing {spacing}, not a positive finite"):
+        GridDomain.uniform_closed(a, b, n)
+    with pytest.raises(GridError, match=rf"^an open grid on \({interval}\) with n = {n} "
+                                        rf"has spacing {spacing}, not a positive finite"):
+        GridDomain.uniform_open(a, b, n)
 
 
 def test_lyapunov_divergence_surrogate():

@@ -59,6 +59,25 @@ def test_every_definition_in_the_package_is_used():
     assert not dead, f"definitions with no caller: {dead}"
 
 
+def test_every_import_in_the_package_is_used():
+    # a name that a module imports (apart from __future__ features) appears
+    # as a name in that module, so removed code leaves no import behind
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in imported
+                       if name not in named]
+    assert not unused, f"imports that their module never names: {unused}"
+
+
 def _set_by(call):
     """(positional count, keyword names) that a call passes; a `*args` sets
     every position, and a `**kwargs` adds the name None, which sets every
