@@ -3,26 +3,26 @@
 All suprema over pairs of states are exact maxima over the grid pairs (the
 continuum supremum is attained on point masses, so grid exhaustion is the
 faithful finite analogue).  One scan serves the V-Dobrushin coefficient
-and every minorization level: it covers the pair triangle of the rows it
-is given with fixed tiles of 128 rows a side (a last row over joins the
-block before it), pdist triangles on the diagonal and cdist rectangles
-above it, and one reducer takes each block to its maximum and first
-witness.  The triangles' row layout is one cached np.triu_indices per
-size.  Memory is one tile at a time, not the n(n-1)/2 condensed distances.
-A sub-level set is scanned on its own rows, unless a larger scanned set
-holds it and its witness pair.
+and every minorization level.  A scan of at most 128 rows is one pdist
+triangle.  A larger scan covers the pair triangle with cells of _CELL rows
+a side (a last row over joins the cell before it): a pdist triangle on the
+diagonal and a cdist rectangle above it.  It visits them best-first, in
+descending order of an upper bound on their pair values (`_bounds`, the
+coupling form of the total-variation distance: two rows' masses less twice
+their overlap), and stops at the first cell whose bound is below the best
+value found, so it computes exactly the cells whose bound reaches the
+maximum.  Memory is one cell's distances and the bounds, not the n(n-1)/2
+condensed distances.  A sub-level set is scanned on its own rows, unless a
+larger scanned set holds it and its witness pair.
 
-A scan of more than one tile skips the cells of _CELL rows a side that
-`_Bound`, the coupling form of the total-variation distance (two rows'
-masses less twice their overlap), proves cannot hold the maximum.  Every
-scanned pair keeps its bits, and ties are broken toward the smallest index
+One reducer takes each block to its maximum and first witness.  Every
+computed pair keeps its bits, and ties are broken toward the smallest index
 pair, making every report deterministic.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -58,23 +58,20 @@ class ContractionReport:
             raise ValueError("beta must be nonnegative")
 
 
-# Rows per side of a pair-scan tile: a tile's distances take about 128 kB,
-# and a 700-row scan has 21 tiles.
-_TILE = 128
-# Rows per side of a cell, the unit of the scan's bound: a tile that the
-# bound rules out in part is scanned as its live cells, a run of them in one
-# row of cells as one cdist.
+# The largest scan that is one pdist: its condensed distances take 64 kB.
+_WHOLE = 128
+# Rows per side of a cell, the unit of a larger scan and of its bound.
 _CELL = 16
 # A bound plus _SLACK m times its cells' largest row masses (and 2m
-# subnormals) covers the rounding of each pair value it bounds; see _Bound.
+# subnormals) covers the rounding of each pair value it bounds; see _bounds.
 _SLACK = 16 * np.finfo(float).eps
 
 
-@functools.lru_cache(maxsize=_TILE)
+@functools.lru_cache(maxsize=_WHOLE)
 def _triangle(t: int) -> tuple:
     """Rows (i, j) of each entry of pdist's condensed triangle over t rows,
-    read-only.  A diagonal block holds 2 to _TILE + 1 rows, so the cache
-    keeps at most _TILE layouts."""
+    read-only.  A triangle holds 2 to _WHOLE rows, so the cache keeps at
+    most _WHOLE layouts."""
     ij = np.triu_indices(t, 1)
     for a in ij:
         a.flags.writeable = False
@@ -87,17 +84,12 @@ def _cuts(n: int, size: int) -> list:
     return [0, *range(size, n - 1, size), n] if n > 1 else []
 
 
-def _tiles(n: int) -> list:
-    """Tiles (r0, r1, c0, c1) that cover the pairs i < j of n rows, each
-    diagonal block and every block to its right, in that order."""
-    cuts = _cuts(n, _TILE)
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    return [(*a, *b) for k, a in enumerate(blocks) for b in blocks[k:]]
-
-
-class _Bound:
-    """One upper bound per pair of cells on the pair values of a scan, the
-    best value found and the cells scanned already.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _bounds(K: np.ndarray, weights: Optional[np.ndarray]) -> tuple:
+    """The cells (a, b), a <= b, of _CELL rows a side over the rows of K,
+    with an upper bound on the pair values of each, in descending order of
+    bound (a stable sort, so ties keep row-major order): the arrays
+    (bound, r0, r1, c0, c1), a cell's rows r0:r1 and columns c0:c1.
 
     With column weights w >= 0 (ones for the L1 distance) and row masses
     s_i = sum_k w_k K_ik, the identity |a - b| = a + b - 2 min(a, b) gives
@@ -109,114 +101,71 @@ class _Bound:
 
     Rounding, with u = eps / 2 and K >= 0: the computed pair value is
     within (m + 1) u sum_k w_k |K_ik - K_jk| of d(i, j), and that sum is at
-    most s_i + s_j because K >= 0 (checked on the column minima).  Each
-    computed s_i is within m u s_i, and the computed overlap within
-    m u o_AB, where 2 o_AB <= hi_A + hi_B.  With the bound's own two
-    additions, the errors add up to at most (3m + 3) u (hi_A + hi_B)
-    <= 3 m eps (hi_A + hi_B), which a slack of _SLACK m (hi_A + hi_B)
-    covers more than five times over; 2m subnormals cover the terms that
-    underflow.  A ratio divides by (v_A + v_B)(1 - 4 eps), v_A the least
-    weight over A, which covers the roundings of both divisions.
+    most s_i + s_j because K >= 0 (checked on the column minima; a negative
+    entry raises ValueError).  Each computed s_i is within m u s_i, and the
+    computed overlap within m u o_AB, where 2 o_AB <= hi_A + hi_B.  With the
+    bound's own two additions, the errors add up to at most
+    (3m + 3) u (hi_A + hi_B) <= 3 m eps (hi_A + hi_B), which a slack of
+    _SLACK m (hi_A + hi_B) covers more than five times over; 2m subnormals
+    cover the terms that underflow.  A ratio divides by
+    (v_A + v_B)(1 - 4 eps), v_A the least weight over A, which covers the
+    roundings of both divisions.
     """
-
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def __init__(self, K, weights):
-        n, m = K.shape
-        self.cuts = cuts = _cuts(n, _CELL)
-        self.index = {cut: k for k, cut in enumerate(cuts)}
-        c = len(cuts) - 1  # cells a side
-        w = np.ones(m) if weights is None else weights
-        hi = np.maximum.reduceat(K @ w, cuts[:-1])
-        overlap = np.zeros((c, c))
-        step = max(1, _TILE * _TILE // c)  # columns a pass, so that their minima fill a tile
-        for k in range(0, m, step):
-            lo = np.array([K[a:b, k:k + step].min(axis=0) for a, b in zip(cuts, cuts[1:])])
-            if lo.min() < 0:
-                raise ValueError(f"a pair scan needs K >= 0; K has the entry {lo.min():.17g}")
-            for a in range(c):
-                overlap[a, a:] += np.minimum(lo[a], lo[a:]) @ w[k:k + step]
-        overlap += np.triu(overlap, 1).T
-        mass = hi[:, None] + hi
-        self.cell = mass - 2 * overlap + (_SLACK * m * mass
-                                          + 2 * m * np.finfo(float).smallest_subnormal)
-        if weights is not None:
-            least = np.minimum.reduceat(weights, cuts[:-1])
-            self.cell /= (least[:, None] + least) * (1 - 4 * np.finfo(float).eps)
-        self.cell[np.isnan(self.cell)] = np.inf  # an overflowed mass rules out nothing
-        # the cells (a, b), a <= b, that hold a pair: every cell holds two rows
-        self.pairs = np.triu(np.ones((c, c), dtype=bool))
-        self.best = -np.inf
-        # the cell of largest bound, a block scanned first to seed the best
-        a, b = divmod(int(np.where(self.pairs, self.cell, -np.inf).argmax()), c)
-        self.seed = (cuts[a], cuts[a + 1], cuts[b], cuts[b + 1])
-        self.done = np.zeros((c, c), dtype=bool)  # cells scanned already, the seed
-
-    def _cells(self, r0, r1, c0, c1):
-        """The rows and columns of cells that make up the block."""
-        index = self.index
-        return slice(index[r0], index[r1]), slice(index[c0], index[c1])
-
-    def blocks(self, tiles):
-        """The blocks to scan: the seed, then the live blocks of the tiles
-        in descending order of bound.  A tile's blocks are found once the
-        blocks before them are reduced, and no tile scans the seed again."""
-        yield self.seed
-        self.done[self._cells(*self.seed)] = True
-        for tile in sorted(tiles, key=lambda tile: self.cell[self._cells(*tile)].max(),
-                           reverse=True):
-            yield from self.live(tile)
-
-    def live(self, tile) -> list:
-        """Blocks (r0, r1, c0, c1) of the tile left to scan: none, the tile
-        when none of its cells with a pair is ruled out or done, or else its
-        live cells.  A cell is ruled out when its bound is below the best
-        value.  Of the live cells, each diagonal cell is one triangle, and
-        each run of the rest in one row of cells is one rectangle."""
-        a, b = self._cells(*tile)
-        pairs = self.pairs[a, b]
-        live = pairs & (self.cell[a, b] >= self.best) & ~self.done[a, b]
-        if not live.any() or (live == pairs).all():
-            return [tile] if live.any() else []
-        rows, cols = self.cuts[a.start:a.stop + 1], self.cuts[b.start:b.stop + 1]
-        blocks = []
-        for i, row in enumerate(live.tolist()):  # at most 8 x 8 cells: plain lists beat numpy calls
-            if tile[0] == tile[2] and row[i]:
-                blocks.append((rows[i], rows[i + 1], rows[i], rows[i + 1]))
-                row[i] = False
-            j = 0
-            for on, run in itertools.groupby(row):
-                end = j + len(list(run))
-                if on:
-                    blocks.append((rows[i], rows[i + 1], cols[j], cols[end]))
-                j = end
-        return blocks
+    n, m = K.shape
+    cuts = _cuts(n, _CELL)
+    c = len(cuts) - 1  # cells a side
+    a, b = np.triu_indices(c)
+    w = np.ones(m) if weights is None else weights
+    hi = np.maximum.reduceat(K @ w, cuts[:-1])
+    overlap = np.zeros(len(a))
+    starts = np.flatnonzero(a == b)  # where each row of cells (x, x:) starts
+    step = max(1, _WHOLE * _WHOLE // c)  # columns a pass, so that their minima take 128 kB
+    for k in range(0, m, step):
+        lo = np.array([K[r0:r1, k:k + step].min(axis=0) for r0, r1 in zip(cuts, cuts[1:])])
+        if lo.min() < 0:
+            raise ValueError(f"a pair scan needs K >= 0; K has the entry {lo.min():.17g}")
+        for x, start in enumerate(starts):
+            overlap[start:start + c - x] += np.minimum(lo[x], lo[x:]) @ w[k:k + step]
+    mass = hi[a] + hi[b]
+    bound = mass - 2 * overlap + (_SLACK * m * mass + 2 * m * np.finfo(float).smallest_subnormal)
+    if weights is not None:
+        least = np.minimum.reduceat(weights, cuts[:-1])
+        bound /= (least[a] + least[b]) * (1 - 4 * np.finfo(float).eps)
+    bound[np.isnan(bound)] = np.inf  # an overflowed mass rules out nothing
+    order = np.argsort(-bound, kind="stable")
+    a, b, cuts = a[order], b[order], np.array(cuts)
+    return bound[order], cuts[a], cuts[a + 1], cuts[b], cuts[b + 1]
 
 
 def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None) -> tuple:
     """Max over row pairs i < j of sum_k w_k |K_ik - K_jk|, over (w_i + w_j)
     when weights are given (K square), with its lexicographically first
     argmax witness (i, j); (0.0, (0, 0)) when K has fewer than two rows.  K
-    and the weights must be finite and nonnegative; a scan of more than one
-    tile raises ValueError on a negative entry of K.
+    and the weights must be finite and nonnegative; a scan of more than
+    _WHOLE rows raises ValueError on a negative entry of K.
 
-    A scan of more than one tile has a `_Bound`: the cell of largest bound
-    is scanned first, then the rest of the tiles in descending order of
-    bound, and a tile or cell is skipped when its bound is below the best
-    value found, so it holds no pair that ties the maximum.  No pair is
-    computed twice.  A diagonal block (r0 == c0) is pdist's condensed
-    triangle, rows (i, j) from `_triangle`, and any other is cdist's
-    rectangle, its rows and columns broadcast; both give each pair the bits
-    of one pdist over all rows of K.  Each block is reduced to its maximum
-    and first witness.
+    A scan of at most _WHOLE rows is one block.  A larger one visits the
+    cells of `_bounds` best-first and stops at the first cell whose bound
+    is below the best value found: that cell and every later one hold no
+    pair that ties the maximum, and every cell whose bound reaches the
+    maximum is computed, each once.  A diagonal block (r0 == c0) is pdist's
+    condensed triangle, rows (i, j) from `_triangle`, and any other is
+    cdist's rectangle, its rows and columns broadcast; both give each pair
+    the bits of one pdist over all rows of K.  Each block is reduced to its
+    maximum and first witness.
     """
     from scipy.spatial.distance import cdist, pdist
 
+    n = K.shape[0]
+    if n < 2:
+        return 0.0, (0, 0)
     metric = ({"metric": "cityblock"} if weights is None
               else {"metric": "minkowski", "p": 1, "w": weights})
-    tiles = _tiles(K.shape[0])
-    bound = _Bound(K, weights) if len(tiles) > 1 else None
+    cells = zip(*_bounds(K, weights)) if n > _WHOLE else [(math.inf, 0, n, 0, n)]
     top = (math.inf, (0, 0))  # (-max, first witness)
-    for r0, r1, c0, c1 in bound.blocks(tiles) if bound else tiles:
+    for bound, r0, r1, c0, c1 in cells:
+        if bound < -top[0]:
+            break
         if r0 == c0:
             d = pdist(K[r0:r1], **metric)
             i, j = _triangle(r1 - r0)
@@ -226,13 +175,10 @@ def _pair_scan(K: np.ndarray, weights: Optional[np.ndarray] = None) -> tuple:
         if weights is not None:
             d /= weights[r0:r1][i] + weights[c0:c1][j]
         first = int(d.argmax())  # first maximum in row-major pair order
-        value = d.item(first)
         a, b = (i[first], j[first]) if r0 == c0 else divmod(first, c1 - c0)
         # the largest value, and of its pairs the smallest
-        top = min(top, (-value, (r0 + int(a), c0 + int(b))))
-        if bound:
-            bound.best = max(bound.best, value)
-    return (-top[0], top[1]) if top[0] < math.inf else (0.0, (0, 0))
+        top = min(top, (-d.item(first), (int(r0 + a), int(c0 + b))))
+    return -top[0], top[1]
 
 
 def _minorization_levels(K: np.ndarray, masks: list) -> list:

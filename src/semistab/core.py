@@ -88,6 +88,9 @@ class GridDomain:
         pts = np.linspace(a, b, n)
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
+        if not ((pts[1:] > pts[:-1]).all() and (w > 0).all()):
+            raise GridError(f"a closed grid on [{a!r}, {b!r}] with n = {n} has spacing {h!r}, "
+                            "too fine for strictly increasing points with positive weights")
         return cls(pts, w, ((a, b),))
 
     @classmethod
@@ -102,6 +105,10 @@ class GridDomain:
             raise GridError(f"an open grid on ({a:g}, {b:g}) with n = {n} has spacing {h:g}, "
                             "not a positive finite number")
         pts = a + (np.arange(n) + 0.5) * h
+        # the weights are h > 0; the points may still round together or onto an end
+        if not ((pts[1:] > pts[:-1]).all() and a < pts[0] and pts[-1] < b):
+            raise GridError(f"an open grid on ({a!r}, {b!r}) with n = {n} has spacing {h!r}, "
+                            "too fine for strictly increasing points inside the interval")
         return cls(pts, np.full(n, h), ((a, b),))
 
 
@@ -202,6 +209,8 @@ class LyapunovSpec(NamedTuple):
 
     @classmethod
     def product(cls, factors: Sequence["LyapunovSpec"]) -> "LyapunovSpec":
+        if not factors:
+            raise ValueError("product family needs at least one factor")
         return cls("product", {"factors": tuple(factors)})
 
     @classmethod
@@ -236,8 +245,9 @@ class LyapunovSpec(NamedTuple):
                     cur = ""
                 else:
                     cur += ch
-            if cur.strip():
-                parts.append(cur)
+            parts.append(cur)
+            if not all(p.strip() for p in parts):
+                raise ValueError(f"empty factor in product spelling {spelling!r}")
             return cls.product([cls.parse(p) for p in parts])
         try:
             name, arg = spelling.split(":", 1)
@@ -246,7 +256,12 @@ class LyapunovSpec(NamedTuple):
         name = name.strip()
         if name not in ("const", "poly", "exp", "inv_plus_poly", "boundary"):
             raise ValueError(f"unknown Lyapunov family {name!r}")
-        return getattr(cls, name)(float(arg))
+        try:
+            value = float(arg)
+        except ValueError:
+            raise ValueError(f"bad Lyapunov spelling {spelling!r}: {arg.strip()!r} is not "
+                             "a number") from None
+        return getattr(cls, name)(value)
 
     # -- evaluation ---------------------------------------------------------
     @np.errstate(all="ignore")  # a non-finite or non-positive value is reported below

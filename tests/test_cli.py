@@ -584,6 +584,29 @@ _CONFIG_CASES = [
                "extra": {"op": "weingarten_residual", "surface": "flat", "theta": 8.0}}, 1,
      "config error: theta [8.] lies within 1e-05 of the chart edge, so the "
      "central-difference step leaves the chart domain"),
+    # a grid whose points or weights round together is named with its interval
+    ("cfg72", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": 0, "max": 1e-323, "n": 3}}, 1,
+     "config error: a closed grid on [0.0, 1e-323] with n = 3 has spacing 5e-324, "
+     "too fine for strictly increasing points with positive weights"),
+    ("cfg73", {"command": "eigen", "model": {"name": "half_harmonic"},
+               "grid": {"min": 0, "max": 1e-323, "n": 2}}, 1,
+     "config error: an open grid on (0.0, 1e-323) with n = 2 has spacing 5e-324, "
+     "too fine for strictly increasing points inside the interval"),
+    ("cfg74", {"command": "eigen", "model": {"name": "harmonic"},
+               "grid": {"min": 1, "max": 1.000000000000001, "n": 10}}, 1,
+     "config error: a closed grid on [1.0, 1.000000000000001] with n = 10 has spacing "),
+    # a product names its empty factor's spelling, and a family its parameter
+    *[(label, {"command": "contract", **_HARMONIC, "lyapunov": spelling}, 1,
+       f"config error: empty factor in product spelling {inner!r}")
+      for label, spelling, inner in [
+          ("cfg75", "product:[]", "product:[]"),
+          ("cfg76", "product:[ ]", "product:[ ]"),
+          ("cfg77", "product:[product:[]]", "product:[]"),
+          ("cfg78", "product:[poly:2,]", "product:[poly:2,]"),
+          ("cfg79", "product:[,poly:2]", "product:[,poly:2]")]],
+    ("cfg80", {"command": "contract", **_HARMONIC, "lyapunov": "poly:"}, 1,
+     "config error: bad Lyapunov spelling 'poly:': '' is not a number"),
 ]
 
 

@@ -397,8 +397,8 @@ def _scan_matrix(n, dyadic):
     return rng.dirichlet(np.ones(n), size=n), rng.uniform(0.5, 40.0, size=n)
 
 
-# one, two and three tiles a side, the last one ragged, an exact fit, and a
-# last row over (folded into the block before it)
+# one pdist, then cells past it: the last one ragged, an exact fit, and a
+# last row over (folded into the cell before it)
 @pytest.mark.parametrize("n", [100, 129, 200, 256, 257, 300])
 @pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("weighted", [False, True])
@@ -408,22 +408,20 @@ def test_tiled_pair_scan_keeps_the_one_pdist_bits(n, dyadic, weighted):
     assert _pair_scan(K, w) == _one_pdist_scan(K, w)
 
 
-def test_tiles_cover_each_pair_once_and_every_diagonal_tile_holds_a_pair():
-    # a diagonal tile's pairs are its cached triangle, any other tile's
-    # its rectangle, entry k at divmod(k, width)
-    for n in range(1, 530):
+def test_cells_cover_each_pair_once_and_every_diagonal_cell_holds_a_pair():
+    # a diagonal cell's pairs are its cached triangle, any other cell's its
+    # rectangle, entry k at divmod(k, width); one row has no pair and no cell
+    assert contraction._cuts(1, contraction._CELL) == []
+    for n in range(2, 530):
         pairs = np.zeros((n, n), dtype=int)
-        for r0, r1, c0, c1 in contraction._tiles(n):
+        for _, r0, r1, c0, c1 in zip(*contraction._bounds(np.ones((n, 1)), None)):
             if r0 == c0:
-                assert 2 <= r1 - r0 <= contraction._TILE + 1, (n, r0, r1)
+                assert 2 <= r1 - r0 <= contraction._CELL + 1, (n, r0, r1)
                 i, j = contraction._triangle(r1 - r0)
             else:
                 i, j = np.divmod(np.arange((r1 - r0) * (c1 - c0)), c1 - c0)
             np.add.at(pairs, (r0 + i, c0 + j), 1)
         assert (pairs == np.triu(np.ones((n, n), dtype=int), 1)).all(), n
-        # a tile's cells are looked up by its edges among the cell edges
-        assert set(contraction._cuts(n, contraction._TILE)) <= set(
-            contraction._cuts(n, contraction._CELL)), n
 
 
 def test_cached_triangles_are_read_only():
@@ -447,8 +445,8 @@ def _two_tied_pairs(n, p, q):
 
 
 @pytest.mark.parametrize("p, q", [
-    ((5, 200), (10, 20)),     # the first pair sits in a later tile
-    ((5, 200), (130, 131)),   # the later pair sits in a later tile
+    ((5, 200), (10, 20)),     # the first pair sits in a later cell
+    ((5, 200), (130, 131)),   # the later pair sits in a later cell
     ((3, 590), (300, 599)),
 ])
 def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
@@ -463,7 +461,7 @@ def test_tied_pairs_across_tiles_take_the_smallest_index_pair(p, q):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pair_scan_memory_is_one_tile(weighted):
     # the condensed n(n-1)/2 array of one pdist would be 16 MB at n = 2000;
-    # one tile at a time stays below a sixteenth of it
+    # the cell bounds and one cell at a time stay below a sixteenth of it
     n = 2000
     rng = np.random.default_rng(0)
     K = rng.random((n, n))
@@ -499,98 +497,148 @@ def _banded(n, dyadic):
 
 def _scanned(monkeypatch):
     """Counts, as a scan runs, the pairs that its pdist and cdist calls
-    compute and the tiles and seed cells of it that are scanned; a scan
-    without a bound (one tile) scans its tile and records none."""
+    compute and the number of those calls."""
     import scipy.spatial.distance as distance
 
-    record = {"pairs": 0, "tiles": []}
-    cdist, pdist, live = distance.cdist, distance.pdist, contraction._Bound.live
+    record = {"pairs": 0, "calls": 0}
+    cdist, pdist = distance.cdist, distance.pdist
 
     def counting_cdist(XA, XB, **kw):
         record["pairs"] += len(XA) * len(XB)
+        record["calls"] += 1
         return cdist(XA, XB, **kw)
 
     def counting_pdist(X, **kw):
         record["pairs"] += len(X) * (len(X) - 1) // 2
+        record["calls"] += 1
         return pdist(X, **kw)
-
-    def recording_live(self, tile):
-        blocks = live(self, tile)
-        record["tiles"] += [tile] if blocks else []
-        return blocks
 
     monkeypatch.setattr(distance, "cdist", counting_cdist)
     monkeypatch.setattr(distance, "pdist", counting_pdist)
-    monkeypatch.setattr(contraction._Bound, "live", recording_live)
     return record
 
 
-def test_pair_scan_skips_tiles_on_the_harmonic_contract_set(monkeypatch):
-    # the 560 rows {V <= r} that `contract` scans for alpha(r) on the
-    # harmonic model at 700 grid points, r the 0.8 quantile of V = 1 + x^2
-    P = discretize(HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
-    vals = LyapunovSpec.poly(2)(P.grid.points)
-    K = P.matrix[vals <= np.quantile(vals, 0.8)]
-    n = K.shape[0]
-    assert n == 560
-    record = _scanned(monkeypatch)
-    assert _pair_scan(K) == _one_pdist_scan(K)
-    assert record["pairs"] < n * (n - 1) // 2 // 4
-    assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
-
-
-def test_a_seed_cell_is_scanned_once(monkeypatch):
-    # the 560 rows {V <= r} that `contract` scans on gauss_ou at 700 grid
-    # points: the seed cell holds the maximum, the bound rules out every
-    # other cell, and no tile scans the seed again
-    P = discretize(GaussOU(), GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
+def _contract_set(model):
+    # the 560 rows {V <= r} that `contract` scans for alpha(r) on the model
+    # at 700 grid points on [-8, 8], r the 0.8 quantile of V = 1 + x^2
+    P = discretize(model, GridDomain.uniform_closed(-8.0, 8.0, 700), 1.0)
     vals = LyapunovSpec.poly(2)(P.grid.points)
     K = P.matrix[vals <= np.quantile(vals, 0.8)]
     assert K.shape[0] == 560
+    return K
+
+
+def test_pair_scan_skips_tiles_on_the_harmonic_contract_set(monkeypatch):
+    K = _contract_set(HarmonicOscillator())
+    n = K.shape[0]
     record = _scanned(monkeypatch)
     assert _pair_scan(K) == _one_pdist_scan(K)
-    assert record["pairs"] == 16 * 16  # 512 when the seed's tile scanned it again
-    assert record["tiles"] == []
+    assert record["pairs"] < n * (n - 1) // 2 // 4
 
 
-def _coverage(monkeypatch, n):
-    """How often the scan computes each pair (i, j), i < j, from the seed
-    and the blocks of `live` it scans."""
-    count = np.zeros((n, n), int)
-    init, live = contraction._Bound.__init__, contraction._Bound.live
+def test_a_scan_whose_first_cell_holds_the_maximum_computes_that_cell_alone(monkeypatch):
+    # the `contract` rows on gauss_ou: the cell of largest bound holds the
+    # maximum, and the bound rules out every other cell
+    K = _contract_set(GaussOU())
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K) == _one_pdist_scan(K)
+    assert record["pairs"] == 16 * 16  # 512 when a cell was computed twice
+    assert record["calls"] == 1
 
-    def add(r0, r1, c0, c1):
-        block = count[r0:r1, c0:c1]
-        block += np.triu(np.ones_like(block), 1) if r0 == c0 else 1
 
-    def recording_init(self, *args):
-        init(self, *args)
-        add(*self.seed)
+def _visits(monkeypatch):
+    """The cells (bound, r0, r1, c0, c1) that scans take from `_bounds`, in
+    the order taken; a scan that stops takes the cell it stops at last."""
+    cells, bounds = [], contraction._bounds
 
-    def recording_live(self, tile):
-        blocks = live(self, tile)
-        for block in blocks:
-            add(*block)
-        return blocks
+    def recording_bounds(K, weights):
+        bound, *edges = bounds(K, weights)
 
-    monkeypatch.setattr(contraction._Bound, "__init__", recording_init)
-    monkeypatch.setattr(contraction._Bound, "live", recording_live)
-    return count
+        def visit():
+            for k, value in enumerate(bound):
+                cells.append((value, *(int(e[k]) for e in edges)))
+                yield value
+        return (visit(), *edges)
+
+    monkeypatch.setattr(contraction, "_bounds", recording_bounds)
+    return cells
+
+
+def _computed(cells, best):
+    # the cells a scan computes of those it takes: all but a last one whose
+    # bound is below the maximum it found
+    return cells[:-1] if cells and cells[-1][0] < best else cells
+
+
+def _pairs_of(cell):
+    _, r0, r1, c0, c1 = cell
+    return (r1 - r0) * (r1 - r0 - 1) // 2 if r0 == c0 else (r1 - r0) * (c1 - c0)
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
 def test_every_pair_is_scanned_at_most_once(monkeypatch, dyadic):
-    # the seed, the diagonal cells and the runs of cells never overlap
+    # the cells computed never overlap, and they are all the scan computes
     n = 700
     K, _ = _banded(n, dyadic)
-    count = _coverage(monkeypatch, n)
+    cells = _visits(monkeypatch)
     record = _scanned(monkeypatch)
-    assert _pair_scan(K) == _one_pdist_scan(K)
+    best, pair = _pair_scan(K)
+    assert (best, pair) == _one_pdist_scan(K)
+    count = np.zeros((n, n), int)
+    for _, r0, r1, c0, c1 in _computed(cells, best):
+        block = count[r0:r1, c0:c1]
+        block += np.triu(np.ones_like(block), 1) if r0 == c0 else 1
     assert count.max() == 1 and count.sum() == record["pairs"]
 
 
-# sizes from one row to several tiles a side: cell and tile edges, an exact
-# fit, and a last row over
+@pytest.mark.parametrize("case", ["harmonic", "banded", "banded-weighted",
+                                  "banded-dyadic", "banded-dyadic-weighted"])
+def test_a_bounded_scan_computes_exactly_the_cells_whose_bound_reaches_the_maximum(
+        monkeypatch, case):
+    # best-first order: every cell whose bound is at least the maximum is
+    # computed, and the scan stops at the first cell whose bound is below it
+    if case == "harmonic":
+        K, w = _contract_set(HarmonicOscillator()), None
+    else:
+        K, w = _banded(700, "dyadic" in case)
+        w = w if "weighted" in case else None
+    bound, *edges = contraction._bounds(K, w)
+    best, _ = _one_pdist_scan(K, w)
+    reach = [(b, *(int(e[k]) for e in edges)) for k, b in enumerate(bound) if b >= best]
+    cells = _visits(monkeypatch)
+    record = _scanned(monkeypatch)
+    assert _pair_scan(K, w) == _one_pdist_scan(K, w)
+    assert _computed(cells, best) == reach
+    assert cells[-1][0] < best  # the scan stopped
+    assert record["pairs"] == sum(map(_pairs_of, reach))
+    if case == "harmonic":
+        assert record["pairs"] == 12800
+
+
+def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out(monkeypatch):
+    # the stop is strict: with the witness's cell first and every other
+    # cell's bound equal to the maximum, each cell is computed; one step
+    # below the maximum (a bound still, as the maximum is attained once),
+    # only the witness's cell is
+    n = 300
+    K, _ = _banded(n, False)
+    best, (i, j) = _one_pdist_scan(K)
+    bound, r0, r1, c0, c1 = contraction._bounds(K, None)
+    first = (r0 <= i) & (i < r1) & (c0 <= j) & (j < c1)
+    order = np.argsort(~first, kind="stable")
+    edges = [e[order] for e in (r0, r1, c0, c1)]
+    record = _scanned(monkeypatch)
+    for others, pairs in ((best, n * (n - 1) // 2),
+                          (np.nextafter(best, 0), _pairs_of((0, *(int(e[0]) for e in edges))))):
+        fake = np.where(first[order], np.inf, others)
+        monkeypatch.setattr(contraction, "_bounds", lambda K, w: (fake, *edges))
+        record["pairs"] = 0
+        assert _pair_scan(K) == (best, (i, j))
+        assert record["pairs"] == pairs
+
+
+# sizes from one row to several 128-row spans: cell edges, the one-pdist
+# limit, an exact fit, and a last row over
 SCAN_SIZES = [1, 2, 3, 7, 16, 17, 33, 39, 100, 127, 128, 129, 200, 256, 257, 300, 700]
 
 
@@ -615,14 +663,15 @@ def test_every_pair_value_is_within_its_cell_bound(n, matrix, dyadic, weighted):
     # and duplicated rows included, not just the maximum
     K, w = matrix(n, dyadic)
     w = w if weighted else None
-    bound = contraction._Bound(K, w)
+    bounds = np.full((n, n), np.nan)
+    for bound, r0, r1, c0, c1 in zip(*contraction._bounds(K, w)):
+        bounds[r0:r1, c0:c1] = bound
     i, j = np.triu_indices(n, 1)
     if w is None:
         d = pdist(K, "cityblock")
     else:
         d = pdist(K, "minkowski", p=1, w=w) / (w[i] + w[j])
-    cell = np.searchsorted(bound.cuts, np.arange(n), side="right") - 1
-    assert (d <= bound.cell[cell[i], cell[j]]).all()
+    assert (d <= bounds[i, j]).all()
 
 
 def test_a_negative_entry_is_rejected_by_the_bound():
@@ -649,7 +698,6 @@ def test_pruned_weighted_scan_on_the_harmonic_h_transform(monkeypatch):
     record = _scanned(monkeypatch)
     rep = v_dobrushin(P, LyapunovSpec.poly(2))
     assert record["pairs"] < n * (n - 1) // 2
-    assert 0 < len(record["tiles"]) < len(contraction._tiles(n))
     best, pair = _one_pdist_scan(K, vals)
     assert rep.witness_pair == pair and rep.beta == pytest.approx(best, rel=1e-12, abs=0)
     assert _pair_scan(K, vals) == (best, pair)
@@ -717,81 +765,29 @@ def test_local_minorization_on_one_sub_level_set_is_bounded(monkeypatch):
     record = _scanned(monkeypatch)
     assert local_minorization(P, V, r) == 1.0 - 0.5 * _one_pdist_scan(K)[0]
     assert record["pairs"] < n * (n - 1) // 2
-    assert record["tiles"]
 
 
 @pytest.mark.parametrize("p, q", [
-    ((5, 200), (10, 20)),     # the first pair sits in a later tile
-    ((5, 200), (130, 131)),   # the later pair sits in a later tile
+    ((5, 200), (10, 20)),     # the first pair sits in a later cell
+    ((5, 200), (130, 131)),   # the later pair sits in a later cell
     ((3, 590), (300, 599)),
-    ((300, 599), (140, 450)),  # both pairs away from the first tile
+    ((300, 599), (140, 450)),  # both pairs away from the first cell
 ])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_tied_pairs_across_skipped_tiles_take_the_smallest_index_pair(monkeypatch, p, q,
                                                                       weighted):
-    # the rows other than p and q are equal, so the tiles that hold neither
-    # pair are skipped, and each tied pair's tile is scanned
+    # the rows other than p and q are equal, so the cells that hold neither
+    # pair are skipped, and each tied pair's cell is computed
     K = _two_tied_pairs(600, p, q)
     w = np.ones(600) if weighted else None
     record = _scanned(monkeypatch)
     assert _pair_scan(K, w) == (1.0 if weighted else 2.0, min(p, q)) == _one_pdist_scan(K, w)
-    assert 0 < len(record["tiles"]) < len(contraction._tiles(600))
-
-
-def _live_cells(bound, n):
-    # the cells with a pair that the live blocks of the tiles cover
-    cells = np.zeros_like(bound.pairs)
-    for tile in contraction._tiles(n):
-        for block in bound.live(tile):
-            cells[bound._cells(*block)] = True
-    return cells & bound.pairs
-
-
-def test_a_cell_whose_bound_equals_the_best_is_not_ruled_out():
-    # the skip is strict, so a pair whose value ties the bound of its cell
-    # is scanned
-    n = 300
-    K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None)
-    top = bound.cell[bound.pairs].max()
-    bound.best = top
-    assert (_live_cells(bound, n) == (bound.pairs & (bound.cell == top))).all()
-    assert _live_cells(bound, n).any()
-    bound.best = np.nextafter(top, np.inf)
-    assert not _live_cells(bound, n).any()
-
-
-def test_live_blocks_cover_the_pairs_of_the_live_cells():
-    # the blocks of a tile that is scanned in part are its live cells: each
-    # diagonal cell as one triangle, and each run of the rest in one row of
-    # cells as one rectangle
-    n = 700
-    K, _ = _banded(n, False)
-    bound = contraction._Bound(K, None)
-    bound.best = np.median(bound.cell[bound.pairs])  # rules out half the cells
-    cuts, upper = bound.cuts, np.triu(np.ones((n, n), bool), 1)
-    split = 0
-    for tile in contraction._tiles(n):
-        a, b = bound._cells(*tile)
-        live = bound.pairs[a, b] & (bound.cell[a, b] >= bound.best)
-        want = np.zeros((n, n), bool)
-        for i, j in zip(*np.nonzero(live)):
-            want[cuts[a.start + i]:cuts[a.start + i + 1], cuts[b.start + j]:cuts[b.start + j + 1]] = True
-        got = np.zeros((n, n), bool)
-        blocks = bound.live(tile)
-        for r0, r1, c0, c1 in blocks:
-            if blocks != [tile]:
-                assert cuts.index(r1) == cuts.index(r0) + 1, (tile, r0, r1)  # one row of cells
-                assert r0 != c0 or c1 == r1, (tile, c0, c1)  # a diagonal block is one cell
-            got[r0:r1, c0:c1] = True  # as the scan reads them
-        assert (got & upper == want & upper).all(), tile
-        split += blocks not in ([], [tile])
-    assert split  # some tile was scanned in part
+    assert record["pairs"] < 600 * 599 // 2
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pruned_pair_scan_memory_is_one_tile(monkeypatch, weighted):
-    # the bound takes a few rows of n entries and a few matrices of cell
+    # the bound takes a few rows of n entries and a few arrays of cell
     # bounds: the scan stays within the bound of
     # test_pair_scan_memory_is_one_tile while it skips most pairs
     n = 2000
@@ -893,7 +889,7 @@ def test_row_sets_scan_like_their_own_rows(n, dyadic):
 
 @pytest.mark.parametrize("rows", [129, 257])
 def test_scans_of_a_last_row_over_keep_the_one_pdist_bits(rows):
-    # 129 and 257 rows leave one row past the last full tile
+    # 129 and 257 rows leave one row past the last full cell
     n = rows + 32
     rng = np.random.default_rng(rows)
     P = chain(rng.dirichlet(np.ones(n), size=n))

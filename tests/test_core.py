@@ -259,6 +259,43 @@ def test_uniform_grids_name_a_spacing_that_is_not_a_float(a, b, n, spacing):
         GridDomain.uniform_open(a, b, n)
 
 
+@pytest.mark.parametrize("grid, a, b, n, message", [
+    (GridDomain.uniform_closed, 0.0, 1e-323, 3,
+     r"^a closed grid on \[0.0, 1e-323\] with n = 3 has spacing 5e-324, too fine"),
+    (GridDomain.uniform_closed, 1.0, 1.000000000000001, 10,
+     r"^a closed grid on \[1.0, 1.000000000000001\] with n = 10 has spacing "),
+    # the first midpoint rounds onto the open end
+    (GridDomain.uniform_open, 0.0, 1e-323, 2,
+     r"^an open grid on \(0.0, 1e-323\) with n = 2 has spacing 5e-324, too fine"),
+    (GridDomain.uniform_open, 1.0, 1.000000000000001, 10,
+     r"^an open grid on \(1.0, 1.000000000000001\) with n = 10 has spacing "),
+])
+def test_uniform_grids_name_points_that_round_together(grid, a, b, n, message):
+    # a positive spacing whose points or half weights round together would
+    # otherwise fail on unordered points or nonpositive weights
+    with pytest.raises(GridError, match=message):
+        grid(a, b, n)
+
+
+@pytest.mark.parametrize("spelling, message", [
+    ("product:[]", "empty factor in product spelling 'product:[]'"),
+    ("product:[ ]", "empty factor in product spelling 'product:[ ]'"),
+    ("product:[product:[]]", "empty factor in product spelling 'product:[]'"),
+    ("product:[poly:2,]", "empty factor in product spelling 'product:[poly:2,]'"),
+    ("product:[,poly:2]", "empty factor in product spelling 'product:[,poly:2]'"),
+    ("poly:", "bad Lyapunov spelling 'poly:': '' is not a number"),
+])
+def test_lyapunov_spellings_name_an_empty_factor_or_parameter(spelling, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LyapunovSpec.parse(spelling)
+
+
+def test_a_product_needs_a_factor():
+    with pytest.raises(ValueError, match="^product family needs at least one factor$"):
+        LyapunovSpec.product([])
+    assert LyapunovSpec.product([LyapunovSpec.poly(2)]).at(2.0) == 5.0
+
+
 def test_lyapunov_divergence_surrogate():
     g = GridDomain.uniform_open(0.0, 1.0, 200)
     assert open_edge_divergence_ok(LyapunovSpec.boundary(0.5), g)

@@ -31,14 +31,19 @@ def _names(tree, attributes_only=False):
             yield node.id
 
 
+def _trees():
+    """The parsed modules of src/, tests/ and bench/, by path."""
+    root = SRC.parent.parent
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
+
+
 def test_every_definition_in_the_package_is_used():
     # a def counts as used when some name or attribute in src/, tests/ or
     # bench/ refers to it outside its own body, and a method only when an
     # attribute does, so that a parameter or local of the same name does not
     # hide it; the CLI's _cmd_* handlers are dispatched by name through globals()
-    root = SRC.parent.parent
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
+    trees = _trees()
     uses = {attrs: Counter(name for tree in trees.values() for name in _names(tree, attrs))
             for attrs in (False, True)}
     dead = []
@@ -76,6 +81,33 @@ def test_every_import_in_the_package_is_used():
             unused += [f"{path.name}:{node.lineno} {name}" for name in imported
                        if name not in named]
     assert not unused, f"imports that their module never names: {unused}"
+
+
+def test_every_module_constant_is_used():
+    # a name that a package module assigns at its top level (dunders aside)
+    # is read, as a name or an attribute, somewhere in src/, tests/ or
+    # bench/, so removed code leaves no constant behind
+    trees = _trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                unread += [f"{path.name}:{stmt.lineno} {node.id}" for node in ast.walk(target)
+                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                           and not (node.id.startswith("__") and node.id.endswith("__"))
+                           and node.id not in read]
+    assert not unread, f"module constants that nothing reads: {unread}"
 
 
 def _set_by(call):
@@ -134,9 +166,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     # or attribute name, and a method's positions start after `self`; a
     # dataclass or NamedTuple field with a default counts as a parameter of
     # its class
-    root = SRC.parent.parent
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
+    trees = _trees()
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
