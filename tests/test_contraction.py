@@ -254,6 +254,148 @@ def test_nonexpansive_reports_empty_window():
     assert "2 alpha1" in rep.violated
 
 
+@pytest.mark.parametrize("kwargs", [{"T": 0, "trials": 5}, {"T": 3, "trials": 0},
+                                    {"T": -1}, {"trials": -2}])
+def test_nonexpansive_check_that_checks_no_measure_is_rejected(kwargs):
+    # T < 1 or trials < 1 leaves no norm step to compare, which used to pass
+    from semistab.subgeometric import build_certified_chain
+
+    P, V, drift, c = build_certified_chain()
+    name, value = next((k, v) for k, v in kwargs.items() if v < 1)
+    with pytest.raises(ValueError, match=f"^{name} = {value} must be at least 1$"):
+        nonexpansive_check(P, V, drift.phi, rho=1.1, r=1.0, **kwargs)
+
+
+def dense_norm_path(nu, K, w, T):
+    """The dense loop of _norm_path, one product nu @ K a step."""
+    out = [np.abs(nu) @ w]
+    for _ in range(T):
+        nu = nu @ K
+        out.append(np.abs(nu) @ w)
+    return np.array(out)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """The CSR arrays that _norm_path builds, counted by wrapping scipy's
+    constructor."""
+    import scipy.sparse
+
+    built = []
+    real = scipy.sparse.csr_array
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scipy.sparse, "csr_array", counting)
+    return built
+
+
+def certified():
+    from semistab.subgeometric import build_certified_chain
+
+    P, V, drift, c = build_certified_chain()
+    return P.matrix, V(P.grid.points), drift
+
+
+def test_csr_norm_path_matches_the_dense_loop_on_rate_starts(conversions):
+    # the rate command's start measure delta_s - delta_0 on the certified
+    # chain (0.4% nonzero, so CSR) stays two-sparse, so each product sums
+    # two terms: the paths agree bitwise, except where the dense product
+    # fuses a multiply-add; then they differ by 1 ulp (first at t = 3 from
+    # s = 2, t = 6 from s = 3) and by at most eps times the start norm
+    K, vals, drift = certified()
+    n = len(K)
+    w = 1.0 + 1.1 * drift.phi1(vals)
+    for start in (1, 2, 3, 4, 250, n - 1):
+        nu = np.zeros(n)
+        nu[start], nu[0] = 1.0, -1.0
+        got, want = contraction._norm_path(nu, K, w, 200), dense_norm_path(nu, K, w, 200)
+        assert np.abs(got - want).max() <= np.finfo(float).eps * want[0]
+        if start >= 250:
+            assert np.array_equal(got, want)
+    assert len(conversions) == 6
+    assert np.array_equal(conversions[0].toarray(), K.T)
+
+
+def test_csr_norm_path_matches_the_dense_loop_on_a_measure_stack(conversions):
+    # the 50-measure stack of nonexpansive_check: a column with several
+    # nonzero sources sums in another order, which moved the values by at
+    # most 8.1e-15 relative over seeds 0-19
+    K, vals, _ = certified()
+    w = 1.0 + 1.1 * vals
+    draws = np.random.default_rng(7).dirichlet(np.ones(len(K)), size=100)
+    mu = draws[0::2] - draws[1::2]
+    got, want = contraction._norm_path(mu, K, w, 25), dense_norm_path(mu, K, w, 25)
+    assert got.shape == want.shape == (26, 50)
+    assert (np.abs(got - want) <= 1e-14 * want).all()
+    assert len(conversions) == 1
+
+
+def test_a_dense_kernel_keeps_the_dense_loop_and_its_bits(conversions):
+    m = HarmonicOscillator()
+    g = GridDomain.uniform_closed(-8.0, 8.0, 300)
+    K = discretize(m, g, 1.0).matrix
+    nu = np.random.default_rng(2).standard_normal(300)
+    w = 1.0 + g.points ** 2
+    assert np.array_equal(contraction._norm_path(nu, K, w, 12), dense_norm_path(nu, K, w, 12))
+    assert conversions == []
+
+
+@pytest.mark.parametrize("head", [False, True])
+def test_kernels_either_side_of_the_threshold_take_their_path(conversions, head):
+    # n = 200, so 400 nonzeros are _SPARSE of the entries.  Filling the
+    # first rows, 400 of them decide from the first rows alone; filling the
+    # last rows, the full count decides
+    n = 200
+    limit = int(contraction._SPARSE * n * n)
+    assert limit == 400
+    rng = np.random.default_rng(5)
+    w = rng.random(n) + 1.0
+    nu = rng.standard_normal((3, n))
+    for nonzeros, sparse in ((limit - 1, True), (limit, False), (limit + 1, False)):
+        K = np.zeros((n, n))
+        K.flat[np.s_[:nonzeros] if head else np.s_[-nonzeros:]] = 1.0 / n
+        built = len(conversions)
+        got = contraction._norm_path(nu, K, w, 4)
+        assert len(conversions) == built + sparse
+        want = dense_norm_path(nu, K, w, 4)
+        if sparse:
+            assert (np.abs(got - want) <= 1e-14 * want).all()
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_non_finite_weights_raise_before_any_conversion(conversions, dense, monkeypatch):
+    K, vals, _ = certified()
+    if dense:
+        K = np.full_like(K, 1.0 / len(K))
+    calls = []
+    monkeypatch.setattr(contraction, "_sparse_transpose",
+                        lambda K, f=contraction._sparse_transpose: calls.append(1) or f(K))
+    w = 1.0 + vals
+    w[7] = np.inf
+    nu = np.zeros(len(K))
+    nu[5], nu[0] = 1.0, -1.0
+    with pytest.raises(ArithmeticError, match="norm weights are not finite"):
+        contraction._norm_path(nu, K, w, 10)
+    assert calls == [] and conversions == []
+
+
+def test_a_path_of_no_steps_builds_no_csr(conversions):
+    # polynomial_rate_check's start norm is one
+    K, vals, _ = certified()
+    nu = np.zeros(len(K))
+    nu[9], nu[0] = 1.0, -1.0
+    w = 1.0 + vals
+    assert contraction._norm_path(nu, K, w, 0).tolist() == [w[9] + w[0]]
+    assert conversions == []
+    contraction._norm_path(nu, K, w, 1)
+    assert len(conversions) == 1
+
+
 def brute_pair_scan(K, w=None):
     """Double loop over i < j; a strictly larger value moves the witness."""
     best, pair = -math.inf, (0, 0)

@@ -573,15 +573,20 @@ def test_hermite_series_matches_the_plain_sum():
 def test_self_adjoint_models_are_w_symmetric_on_the_grid(name):
     # leading_eigentriple trusts the flag to set eta = h w: a model that
     # declares it has w_i K_ij = w_j K_ji to rounding, and one that does
-    # not is clearly asymmetric (half_harmonic_linear only away from a = 0,
-    # where it is the absorbed oscillator)
+    # not is clearly asymmetric.  half_harmonic_linear declares it exactly
+    # at a = 0, where it has no drift, at every varsigma; a tiny a is
+    # asymmetric by about a, so it declares False
     cls = MODELS[name]
-    m = cls(a=0.3, varsigma=2.0) if cls is HalfHarmonicLinear else cls()
-    grid = m.default_grid(40) if hasattr(m, "default_grid") \
-        else GridDomain.uniform_closed(-6.0, 6.0, 40)
-    wK = grid.cell_weights[:, None] * discretize(m, grid, 0.5).matrix
-    asymmetry = np.abs(wK - wK.T).max() / np.abs(wK).max()
-    if m.self_adjoint:
-        assert asymmetry <= 1e-14
-    else:
-        assert asymmetry > 1e-2
+    models = [cls()]
+    if cls is HalfHarmonicLinear:
+        models = [cls(a=0.3, varsigma=2.0), *(cls(a=0.0, varsigma=s) for s in (0.5, 1.0, 2.0))]
+        assert not cls(a=1e-9).self_adjoint
+    for m in models:
+        grid = m.default_grid(40) if hasattr(m, "default_grid") \
+            else GridDomain.uniform_closed(-6.0, 6.0, 40)
+        wK = grid.cell_weights[:, None] * discretize(m, grid, 0.5).matrix
+        asymmetry = np.abs(wK - wK.T).max() / np.abs(wK).max()
+        if m.self_adjoint:
+            assert asymmetry <= 1e-14
+        else:
+            assert asymmetry > 1e-2

@@ -83,6 +83,27 @@ def test_every_import_in_the_package_is_used():
     assert not unused, f"imports that their module never names: {unused}"
 
 
+def test_scipy_is_imported_inside_functions_only():
+    # importing scipy costs a CLI run up to 0.2 s (scipy.special), so only
+    # the functions that need it import it, never a module at its top level
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lazy = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if id(node) not in lazy and any(n.partition(".")[0] == "scipy" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imports outside a function: {found}"
+
+
 def test_every_module_constant_is_used():
     # a name that a package module assigns at its top level (dunders aside)
     # is read, as a name or an attribute, somewhere in src/, tests/ or
