@@ -46,9 +46,16 @@ __all__ = [
 ]
 
 _SUB_MARKOV_SLACK = 1e-9
-# Grid entries per broadcast density call in `discretize`: its temporaries
-# stay near 512 KB each instead of growing with the whole n x n matrix.
+# Grid entries per block of rows in `discretize` and the h-transforms: their
+# temporaries stay near 512 KB each instead of growing with the n x n matrix.
 _DENSITY_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int):
+    """(lo, hi) bounds of consecutive blocks of rows of an n x n matrix,
+    each of about _DENSITY_BLOCK entries."""
+    step = max(1, _DENSITY_BLOCK // n)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square of the grid size")
         if self.time_step <= 0:
             raise ValueError("time_step must be positive")
-        if not (K >= 0).all():  # False at a NaN entry too, unlike (K < 0).any()
+        if not K.min(initial=np.inf) >= 0:  # False at a NaN entry too, unlike K.min() < 0
             bad = ~np.isfinite(K)
             if bad.any():
                 i, j = np.argwhere(bad)[0]
@@ -123,19 +130,66 @@ def mehler_mass(t: float, x) -> np.ndarray:
     return np.exp(-(x ** 2) * np.tanh(t) / 2.0) / math.sqrt(math.cosh(t))
 
 
+class _GaussianRows(NamedTuple):
+    """Density rows factor(x) exp(-(y - m(x))^2 / 2p) of the starts x.
+
+    With `image`, the rows of a Gaussian killed at the origin: the mirror
+    term exp(-(y + m)^2 / 2p) is subtracted as exp(-(y - m)^2 / 2p)
+    expm1(-2ym/p), which does not cancel where y m is small, and the rows
+    vanish at y <= 0.
+    """
+
+    factor: np.ndarray  # of x's shape
+    mean: np.ndarray    # of x's shape
+    var: float
+    image: bool = False
+
+    def rows(self, y, w=None, out=None):
+        """The density at y (broadcast against x), times the weights w;
+        written into `out` when given, with one temporary of out's size
+        for the image term and none otherwise."""
+        y = np.asarray(y, dtype=float)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(y.shape, np.shape(self.mean)))
+        np.subtract(y, self.mean, out=out)
+        np.square(out, out=out)
+        np.multiply(out, -0.5 / self.var, out=out)
+        np.exp(out, out=out)
+        factor = self.factor
+        if self.image:
+            mirror = np.multiply(y, self.mean, out=np.empty_like(out))
+            np.multiply(mirror, -2.0 / self.var, out=mirror)
+            out *= np.expm1(mirror, out=mirror)
+            factor = -factor  # the bracket 1 - exp(-2ym/p) is -expm1
+        np.multiply(out, factor, out=out)
+        if w is not None:
+            np.multiply(out, w, out=out)
+        if self.image and not (y > 0).all():
+            np.copyto(out, 0.0, where=~(y > 0))
+        return out if out.ndim else out[()]
+
+
+class _GaussianModel:
+    """A model whose density is one `_GaussianRows` per start x, which its
+    `_gaussian_rows(t, x)` gives.  `discretize` writes those rows in place
+    unless a subclass replaces `density`."""
+
+    def density(self, t, x, y):
+        return self._gaussian_rows(t, x).rows(y)
+
+
+def _mehler_rows(t: float, x) -> _GaussianRows:
+    p = math.tanh(t)
+    factor = mehler_mass(t, x) / math.sqrt(2 * math.pi * p)  # mehler_mass checks t > 0
+    return _GaussianRows(factor, np.asarray(x, dtype=float) / math.cosh(t), p)
+
+
 def mehler_kernel(t: float, x, y) -> np.ndarray:
     """Transition density q_t(x, y): contracting Gaussian times mass factor.
 
     Mean x/cosh(t), variance tanh(t); total y-integral is mehler_mass(t, x).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = math.tanh(t)
-    m = x / math.cosh(t)
-    gauss = np.exp(-((y - m) ** 2) / (2 * p)) / math.sqrt(2 * math.pi * p)
-    return mehler_mass(t, x) * gauss
+    return _mehler_rows(t, x).rows(y)
 
 
 def hermite_polynomial(n: int, x) -> np.ndarray:
@@ -365,6 +419,20 @@ def gauss_ou_kernel(t: float, A, Sigma, x):
     return mean, cov
 
 
+def _half_line_rows(t: float, x, a: float, varsigma: float):
+    """Gaussian rows of the half-line linear diffusion's density, and the
+    unabsorbed mass factor exp(-(varsigma/2)(pbar_t + chi_t x^2)) of x."""
+    if t <= 0 or varsigma <= 0:
+        raise ValueError("t and varsigma must be positive")
+    x = np.asarray(x, dtype=float)
+    if not (x > 0).all():
+        raise ValueError("x must be positive")
+    p, log_x = _scalar_flow(1.0, 2.0 * a, varsigma, 0.0, t)
+    free = np.exp(-0.5 * (log_x + a * t + varsigma * p * x * x))
+    rows = _GaussianRows(free / math.sqrt(2 * math.pi * p), x * math.exp(-log_x), p, True)
+    return rows, free
+
+
 def half_harmonic_linear(t: float, x, a: float, varsigma: float):
     """Mass and density of the half-line linear diffusion, killed at 0,
     in the quadratic potential varsigma x^2 / 2.
@@ -375,28 +443,16 @@ def half_harmonic_linear(t: float, x, a: float, varsigma: float):
     origin contributes the reflected Gaussian bracket.  With p_t = Y_t / X_t
     the scalar flow from 0, chi_t = p_t and varsigma pbar_t = log X_t + a t.
     The start x may be an array: the mass has its shape, and the density of
-    y broadcasts x against y.
+    y, normalised to total mass 1, broadcasts x against y.  The kernel,
+    mass times density, needs no erf: `HalfHarmonicLinear.density`.
     """
     from scipy.special import erf
 
-    if t <= 0 or varsigma <= 0:
-        raise ValueError("t and varsigma must be positive")
-    x = np.asarray(x, dtype=float)
-    if not (x > 0).all():
-        raise ValueError("x must be positive")
-    p, log_x = _scalar_flow(1.0, 2.0 * a, varsigma, 0.0, t)
-    m = x * math.exp(-log_x)
+    rows, free = _half_line_rows(t, x, a, varsigma)
+    m, p = rows.mean, rows.var
     z = 0.5 * erf(m / math.sqrt(p) / math.sqrt(2.0))  # P(0 <= Z <= m / sqrt(p))
-    mass = 2.0 * np.exp(-0.5 * (log_x + a * t + varsigma * p * x * x)) * z
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        plus = np.exp(-((y - m) ** 2) / (2 * p))
-        minus = np.exp(-((y + m) ** 2) / (2 * p))
-        out = (plus - minus) / (2.0 * math.sqrt(2 * math.pi * p) * z)
-        return np.where(y > 0, out, 0.0)
-
-    return mass, density
+    mass = 2.0 * free * z
+    return mass, _GaussianRows(0.5 / (math.sqrt(2 * math.pi * p) * z), m, p, True).rows
 
 
 def half_linear_fixed_point(a: float, varsigma: float) -> float:
@@ -409,15 +465,15 @@ def half_linear_fixed_point(a: float, varsigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HarmonicOscillator:
+class HarmonicOscillator(_GaussianModel):
     name: ClassVar[str] = "harmonic"
     open_grid: ClassVar[bool] = False
     is_markov: ClassVar[bool] = False
     self_adjoint: ClassVar[bool] = True
     exact_rho: ClassVar[float] = -0.5
 
-    def density(self, t, x, y):
-        return mehler_kernel(t, x, y)
+    def _gaussian_rows(self, t, x):
+        return _mehler_rows(t, x)
 
     def mass(self, t, x):
         return mehler_mass(t, x)
@@ -459,7 +515,7 @@ class DirichletHeat:
 
 
 @dataclass(frozen=True)
-class GaussOU:
+class GaussOU(_GaussianModel):
     """Scalar linear diffusion dX = a X dt + sigma dB (Markov)."""
 
     a: float = -1.0
@@ -474,18 +530,13 @@ class GaussOU:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def _moments(self, t, x):
+    def _gaussian_rows(self, t, x):
         mean = np.exp(self.a * t) * np.asarray(x, dtype=float)
         if self.a == 0:
             var = self.sigma ** 2 * t
         else:
             var = self.sigma ** 2 * (math.expm1(2 * self.a * t)) / (2 * self.a)
-        return mean, var
-
-    def density(self, t, x, y):
-        mean, var = self._moments(t, x)
-        y = np.asarray(y, dtype=float)
-        return np.exp(-((y - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+        return _GaussianRows(1.0 / math.sqrt(2 * math.pi * var), mean, var)
 
     def mass(self, t, x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -503,7 +554,7 @@ class GaussOU:
 
 
 @dataclass(frozen=True)
-class HalfHarmonicLinear:
+class HalfHarmonicLinear(_GaussianModel):
     a: float = 0.0
     varsigma: float = 1.0
     name: ClassVar[str] = "half_harmonic_linear"
@@ -530,9 +581,8 @@ class HalfHarmonicLinear:
         # rate -(beta - a) at the origin barrier
         return self.a - 1.5 * self.beta
 
-    def density(self, t, x, y):
-        mass, dens = half_harmonic_linear(t, x, self.a, self.varsigma)
-        return mass * dens(y)
+    def _gaussian_rows(self, t, x):
+        return _half_line_rows(t, x, self.a, self.varsigma)[0]
 
     def mass(self, t, x):
         return half_harmonic_linear(t, x, self.a, self.varsigma)[0]
@@ -568,26 +618,31 @@ MODELS = {m.name: m for m in (HarmonicOscillator, HalfHarmonicOscillator, Dirich
 def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
     """Quadrature realization of the kernel on the grid.
 
-    Entry (i, j) = density(t, x_i, x_j) * cell_weight(j), clamped at zero
-    (truncated eigenseries may dip microscopically negative).  A Markov
-    model's rows must sum to 1 within 1e-6; a zero row (underflow) is an
-    ArithmeticError.  The density
-    is evaluated on blocks of rows in broadcast calls, x a column, so it
-    must accept an array of x.  When a block fails, its rows are evaluated
-    one at a time only to name the first failing row in the raised
-    ArithmeticError.
+    Entry (i, j) = density(t, x_i, x_j) * cell_weight(j).  The Gaussian
+    models (harmonic, half_harmonic, half_harmonic_linear, gauss_ou) have
+    their rows written in place by the one helper `_GaussianRows.rows`,
+    which makes no negative or NaN entry from finite inputs.  Any other
+    density, a series model's or a subclass's own `density`, is evaluated
+    on blocks of rows in broadcast calls, x a column, so it must accept an
+    array of x; its entries are clamped at zero (a truncated eigenseries
+    may dip microscopically negative).  When a block fails, its rows are
+    evaluated one at a time only to name the first failing row in the
+    raised ArithmeticError.  A Markov model's rows must sum to 1 within
+    1e-6; a zero row (underflow) is an ArithmeticError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     pts, w = grid.points, grid.cell_weights
     n = grid.size
     K = np.empty((n, n))
-    step = max(1, _DENSITY_BLOCK // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    gaussian = type(model).density is _GaussianModel.density
+    for lo, hi in _row_blocks(n):
         try:
             with np.errstate(all="ignore"):  # non-finite and zero rows are reported below
-                K[lo:hi] = model.density(t, pts[lo:hi, None], pts) * w
+                if gaussian:
+                    model._gaussian_rows(t, pts[lo:hi, None]).rows(pts, w, out=K[lo:hi])
+                else:
+                    K[lo:hi] = model.density(t, pts[lo:hi, None], pts) * w
         except Exception as exc:
             where = f"on grid rows {lo} to {hi - 1} broadcast together"
             for i in range(lo, hi):  # name the first row that fails alone
@@ -597,7 +652,8 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
                     exc, where = row_exc, f"at grid row {i} (x={float(pts[i])!r})"
                     break
             raise ArithmeticError(f"density evaluation failed {where}") from exc
-    np.clip(K, 0.0, None, out=K)
+    if not gaussian:
+        np.clip(K, 0.0, None, out=K)
     live = K.any(axis=1)
     if not live.all():
         raise ArithmeticError(f"the kernel mass underflowed to zero in {n - live.sum()} of "
@@ -609,6 +665,17 @@ def discretize(model, grid: GridDomain, t: float) -> DiscreteOperator:
         raise ArithmeticError(f"{n}-point grid quadrature failed: {exc}") from exc
 
 
+def _conjugated(lam: float, K: np.ndarray, h: np.ndarray, inverse: bool) -> np.ndarray:
+    """lam K_ij h_j / h_i (h_i / h_j if inverse), one block of rows at a time."""
+    P = lam * K
+    for lo, hi in _row_blocks(len(h)):
+        if inverse:
+            P[lo:hi] *= h[lo:hi, None] / h[None, :]
+        else:
+            P[lo:hi] *= h[None, :] / h[lo:hi, None]
+    return P
+
+
 def doob_h_transform(Q: DiscreteOperator, h: FunctionVec,
                      rho: float) -> DiscreteOperator:
     """Ground-state conjugation P_ij = e^{-rho tau} Q_ij h_j / h_i.
@@ -618,8 +685,7 @@ def doob_h_transform(Q: DiscreteOperator, h: FunctionVec,
     """
     if np.any(h.values <= 0):
         raise ValueError("h must be positive everywhere on the grid")
-    lam = math.exp(-rho * Q.time_step)
-    P = lam * Q.matrix * (h.values[None, :] / h.values[:, None])
+    P = _conjugated(math.exp(-rho * Q.time_step), Q.matrix, h.values, inverse=False)
     return DiscreteOperator(P, Q.grid, Q.time_step, is_markov=False,
                             quad_tol=Q.quad_tol)
 
@@ -627,8 +693,7 @@ def doob_h_transform(Q: DiscreteOperator, h: FunctionVec,
 def undo_h_transform(P: DiscreteOperator, h: FunctionVec,
                      rho: float) -> DiscreteOperator:
     """Entrywise inverse of `doob_h_transform`."""
-    lam = math.exp(rho * P.time_step)
-    Q = lam * P.matrix * (h.values[:, None] / h.values[None, :])
+    Q = _conjugated(math.exp(rho * P.time_step), P.matrix, h.values, inverse=True)
     return DiscreteOperator(Q, P.grid, P.time_step, is_markov=False,
                             quad_tol=P.quad_tol)
 

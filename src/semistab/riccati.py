@@ -288,30 +288,40 @@ def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
     """
     rng = np.random.default_rng([seed, 0x5D])
     checkpoints = np.linspace(T / 10, T, 10)
-    x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))  # (paths, d)
+    cp = np.append(checkpoints, np.inf)
+    x = np.tile(np.asarray(x0, dtype=np.int64), (n_paths, 1))  # (live paths, d)
     d = x.shape[1]
     V0 = float(np.sum(x0))
-    # every clock runs from 0 past T, so each path records every checkpoint;
-    # an infinite clock marks a finished path
+    # every clock runs from 0 past T, so each path records every checkpoint.
+    # The arrays hold the live paths only, ids their path numbers, and nxt
+    # is each one's first checkpoint not yet recorded
+    ids = np.arange(n_paths)
     t = np.zeros(n_paths)
+    nxt = np.zeros(n_paths, dtype=np.intp)
     records = np.full((10, n_paths), np.nan)
     truncated = False
-    while np.isfinite(t).any():
+    while ids.size:
         xf = x.astype(float)
         up, dn = spec.birth_rates(xf), spec.death_rates(xf)
         total = up.sum(axis=1) + dn.sum(axis=1)
-        moving = np.isfinite(t) & (total > 0)  # a path with no rate left parks
-        t_new = np.full(n_paths, np.inf)
+        moving = total > 0  # a path with no rate left parks
+        t_new = np.full(ids.size, np.inf)
         t_new[moving] = t[moving] + rng.exponential(1.0, size=int(moving.sum())) / total[moving]
-        newly = (t <= checkpoints[:, None]) & (t_new > checkpoints[:, None])
-        records[newly] = np.broadcast_to(xf.sum(axis=1), records.shape)[newly]
+        # record the checkpoints in [t, t_new): most rounds cross none
+        at = np.flatnonzero(t_new > cp[nxt])
+        v = xf[at].sum(axis=1)
+        while at.size:
+            records[nxt[at], ids[at]] = v
+            nxt[at] += 1
+            more = t_new[at] > cp[nxt[at]]
+            at, v = at[more], v[more]
         apply = moving & (t_new <= T)
         if apply.any():
             u = rng.uniform(size=n_paths)
             rows = np.flatnonzero(apply)
             # Gillespie's direct method: the move is the first rate column
             # whose running sum, added in column order, reaches u * total
-            target = u[rows] * total[rows]
+            target = u[ids[rows]] * total[rows]
             running = np.zeros(len(rows))
             pick = np.zeros(len(rows), dtype=np.intp)
             for rate in np.concatenate([up[rows], dn[rows]], axis=1).T:
@@ -321,7 +331,11 @@ def bd_moment_bound(spec, x0, T: float, n_paths: int, seed: int,
             if np.any(x >= state_cap):
                 truncated = True
                 np.minimum(x, state_cap, out=x)
-        t = np.where(t_new > T, np.inf, t_new)
+        t = t_new
+        done = t_new > T
+        if done.any():
+            keep = ~done
+            ids, x, t, nxt = ids[keep], x[keep], t[keep], nxt[keep]
     means = records.mean(axis=1)
     stderrs = records.std(axis=1, ddof=1) / math.sqrt(n_paths)
     maj = bd_riccati_majorant(spec)

@@ -295,6 +295,19 @@ def test_importing_the_cli_loads_no_scipy_spatial_or_integrate():
     assert out == "[]\n"
 
 
+def test_eigen_on_the_half_line_loads_no_scipy_special(tmp_path):
+    # the half-line kernel needs no erf: only its closed-form mass does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cfg = {"command": "eigen", "model": {"name": "half_harmonic"},
+           "grid": {"min": 0.0, "max": 8.0, "n": 200}}
+    code = (f"import sys; sys.path.insert(0, {src!r}); import semistab.cli; "
+            f"code = semistab.cli.run_experiment({cfg!r}, out_dir={str(tmp_path)!r}); "
+            "print(code, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_riccati_matrix_tanh_at_a_huge_horizon_returns_at_once(tmp_path):
     out = tmp_path / "r.json"
     cfg = {"command": "riccati", "extra": {"kind": "matrix_tanh", "t": 1e300},

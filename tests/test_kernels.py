@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from semistab.core import FunctionVec, GridDomain, LyapunovSpec, v_operator_norm
 from semistab.kernels import (
+    _DENSITY_BLOCK,
     MODELS,
     DirichletHeat,
     GaussOU,
@@ -434,6 +435,64 @@ def test_discretize_matches_row_by_row_assembly(model, grid):
     rows = np.array([model.density(0.5, x, pts) * w for x in pts])
     assert np.array_equal(discretize(model, grid, 0.5).matrix,
                           np.clip(rows, 0.0, None))
+
+
+@pytest.mark.parametrize("model, grid", [
+    (HalfHarmonicOscillator(), HalfHarmonicOscillator().default_grid(300)),
+    (HarmonicOscillator(), GridDomain.uniform_closed(-8.0, 8.0, 1200)),
+    (GaussOU(a=-2.0, sigma=0.7), GaussOU(a=-2.0, sigma=0.7).default_grid(400)),
+])
+def test_gaussian_rows_written_in_place_match_the_density_row_by_row(model, grid):
+    # the in-place blocks, unclamped, are the model's own density times w
+    n = grid.size
+    assert n > max(1, _DENSITY_BLOCK // n)  # more than one block of rows
+    pts, w = grid.points, grid.cell_weights
+    rows = np.array([model.density(0.5, x, pts) * w for x in pts])
+    assert np.array_equal(discretize(model, grid, 0.5).matrix, rows)
+
+
+def test_half_harmonic_corner_entry_does_not_cancel():
+    # K_00 of the absorbed oscillator on 800 cells of (0, 8) at tau = 0.5,
+    # where x_0 m / p is small and the mirror Gaussian nearly cancels the
+    # direct one; the value was computed by mpmath at 40 digits
+    K = discretize(HalfHarmonicOscillator(), GridDomain.uniform_open(0.0, 8.0, 800), 0.5)
+    assert K.matrix[0, 0] == pytest.approx(5.3025019207861061e-07, rel=1e-15, abs=0)
+
+
+def test_half_line_kernel_below_the_origin_is_zero():
+    model = HalfHarmonicLinear(0.3, 2.0)
+    y = np.array([-1.0, -0.0, 0.0, math.nan, 0.5])
+    out = model.density(0.7, np.array([[0.4], [2.0]]), y)
+    assert np.array_equal(out[:, :4], np.zeros((2, 4)))
+    assert (out[:, 4] > 0).all()
+    _, dens = half_harmonic_linear(0.7, 0.4, 0.3, 2.0)
+    assert np.array_equal(dens(y[:4]), np.zeros(4))
+
+
+def test_discretize_writes_the_gaussian_rows_in_place():
+    import tracemalloc
+
+    grid = GridDomain.uniform_closed(-8.0, 8.0, 1200)
+    tracemalloc.start()
+    try:
+        K = discretize(HarmonicOscillator(), grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.matrix.nbytes + 2 * _DENSITY_BLOCK * 8
+
+
+def test_h_transforms_keep_the_bits_of_the_whole_matrix_formula():
+    m = HarmonicOscillator()
+    g = GridDomain.uniform_closed(-8.0, 8.0, 700)
+    K = discretize(m, g, 1.0)
+    h = FunctionVec(m.exact_h(g.points), g)
+    P = doob_h_transform(K, h, m.exact_rho)
+    assert np.array_equal(P.matrix, math.exp(-m.exact_rho) * K.matrix
+                          * (h.values[None, :] / h.values[:, None]))
+    back = undo_h_transform(P, h, m.exact_rho)
+    assert np.array_equal(back.matrix, math.exp(m.exact_rho) * P.matrix
+                          * (h.values[:, None] / h.values[None, :]))
 
 
 def test_discretize_names_the_failing_row():

@@ -304,6 +304,24 @@ def test_bd_event_loop_matches_the_logistic_loop_bit_for_bit(spec, x0, cap):
     assert truncations == {cap < 10 ** 6}
 
 
+def test_bd_event_loop_keeps_its_bits_on_a_coupled_chain():
+    # the loop rates live paths only and compares each clock with its next
+    # unrecorded checkpoint; the digests were taken from the loop that rated
+    # every path and compared each clock with all ten checkpoints
+    import hashlib
+
+    spec = MultivariateBD(
+        lam=np.array([1.5, 1.0, 0.7]), mu=np.array([0.2, 0.1, 0.3]),
+        ups=np.array([0.5, 0.2, 0.1]), sig=np.array([0.1, 0.1, 0.0]),
+        C=np.array([[0.0, 0.02, 0.01], [0.03, 0.0, 0.0], [0.0, 0.01, 0.0]]),
+        D=np.array([[0.3, 0.05, 0.0], [0.02, 0.25, 0.01], [0.0, 0.03, 0.2]]),
+    )
+    rep = bd_moment_bound(spec, np.array([5, 8, 3]), T=2.0, n_paths=600, seed=5)
+    digest = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (rep.means, rep.stderrs)]
+    assert digest == ["2de2435c483fa3b8", "0f8bc5a24d283bea"]
+    assert rep.ok and not rep.truncated
+
+
 def test_bd_determinism():
     spec = LogisticBD(lam_b=2.0, ups_b=0.0, lam_d=0.0, lam_l=0.5, ups_d=0.0)
     a = bd_moment_bound(spec, 40, T=1.0, n_paths=300, seed=3)
